@@ -58,7 +58,7 @@ def _json_default(o):
 
 
 def _dump_json(obj, path: Path | None) -> str:
-    text = json.dumps(obj, indent=2, sort_keys=True, default=_json_default) + "\n"
+    text = json.dumps(obj, indent=2, sort_keys=True, default=_json_default, allow_nan=False) + "\n"
     if path is not None:
         path.write_text(text, encoding="utf-8")
     return text
@@ -81,47 +81,28 @@ def _schema_from_args(args) -> ColumnSchema:
 
 def _load_with_pred(args) -> tuple[Dataset, PredictionSet | None, dict]:
     """Load the dataset and derive predictions from the policy flags."""
-    schema = _schema_from_args(args)
+    d = load_csv(args.data, _schema_from_args(args))
     pred_col = getattr(args, "pred_col", None)
     if pred_col:
-        # the prediction column must not leak into the features
-        with open(args.data, encoding="utf-8") as fh:
-            header = [h.strip() for h in fh.readline().rstrip("\n").split(",")]
-        if pred_col not in header:
+        # the prediction column is read as a feature and must not stay one
+        if pred_col not in d.feature_names:
             raise DataError(f"missing prediction column {pred_col!r}")
-        reserved = {schema.s_col, schema.y_col, schema.score_col, schema.weight_col, pred_col}
-        auto_feats = [h for h in header if h not in reserved]
-        schema = ColumnSchema(
-            s_col=schema.s_col,
-            y_col=schema.y_col,
-            score_col=schema.score_col if schema.score_col in header else None,
-            weight_col=schema.weight_col,
-            feature_cols=schema.feature_cols if schema.feature_cols is not None else auto_feats + [pred_col],
-            legit_cols=schema.legit_cols,
-            flip_score=schema.flip_score,
-        )
-        d = load_csv(args.data, schema)
         raw = d.feature_column(pred_col)
         if not np.isin(raw, (0.0, 1.0)).all():
             raise DataError(f"prediction column {pred_col!r} must be 0/1")
         pred = PredictionSet.from_labels(raw.astype(int))
         keep = [n for n in d.feature_names if n != pred_col]
-        feats = None
-        if keep:
-            cols = [d.feature_column(n) for n in keep]
-            feats = np.column_stack(cols)
         d = Dataset(
             s=d.s,
             y=d.y,
             score=d.score,
-            features=feats,
+            features=np.column_stack([d.feature_column(n) for n in keep]) if keep else None,
             weight=d.weight,
             feature_names=keep,
             legit_names=tuple(n for n in d.legit_names if n != pred_col),
         )
         return d, pred, {"kind": "column", "column": pred_col}
 
-    d = load_csv(args.data, schema)
     by_group = getattr(args, "threshold_by_group", None)
     if by_group:
         rules = {}
@@ -405,22 +386,20 @@ def cmd_mitigate(args) -> int:
     artifacts: dict[str, str] = {}
     result_info: dict = {"method": args.method}
 
+    # each method yields the predictions the after-block is evaluated with
+    # and, unless it only changes the decision policy, a dataset to write
+    written: Dataset | None = None
+    suffix = "corrected"
     if args.method == "reweigh":
         res = mitigate.reweigh(d)
-        corrected = res.dataset
+        written = res.dataset
         result_info["factors"] = {f"{sv},{yv}": w for (sv, yv), w in sorted(res.factors.items())}
-        artifacts["dataset"] = str(out_prefix) + ".corrected.csv"
-        Path(artifacts["dataset"]).write_text(dataset_to_csv(corrected), encoding="utf-8")
-        after_pred = apply_policy(corrected, ThresholdPolicy.shared(args.threshold)) if (
-            args.threshold is not None and corrected.score is not None
+        after_pred = apply_policy(written, ThresholdPolicy.shared(args.threshold)) if (
+            args.threshold is not None and written.score is not None
         ) else pred
-        after = {
-            "label_rates": _label_rates(corrected),
-            "metrics": _metric_block(corrected, after_pred, args.epsilon),
-        }
     elif args.method == "massage":
         res = mitigate.massage_labels(d, eps=args.eps)
-        corrected = res.dataset
+        written = res.dataset
         result_info.update(
             {
                 "swaps": res.swaps,
@@ -429,23 +408,13 @@ def cmd_mitigate(args) -> int:
                 "boundary_threshold": res.threshold,
             }
         )
-        artifacts["dataset"] = str(out_prefix) + ".corrected.csv"
-        Path(artifacts["dataset"]).write_text(dataset_to_csv(corrected), encoding="utf-8")
-        after = {
-            "label_rates": _label_rates(corrected),
-            "metrics": _metric_block(corrected, pred, args.epsilon),
-        }
+        after_pred = pred
     elif args.method == "repair":
         features = [c for c in args.features.split(",") if c] if args.features else None
         res = mitigate.di_remove(d, features=features, amount=args.amount)
-        corrected = res.dataset
+        written = res.dataset
         result_info["amount"] = args.amount
-        artifacts["dataset"] = str(out_prefix) + ".corrected.csv"
-        Path(artifacts["dataset"]).write_text(dataset_to_csv(corrected), encoding="utf-8")
-        after = {
-            "label_rates": _label_rates(corrected),
-            "metrics": _metric_block(corrected, pred, args.epsilon),
-        }
+        after_pred = pred
     elif args.method == "train":
         if args.penalty == "none":
             spec = mitigate.PenaltySpec.none()
@@ -460,9 +429,8 @@ def cmd_mitigate(args) -> int:
         model = mitigate.train_logistic(d, penalty=spec, link=args.link)
         artifacts["model"] = str(out_prefix) + ".model.json"
         model.save(artifacts["model"])
-        scored = d.with_(score=model.predict_score(d.features))
-        artifacts["dataset"] = str(out_prefix) + ".scored.csv"
-        Path(artifacts["dataset"]).write_text(dataset_to_csv(scored), encoding="utf-8")
+        written = d.with_(score=model.predict_score(d.features))
+        suffix = "scored"
         result_info.update(
             {
                 "penalty": args.penalty,
@@ -470,23 +438,18 @@ def cmd_mitigate(args) -> int:
                 "diverged": model.diverged,
                 "n_iter": model.n_iter,
                 "score_s_correlation": depmeasure.pearson(
-                    scored.score, scored.s.astype(float), scored.weight
+                    written.score, written.s.astype(float), written.weight
                 ),
             }
         )
         after_pred = (
-            apply_policy(scored, ThresholdPolicy.shared(args.threshold))
+            apply_policy(written, ThresholdPolicy.shared(args.threshold))
             if args.threshold is not None
             else None
         )
-        after = {
-            "label_rates": _label_rates(scored),
-            "metrics": _metric_block(scored, after_pred, args.epsilon),
-        }
     elif args.method in ("thresholds", "equalize-odds"):
         if args.method == "thresholds":
             res = mitigate.per_group_thresholds(d, objective=args.objective)
-            policy = res.policy
             result_info.update(
                 {
                     "objective": args.objective,
@@ -499,7 +462,6 @@ def cmd_mitigate(args) -> int:
             )
         else:
             res = mitigate.equalize_odds(d, criterion=args.criterion)
-            policy = res.policy
             result_info.update(
                 {
                     "criterion": args.criterion,
@@ -512,11 +474,20 @@ def cmd_mitigate(args) -> int:
                 }
             )
         artifacts["policy"] = str(out_prefix) + ".policy.json"
-        _dump_json(policy.to_json_dict(), Path(artifacts["policy"]))
-        after_pred = apply_policy(d, policy)
-        after = {"label_rates": _label_rates(d), "metrics": _metric_block(d, after_pred, args.epsilon)}
+        _dump_json(res.policy.to_json_dict(), Path(artifacts["policy"]))
+        after_pred = apply_policy(d, res.policy)
     else:
         raise DataError(f"unknown method {args.method!r}")
+
+    after_d = d
+    if written is not None:
+        artifacts["dataset"] = f"{out_prefix}.{suffix}.csv"
+        Path(artifacts["dataset"]).write_text(dataset_to_csv(written), encoding="utf-8")
+        after_d = written
+    after = {
+        "label_rates": _label_rates(after_d),
+        "metrics": _metric_block(after_d, after_pred, args.epsilon),
+    }
 
     report = {
         "schema_version": SCHEMA_VERSION,

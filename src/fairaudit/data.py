@@ -17,14 +17,13 @@ import csv
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 __all__ = [
     "DataError",
     "DegenerateGroupError",
-    "Record",
     "Dataset",
     "ColumnSchema",
     "Deterministic",
@@ -48,27 +47,6 @@ class DataError(ValueError):
 
 class DegenerateGroupError(ValueError):
     """A computation requires a group/class that is empty (CLI exit code 3)."""
-
-
-@dataclass(frozen=True)
-class Record:
-    """One observation: group, outcome, optional score/features, weight."""
-
-    s: int
-    y: int
-    score: float | None = None
-    features: tuple[float, ...] | None = None
-    weight: float = 1.0
-
-    def __post_init__(self):
-        if self.s not in (0, 1):
-            raise DataError(f"s must be 0 or 1, got {self.s!r}")
-        if self.y not in (0, 1):
-            raise DataError(f"y must be 0 or 1, got {self.y!r}")
-        if self.score is not None and not (0.0 <= self.score <= 1.0):
-            raise DataError(f"score must lie in [0, 1], got {self.score!r}")
-        if not self.weight > 0:
-            raise DataError(f"weight must be positive, got {self.weight!r}")
 
 
 class Dataset:
@@ -119,9 +97,10 @@ class Dataset:
         )
         if len(self.weight) != n:
             raise DataError("weight column length mismatch")
-        if not (self.weight > 0).all():
+        bad = ~((self.weight > 0) & np.isfinite(self.weight))
+        if bad.any():
             raise DataError(
-                f"non-positive weight in row {int(np.argmax(~(self.weight > 0))) + 1}"
+                f"weight must be finite and positive, row {int(np.argmax(bad)) + 1}"
             )
 
         self.feature_names = tuple(feature_names)
@@ -141,18 +120,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.s)
-
-    def __getitem__(self, i: int) -> Record:
-        return Record(
-            s=int(self.s[i]),
-            y=int(self.y[i]),
-            score=None if self.score is None else float(self.score[i]),
-            features=None if self.features is None else tuple(self.features[i]),
-            weight=float(self.weight[i]),
-        )
-
-    def records(self) -> Iterator[Record]:
-        return (self[i] for i in range(len(self)))
 
     def group_mask(self, g: int) -> np.ndarray:
         return self.s == g
@@ -186,19 +153,6 @@ class Dataset:
         )
         args.update(kw)
         return Dataset(**args)
-
-    @classmethod
-    def from_records(cls, records: Sequence[Record], **kw) -> "Dataset":
-        have_scores = all(r.score is not None for r in records)
-        have_feats = all(r.features is not None for r in records)
-        return cls(
-            s=[r.s for r in records],
-            y=[r.y for r in records],
-            score=[r.score for r in records] if have_scores else None,
-            features=np.array([r.features for r in records]) if have_feats else None,
-            weight=[r.weight for r in records],
-            **kw,
-        )
 
 
 @dataclass(frozen=True)
@@ -250,6 +204,10 @@ def load_csv(path, schema: ColumnSchema = ColumnSchema()) -> Dataset:
         header = [h.strip() for h in header]
         rows = [row for row in reader if row and any(c.strip() for c in row)]
 
+    duplicates = sorted({h for h in header if header.count(h) > 1})
+    if duplicates:
+        raise DataError(f"duplicate column name(s) {duplicates} in header")
+
     if not rows:
         raise DataError("no records")
     for col in (schema.s_col, schema.y_col):
@@ -292,8 +250,8 @@ def load_csv(path, schema: ColumnSchema = ColumnSchema()) -> Dataset:
             scores.append(1.0 - v if schema.flip_score else v)
         if has_weight:
             w = _parse_float(row[idx[schema.weight_col]], schema.weight_col, rownum)
-            if not w > 0:
-                raise DataError(f"row {rownum}: weight must be positive, got {w}")
+            if not 0 < w < math.inf:
+                raise DataError(f"row {rownum}: weight must be finite and positive, got {w}")
             weights.append(w)
         if feat_names:
             vals = []
@@ -510,10 +468,7 @@ def validate(d: Dataset) -> ValidationReport:
     missing = {}
     constant = []
     if d.features is not None:
-        names = d.feature_names or tuple(
-            f"x{j}" for j in range(d.features.shape[1])
-        )
-        for j, name in enumerate(names):
+        for j, name in enumerate(d.feature_names):
             col = d.features[:, j]
             n_missing = int(np.isnan(col).sum())
             if n_missing:
@@ -541,14 +496,11 @@ def dataset_to_csv(d: Dataset) -> str:
 
     Floats are written with repr so values round-trip exactly.
     """
-    names = list(d.feature_names)
-    if d.features is not None and not names:
-        names = [f"x{j}" for j in range(d.features.shape[1])]
     header = ["s", "y"]
     if d.score is not None:
         header.append("score")
     header.append("w")
-    header.extend(names)
+    header.extend(d.feature_names)
     lines = [",".join(header)]
     for i in range(len(d)):
         row = [str(int(d.s[i])), str(int(d.y[i]))]

@@ -25,6 +25,7 @@ from scipy.stats import norm
 from ._common import ks_distance, weighted_mean
 from .data import Dataset, DegenerateGroupError, PredictionSet
 from . import rocstats
+from .rocstats import _ratio
 
 __all__ = [
     "METRICS",
@@ -133,55 +134,31 @@ def _composite(metric: str, gap01: float | None, epsilon: float, details) -> Met
     )
 
 
-def _group_arrays(d: Dataset, pred: PredictionSet, g: int):
-    mask = d.require_group(g)
-    return d.y[mask], pred.prob[mask], d.weight[mask]
+def _confusions(d: Dataset, pred: PredictionSet) -> list[rocstats.ConfusionMatrix]:
+    """One weighted confusion matrix per group; both groups must be present."""
+    for g in (0, 1):
+        d.require_group(g)
+    return [rocstats.confusion(d, pred, g) for g in (0, 1)]
 
 
-def _rate(num: float, den: float) -> float | None:
-    return None if den == 0 else num / den
+def _positive_rate(c: rocstats.ConfusionMatrix) -> float | None:
+    return _ratio(c.tp + c.fp, c.total)
 
 
-def _per_group_value(metric: str, y, p, w) -> float | None:
-    if metric == "statistical_parity":
-        return _rate(np.sum(w * p), np.sum(w))
-    if metric == "equal_opportunity":  # TPR
-        return _rate(np.sum(w * p * y), np.sum(w * y))
-    if metric == "predictive_equality":  # FPR
-        return _rate(np.sum(w * p * (1 - y)), np.sum(w * (1 - y)))
-    if metric == "conditional_accuracy":  # P[Y=0 | Yhat=0]
-        return _rate(np.sum(w * (1 - p) * (1 - y)), np.sum(w * (1 - p)))
-    if metric == "predictive_parity":  # PPV
-        return _rate(np.sum(w * p * y), np.sum(w * p))
-    if metric == "accuracy_equality":
-        return _rate(np.sum(w * (p * y + (1 - p) * (1 - y))), np.sum(w))
-    if metric == "treatment_equality":  # FN / FP
-        return _rate(np.sum(w * (1 - p) * y), np.sum(w * p * (1 - y)))
-    if metric == "equalizing_disincentives":  # TPR - FPR
-        tpr = _rate(np.sum(w * p * y), np.sum(w * y))
-        fpr = _rate(np.sum(w * p * (1 - y)), np.sum(w * (1 - y)))
-        return None if tpr is None or fpr is None else tpr - fpr
-    if metric == "phi_fairness":
-        tp, fp = np.sum(w * p * y), np.sum(w * p * (1 - y))
-        fn, tn = np.sum(w * (1 - p) * y), np.sum(w * (1 - p) * (1 - y))
-        den = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
-        return None if den == 0 else float((tp * tn - fp * fn) / math.sqrt(den))
-    raise ValueError(f"unknown per-group metric {metric!r}")
-
-
-_SCALAR_METRICS = frozenset(
-    {
-        "statistical_parity",
-        "equal_opportunity",
-        "predictive_equality",
-        "conditional_accuracy",
-        "predictive_parity",
-        "accuracy_equality",
-        "treatment_equality",
-        "equalizing_disincentives",
-        "phi_fairness",
-    }
-)
+# per-group value of each scalar metric, from the group's counts and rates
+_SCALAR_METRICS = {
+    "statistical_parity": lambda c, r: _positive_rate(c),
+    "equal_opportunity": lambda c, r: r.tpr,
+    "predictive_equality": lambda c, r: r.fpr,
+    "conditional_accuracy": lambda c, r: r.npv,  # P[Y=0 | Yhat=0]
+    "predictive_parity": lambda c, r: r.ppv,
+    "accuracy_equality": lambda c, r: r.accuracy,
+    "treatment_equality": lambda c, r: _ratio(c.fn, c.fp),  # FN / FP
+    "equalizing_disincentives": lambda c, r: (
+        None if r.tpr is None or r.fpr is None else r.tpr - r.fpr
+    ),
+    "phi_fairness": lambda c, r: r.phi,
+}
 
 
 def group_metric(
@@ -199,24 +176,16 @@ def group_metric(
     for g in (0, 1):
         d.require_group(g)
 
-    if metric in _SCALAR_METRICS:
+    if metric in _SCALAR_METRICS or metric == "equalized_odds":
         if pred is None:
             raise ValueError(f"{metric} requires predictions")
-        v0 = _per_group_value(metric, *_group_arrays(d, pred, 0))
-        v1 = _per_group_value(metric, *_group_arrays(d, pred, 1))
-        return _result(metric, v0, v1, epsilon)
-
-    if metric == "equalized_odds":
-        if pred is None:
-            raise ValueError("equalized_odds requires predictions")
-        tpr = [
-            _per_group_value("equal_opportunity", *_group_arrays(d, pred, g))
-            for g in (0, 1)
-        ]
-        fpr = [
-            _per_group_value("predictive_equality", *_group_arrays(d, pred, g))
-            for g in (0, 1)
-        ]
+        counts = _confusions(d, pred)
+        rates = [rocstats.rates(c) for c in counts]
+        if metric in _SCALAR_METRICS:
+            v0, v1 = (_SCALAR_METRICS[metric](c, r) for c, r in zip(counts, rates))
+            return _result(metric, v0, v1, epsilon)
+        tpr = [r.tpr for r in rates]
+        fpr = [r.fpr for r in rates]
         gaps = [abs(a - b) for a, b in (tpr, fpr) if a is not None and b is not None]
         gap = max(gaps) if len(gaps) == 2 else None
         return _composite(
@@ -304,10 +273,8 @@ def disparate_impact(
     D_max = min(P[Yhat=1]/P[S=1], P[Yhat=0]/P[S=0]), and the equal
     opportunity difference EOD (TPR_1 - TPR_0).
     """
-    y0, p0_, w0 = _group_arrays(d, pred, 0)
-    y1, p1_, w1 = _group_arrays(d, pred, 1)
-    p0 = float(np.sum(w0 * p0_) / np.sum(w0))
-    p1 = float(np.sum(w1 * p1_) / np.sum(w1))
+    c0, c1 = _confusions(d, pred)
+    p0, p1 = _positive_rate(c0), _positive_rate(c1)
     if p0 > 0 and p1 > 0:
         ratio = min(p0 / p1, p1 / p0)
     else:
@@ -325,8 +292,7 @@ def disparate_impact(
     dmax = min(dmax_terms) if dmax_terms else None
     nspd = None if not dmax else spd / dmax
 
-    tpr0 = _per_group_value("equal_opportunity", y0, p0_, w0)
-    tpr1 = _per_group_value("equal_opportunity", y1, p1_, w1)
+    tpr0, tpr1 = (rocstats.rates(c).tpr for c in (c0, c1))
     eod = None if tpr0 is None or tpr1 is None else tpr1 - tpr0
 
     return DisparateImpactResult(

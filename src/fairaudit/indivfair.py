@@ -191,7 +191,7 @@ def reconstruction_audit(
         if np.isnan(d.features).any():
             raise DataError("reconstruction audit requires complete features")
         blocks.append(d.features)
-        names.extend(d.feature_names or [f"x{j}" for j in range(d.features.shape[1])])
+        names.extend(d.feature_names)
     if d.score is not None:
         blocks.append(d.score[:, None])
         names.append("score")

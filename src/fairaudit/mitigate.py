@@ -590,44 +590,19 @@ class ThresholdSearchResult:
     degenerate: bool  # equalization only at an all-or-nothing rule
 
 
-def _threshold_scan(m, y, w):
-    """Cumulative statistics for every candidate threshold over one sample.
-
-    Candidates are 1.0, the midpoints between consecutive distinct scores
-    (descending) and 0.0, under the strict score > t rule.  Returns
-    (thresholds, weight above, positive weight above, weighted correct).
-    """
-    order = np.argsort(-m, kind="stable")
-    ms, ys, ws = m[order], y[order], w[order]
-    distinct, first_idx = np.unique(-ms, return_index=True)
-    distinct = -distinct
-    cut = np.append(first_idx[1:], len(ms))
-
-    cum_w = np.cumsum(ws)
-    cum_pos = np.cumsum(ws * ys)
-    above_w = np.concatenate(([0.0], cum_w[cut - 1]))
-    above_pos = np.concatenate(([0.0], cum_pos[cut - 1]))
-    mids = (distinct[:-1] + distinct[1:]) / 2.0
-    thresholds = np.concatenate(([1.0], mids, [0.0]))
-    if distinct[-1] == 0.0:  # t = 0 keeps zero-score records negative
-        above_w[-1] = above_w[-2]
-        above_pos[-1] = above_pos[-2]
-
-    pos_total = float(cum_pos[-1])
-    neg_total = float(cum_w[-1] - cum_pos[-1])
-    correct = above_pos + (neg_total - (above_w - above_pos))
-    return thresholds, above_w, above_pos, correct, float(cum_w[-1]), pos_total
-
-
 def _group_threshold_table(d: Dataset, g: int, objective: str):
     """Candidate thresholds for one group with the objective value (positive
     rate or TPR) and weighted correct count at each; per distinct objective
     value only the best-accuracy (then largest) threshold is kept."""
     mask = d.s == g
-    m = d.require_scores()[mask]
     y = d.y[mask]
     w = d.weight[mask]
-    thr, above_w, above_pos, correct, total_w, pos_total = _threshold_scan(m, y, w)
+    distinct, above, (total_w, pos_total) = rocstats._sweep(
+        d.require_scores()[mask], np.column_stack((w, w * y))
+    )
+    thr, above = rocstats._policy_candidates(distinct, above)
+    above_w, above_pos = above.T
+    correct = above_pos + ((total_w - pos_total) - (above_w - above_pos))
     if objective == "dp":
         value = above_w / total_w
     else:  # eo_tpr
@@ -716,47 +691,29 @@ class _GroupGeometry:
 
 
 def _group_geometry(d: Dataset, g: int) -> _GroupGeometry:
-    curve = rocstats.roc_curve(d, group=g)
-    thr = curve.thresholds.copy()
-    fpr = curve.fpr.copy()
-    tpr = curve.tpr.copy()
-    thr[0] = 1.0  # identical decisions: no score exceeds 1
-    # the all-positive endpoint needs t < min score; t = 0 is the closest
-    # policy-legal rule and only differs when some record scores exactly 0
-    mask = d.s == g
-    m = d.require_scores()[mask]
+    """The group's ROC points at policy-legal thresholds and their upper hull."""
+    score = d.require_scores()
+    mask = d.require_group(g)
     y = d.y[mask]
     w = d.weight[mask]
-    if m.min() > 0:
-        thr[-1] = 0.0
-    else:
-        pos = m > 0
-        fpr[-1] = np.sum(w[pos & (y == 0)]) / curve.neg_total
-        tpr[-1] = np.sum(w[pos & (y == 1)]) / curve.pos_total
-        thr[-1] = 0.0
+    distinct, above, (neg_w, pos_w) = rocstats._sweep(
+        score[mask], np.column_stack((w * (1 - y), w * y))
+    )
+    if neg_w == 0 or pos_w == 0:
+        raise DegenerateGroupError(f"group {g} needs both outcome classes")
+    thr, above = rocstats._policy_candidates(distinct, above)
+    fpr = above[:, 0] / neg_w
+    tpr = above[:, 1] / pos_w
     # drop consecutive duplicate points, keeping the largest threshold
     keep = np.concatenate(([True], (np.diff(fpr) != 0) | (np.diff(tpr) != 0)))
     thr, fpr, tpr = thr[keep], fpr[keep], tpr[keep]
-
-    hull = [0]
-    for i in range(1, len(fpr)):
-        while len(hull) >= 2:
-            o, a = hull[-2], hull[-1]
-            cross = (fpr[a] - fpr[o]) * (tpr[i] - tpr[o]) - (tpr[a] - tpr[o]) * (
-                fpr[i] - fpr[o]
-            )
-            if cross >= 0:
-                hull.pop()
-            else:
-                break
-        hull.append(i)
     return _GroupGeometry(
         thresholds=thr,
         fpr=fpr,
         tpr=tpr,
-        hull=np.asarray(hull),
-        neg_w=curve.neg_total,
-        pos_w=curve.pos_total,
+        hull=rocstats._upper_hull(fpr, tpr),
+        neg_w=float(neg_w),
+        pos_w=float(pos_w),
     )
 
 
@@ -852,87 +809,43 @@ def _intersect(p0, p1, q0, q1):
     return out
 
 
-def equalize_odds(d: Dataset, criterion: str = "full") -> EqualizedOddsResult:
-    """Randomized post-processing equalizing group error rates.
+def _opportunity_mixture(geo: dict[int, _GroupGeometry], pos_w: float, total_w: float):
+    """Common TPR on the merged grid of envelope vertex TPRs that maximizes
+    accuracy, with each group's mixture realizing it on its own envelope."""
+    taus = np.unique(
+        np.concatenate([geo[g].tpr[geo[g].hull] for g in (0, 1)])
+    )
+    taus = taus[taus <= min(geo[g].tpr[geo[g].hull][-1] for g in (0, 1)) + 1e-15]
 
-    "full": find the accuracy-best point that both groups can realize
-    exactly with a two-threshold mixture (intersections of the realizable
-    segment families: envelope edges and all-or-nothing chords), so the
-    realized |TPR gap| and |FPR gap| vanish up to float rounding.
+    def env_at_tpr(g: int, tau: float):
+        hull = geo[g].hull
+        tprs = geo[g].tpr[hull]
+        k = int(np.searchsorted(tprs, tau, side="left"))
+        k = min(k, len(hull) - 1)
+        if abs(tprs[k] - tau) <= 1e-15:
+            return float(geo[g].fpr[hull[k]]), (int(hull[k]), int(hull[k]), 0.0)
+        i, j = int(hull[max(k - 1, 0)]), int(hull[k])
+        span = geo[g].tpr[j] - geo[g].tpr[i]
+        u = 0.0 if span == 0 else (tau - geo[g].tpr[i]) / span
+        u = min(max(u, 0.0), 1.0)
+        f = (1 - u) * geo[g].fpr[i] + u * geo[g].fpr[j]
+        return float(f), (i, j, float(u))
 
-    "opportunity": equalize TPR only; the common TPR is chosen on the merged
-    grid of envelope vertex TPRs to maximize accuracy, and each group
-    realizes it on its own envelope (mixing two thresholds when the value
-    falls between vertices).
-    """
-    if criterion not in ("full", "opportunity"):
-        raise ValueError(f"criterion must be 'full' or 'opportunity', got {criterion!r}")
-    geo = {g: _group_geometry(d, g) for g in (0, 1)}
-    pos_w = geo[0].pos_w + geo[1].pos_w
-    neg_w = geo[0].neg_w + geo[1].neg_w
-    total_w = pos_w + neg_w
+    best = None
+    for tau in taus:
+        f0, mix0 = env_at_tpr(0, float(tau))
+        f1, mix1 = env_at_tpr(1, float(tau))
+        acc = (tau * pos_w + (1 - f0) * geo[0].neg_w + (1 - f1) * geo[1].neg_w) / total_w
+        key = (acc, -(f0 + f1), tau)
+        if best is None or key > best[0]:
+            best = (key, tau, (mix0, mix1))
+    _, tau, mixes = best
+    return tau, mixes
 
-    def accuracy(f: float, t: float) -> float:
-        return (t * pos_w + (1.0 - f) * neg_w) / total_w
 
-    degenerate = all(len(geo[g].hull) <= 2 for g in (0, 1))
-
-    if criterion == "opportunity":
-        taus = np.unique(
-            np.concatenate([geo[g].tpr[geo[g].hull] for g in (0, 1)])
-        )
-        taus = taus[taus <= min(geo[g].tpr[geo[g].hull][-1] for g in (0, 1)) + 1e-15]
-
-        def env_at_tpr(g: int, tau: float):
-            hull = geo[g].hull
-            tprs = geo[g].tpr[hull]
-            k = int(np.searchsorted(tprs, tau, side="left"))
-            k = min(k, len(hull) - 1)
-            if abs(tprs[k] - tau) <= 1e-15:
-                return float(geo[g].fpr[hull[k]]), (int(hull[k]), int(hull[k]), 0.0)
-            i, j = int(hull[max(k - 1, 0)]), int(hull[k])
-            span = geo[g].tpr[j] - geo[g].tpr[i]
-            u = 0.0 if span == 0 else (tau - geo[g].tpr[i]) / span
-            u = min(max(u, 0.0), 1.0)
-            f = (1 - u) * geo[g].fpr[i] + u * geo[g].fpr[j]
-            return float(f), (i, j, float(u))
-
-        best = None
-        for tau in taus:
-            f0, mix0 = env_at_tpr(0, float(tau))
-            f1, mix1 = env_at_tpr(1, float(tau))
-            acc = (tau * pos_w + (1 - f0) * geo[0].neg_w + (1 - f1) * geo[1].neg_w) / total_w
-            key = (acc, -(f0 + f1), tau)
-            if best is None or key > best[0]:
-                best = (key, tau, (mix0, mix1))
-        _, tau, (mix0, mix1) = best
-        rules, mixed, realized = {}, False, {}
-        for g, mix in ((0, mix0), (1, mix1)):
-            rule, is_mix = _rule_from_mix(geo[g], *mix)
-            rules[g] = rule
-            mixed = mixed or is_mix
-            realized[g] = tuple(_realized(geo[g], *mix).tolist())
-        tpr_gap = abs(realized[0][1] - realized[1][1])
-        fpr_gap = abs(realized[0][0] - realized[1][0])
-        acc = (
-            realized[0][1] * geo[0].pos_w
-            + realized[1][1] * geo[1].pos_w
-            + (1 - realized[0][0]) * geo[0].neg_w
-            + (1 - realized[1][0]) * geo[1].neg_w
-        ) / total_w
-        return EqualizedOddsResult(
-            policy=ThresholdPolicy(rules=rules),
-            target=(float((realized[0][0] + realized[1][0]) / 2), float(tau)),
-            realized=realized,
-            tpr_gap=tpr_gap,
-            fpr_gap=fpr_gap,
-            accuracy=acc,
-            degenerate=degenerate,
-            mixed=mixed,
-        )
-
-    # full equalized odds: candidates are intersections of the two groups'
-    # realizable segment families, solved for all pairs at once
+def _full_mixture(geo: dict[int, _GroupGeometry], accuracy):
+    """Accuracy-best intersection of the two groups' realizable segment
+    families, solved for all pairs at once."""
     segs = {g: np.asarray(_segments(geo[g]), dtype=int) for g in (0, 1)}
     A0 = np.column_stack([geo[0].fpr[segs[0][:, 0]], geo[0].tpr[segs[0][:, 0]]])
     A1 = np.column_stack([geo[0].fpr[segs[0][:, 1]], geo[0].tpr[segs[0][:, 1]]])
@@ -957,7 +870,7 @@ def equalize_odds(d: Dataset, criterion: str = "full") -> EqualizedOddsResult:
         uu = np.clip(u[ii, jj], 0.0, 1.0)
         vv = np.clip(v[ii, jj], 0.0, 1.0)
         xs = (1 - uu)[:, None] * A0[ii] + uu[:, None] * A1[ii]
-        accs = (xs[:, 1] * pos_w + (1.0 - xs[:, 0]) * neg_w) / total_w
+        accs = accuracy(xs[:, 0], xs[:, 1])
         n_mixed = ((uu > tol) & (uu < 1 - tol)).astype(int) + (
             (vv > tol) & (vv < 1 - tol)
         ).astype(int)
@@ -984,27 +897,64 @@ def equalize_odds(d: Dataset, criterion: str = "full") -> EqualizedOddsResult:
                 )
             )
 
-    best = min(cands, key=lambda c: c[0])
-    _, mix0, mix1 = best
+    _, mix0, mix1 = min(cands, key=lambda c: c[0])
+    return mix0, mix1
+
+
+def equalize_odds(d: Dataset, criterion: str = "full") -> EqualizedOddsResult:
+    """Randomized post-processing equalizing group error rates.
+
+    "full": find the accuracy-best point that both groups can realize
+    exactly with a two-threshold mixture (intersections of the realizable
+    segment families: envelope edges and all-or-nothing chords), so the
+    realized |TPR gap| and |FPR gap| vanish up to float rounding.
+
+    "opportunity": equalize TPR only; the common TPR is chosen on the merged
+    grid of envelope vertex TPRs to maximize accuracy, and each group
+    realizes it on its own envelope (mixing two thresholds when the value
+    falls between vertices).
+    """
+    if criterion not in ("full", "opportunity"):
+        raise ValueError(f"criterion must be 'full' or 'opportunity', got {criterion!r}")
+    geo = {g: _group_geometry(d, g) for g in (0, 1)}
+    pos_w = geo[0].pos_w + geo[1].pos_w
+    neg_w = geo[0].neg_w + geo[1].neg_w
+    total_w = pos_w + neg_w
+
+    def accuracy(f: float, t: float) -> float:
+        return (t * pos_w + (1.0 - f) * neg_w) / total_w
+
+    degenerate = all(len(geo[g].hull) <= 2 for g in (0, 1))
+    if criterion == "opportunity":
+        tau, mixes = _opportunity_mixture(geo, pos_w, total_w)
+    else:
+        mixes = _full_mixture(geo, accuracy)
+
     rules, mixed, realized = {}, False, {}
-    for g, mix in ((0, mix0), (1, mix1)):
+    for g, mix in enumerate(mixes):
         rule, is_mix = _rule_from_mix(geo[g], *mix)
         rules[g] = rule
         mixed = mixed or is_mix
         realized[g] = tuple(_realized(geo[g], *mix).tolist())
-    tpr_gap = abs(realized[0][1] - realized[1][1])
-    fpr_gap = abs(realized[0][0] - realized[1][0])
-    target = (
-        float((realized[0][0] + realized[1][0]) / 2),
-        float((realized[0][1] + realized[1][1]) / 2),
-    )
+    mean_fpr = float((realized[0][0] + realized[1][0]) / 2)
+    if criterion == "opportunity":
+        target = (mean_fpr, float(tau))
+        acc = (
+            realized[0][1] * geo[0].pos_w
+            + realized[1][1] * geo[1].pos_w
+            + (1 - realized[0][0]) * geo[0].neg_w
+            + (1 - realized[1][0]) * geo[1].neg_w
+        ) / total_w
+    else:
+        target = (mean_fpr, float((realized[0][1] + realized[1][1]) / 2))
+        acc = accuracy(*target)
     return EqualizedOddsResult(
         policy=ThresholdPolicy(rules=rules),
         target=target,
         realized=realized,
-        tpr_gap=tpr_gap,
-        fpr_gap=fpr_gap,
-        accuracy=accuracy(*target),
+        tpr_gap=abs(realized[0][1] - realized[1][1]),
+        fpr_gap=abs(realized[0][0] - realized[1][0]),
+        accuracy=acc,
         degenerate=degenerate,
         mixed=mixed,
     )

@@ -4,8 +4,11 @@ Conventions
 -----------
 * Decisions follow the strict rule ``yhat = 1 iff score > t``, so candidate
   thresholds are enumerated at midpoints between consecutive distinct scores
-  plus +/-inf sentinels; a threshold equal to an observed score is never
-  ambiguous.
+  plus two end candidates; a threshold equal to an observed score is never
+  ambiguous.  ``_sweep`` is the one place this rule lives: every ROC point,
+  shared or per-group threshold and equalized-odds vertex comes from its
+  sorted pass.  ROC curves use +/-inf as end candidates; decision policies
+  use the legal 1.0 and 0.0 (``_policy_candidates``).
 * All counts are weight sums; randomized predictions contribute fractionally
   by their decision probability.
 * Zero denominators yield explicit ``None`` ("undefined") rates, never NaN.
@@ -153,21 +156,36 @@ class RocCurve:
     def points(self) -> list[tuple[float, float, float]]:
         return list(zip(self.fpr.tolist(), self.tpr.tolist(), self.thresholds.tolist()))
 
-    def segments(self) -> list[dict]:
-        """Consecutive point pairs; on an envelope each one is a mixture:
-        using the lower threshold with probability p and the higher with
-        (1 - p) sweeps the segment as p goes 0 -> 1."""
-        out = []
-        for i in range(len(self) - 1):
-            out.append(
-                {
-                    "from": (float(self.fpr[i]), float(self.tpr[i])),
-                    "to": (float(self.fpr[i + 1]), float(self.tpr[i + 1])),
-                    "threshold_hi": float(self.thresholds[i]),
-                    "threshold_lo": float(self.thresholds[i + 1]),
-                }
-            )
-        return out
+
+def _sweep(score: np.ndarray, cols: np.ndarray):
+    """One descending pass over the scores.
+
+    ``cols`` holds per-record weights, one column per count the caller
+    needs.  Returns the distinct scores in decreasing order, the sum of each
+    column over the records scoring strictly above each candidate (row 0 for
+    the candidate above every score, row k for the midpoint below the k-th
+    distinct score, the last row for the candidate below every score) and
+    the column totals, taken from the same running sums.
+    """
+    order = np.argsort(-score, kind="stable")
+    distinct, first_idx = np.unique(-score[order], return_index=True)
+    cut = np.append(first_idx[1:], len(score))  # records with score >= distinct[j]
+    cum = np.cumsum(cols[order], axis=0)
+    above = np.concatenate((np.zeros((1, cum.shape[1])), cum[cut - 1]))
+    return -distinct, above, cum[-1]
+
+
+def _policy_candidates(distinct: np.ndarray, above: np.ndarray):
+    """Policy-legal thresholds 1.0, the midpoints and 0.0 for a sweep.
+
+    t = 1.0 decides exactly like +inf, since no score exceeds 1.  t = 0.0
+    keeps zero-score records negative, so when some record scores exactly 0
+    the last candidate decides like the one before it.
+    """
+    mids = (distinct[:-1] + distinct[1:]) / 2.0
+    if distinct[-1] == 0.0:
+        above = np.concatenate((above[:-1], above[-2:-1]))
+    return np.concatenate(([1.0], mids, [0.0])), above
 
 
 def roc_curve(d: Dataset, group: int | None = None) -> RocCurve:
@@ -184,22 +202,11 @@ def roc_curve(d: Dataset, group: int | None = None) -> RocCurve:
     y = d.y[mask]
     w = d.weight[mask]
 
-    order = np.argsort(-m, kind="stable")
-    ms, ys, ws = m[order], y[order], w[order]
-    distinct, first_idx = np.unique(-ms, return_index=True)
-    distinct = -distinct  # descending distinct scores
-    cut = np.append(first_idx[1:], len(ms))  # records with score >= distinct[j]
-
-    cum_pos = np.cumsum(ws * ys)
-    cum_neg = np.cumsum(ws * (1 - ys))
-    # totals from the same running sums, so the final point is exactly (1, 1)
-    pos_total = float(cum_pos[-1])
-    neg_total = float(cum_neg[-1])
+    distinct, above, (neg_total, pos_total) = _sweep(m, np.column_stack((w * (1 - y), w * y)))
+    # the totals are the running sums' last entries, so the final point is (1, 1)
     if pos_total == 0 or neg_total == 0:
         raise DegenerateGroupError("ROC curve needs both outcome classes")
-    pos_above = np.concatenate(([0.0], cum_pos[cut - 1]))
-    neg_above = np.concatenate(([0.0], cum_neg[cut - 1]))
-
+    neg_above, pos_above = above[:, 0], above[:, 1]
     mids = (distinct[:-1] + distinct[1:]) / 2.0
     thresholds = np.concatenate(([math.inf], mids, [-math.inf]))
 
@@ -209,8 +216,8 @@ def roc_curve(d: Dataset, group: int | None = None) -> RocCurve:
         thresholds=thresholds,
         neg_above=neg_above,
         pos_above=pos_above,
-        neg_total=neg_total,
-        pos_total=pos_total,
+        neg_total=float(neg_total),
+        pos_total=float(pos_total),
     )
 
 
@@ -233,30 +240,33 @@ def auc(r: RocCurve) -> float:
     return float(math.fsum(terms.tolist()))
 
 
-def _cross(o, a, b) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+def _upper_hull(fpr: np.ndarray, tpr: np.ndarray) -> np.ndarray:
+    """Indices of the upper concave hull of points sorted by (fpr, tpr).
+
+    Collinear interior points are dropped, so every retained segment is a
+    genuine vertex pair; mixing its two thresholds at random realizes any
+    point on the segment.
+    """
+    xs, ys = fpr.tolist(), tpr.tolist()
+    hull: list[int] = []
+    for i in range(len(xs)):
+        while len(hull) >= 2:
+            o, a = hull[-2], hull[-1]
+            cross = (xs[a] - xs[o]) * (ys[i] - ys[o]) - (ys[a] - ys[o]) * (xs[i] - xs[o])
+            if cross >= 0:  # not a right turn: the middle point is dominated
+                hull.pop()
+            else:
+                break
+        hull.append(i)
+    return np.asarray(hull)
 
 
 def convex_envelope(r: RocCurve) -> RocCurve:
     """Upper concave hull of the curve's points.
 
-    Dominates the input pointwise and is idempotent.  Collinear interior
-    points are dropped, so every retained segment is a genuine vertex pair;
-    mixing its two thresholds at random realizes any point on the segment.
+    Dominates the input pointwise and is idempotent.
     """
-    pts = list(range(len(r)))
-    hull: list[int] = []
-    for i in pts:
-        cur = (r.fpr[i], r.tpr[i])
-        while len(hull) >= 2:
-            o = (r.fpr[hull[-2]], r.tpr[hull[-2]])
-            a = (r.fpr[hull[-1]], r.tpr[hull[-1]])
-            if _cross(o, a, cur) >= 0:  # not a right turn: middle point is dominated
-                hull.pop()
-            else:
-                break
-        hull.append(i)
-    idx = np.asarray(hull)
+    idx = _upper_hull(r.fpr, r.tpr)
     return RocCurve(
         fpr=r.fpr[idx],
         tpr=r.tpr[idx],
@@ -318,30 +328,12 @@ def fairest_threshold(d: Dataset) -> tuple[float, float, float]:
     for g in (0, 1):
         d.require_group(g)
 
-    # one descending scan gives every candidate's group rates and correctness
+    # one descending sweep gives every candidate's group rates and correctness
     w = d.weight
-    order = np.argsort(-score, kind="stable")
-    ms = score[order]
-    ys = d.y[order]
-    ss = d.s[order]
-    ws = w[order]
-    distinct, first_idx = np.unique(-ms, return_index=True)
-    distinct = -distinct
-    cut = np.append(first_idx[1:], len(ms))
-
-    def above(values):
-        cum = np.cumsum(values)
-        out = np.concatenate(([0.0], cum[cut - 1]))
-        if distinct[-1] == 0.0:  # t = 0 keeps zero-score records negative
-            out[-1] = out[-2] if len(out) > 1 else 0.0
-        return out, float(cum[-1])
-
-    mids = (distinct[:-1] + distinct[1:]) / 2.0
-    cands = np.concatenate(([1.0], mids, [0.0]))
-    above_w0, w0 = above(ws * (ss == 0))
-    above_w1, w1 = above(ws * (ss == 1))
-    above_pos, pos_total = above(ws * ys)
-    above_all, total_w = above(ws)
+    cols = np.column_stack((w * (d.s == 0), w * (d.s == 1), w * d.y, w))
+    distinct, above, (w0, w1, pos_total, total_w) = _sweep(score, cols)
+    cands, above = _policy_candidates(distinct, above)
+    above_w0, above_w1, above_pos, above_all = above.T
     r0 = above_w0 / w0
     r1 = above_w1 / w1
     correct = above_pos + ((total_w - pos_total) - (above_all - above_pos))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fairaudit.cli import main
+from fairaudit.cli import _dump_json, main
 from fairaudit.data import TOY_CSV, dataset_to_csv, load_csv, load_toy
 
 TOY_THRESHOLD_ARG = "0.4375"  # between the 10th and 11th scores
@@ -155,6 +155,30 @@ class TestAuditCommand:
         report = json.loads(out)
         assert report["metrics"]["statistical_parity"]["group0"] == 0.5
         assert report["metrics"]["statistical_parity"]["group1"] == 1.0
+
+    @pytest.mark.parametrize(
+        "header",
+        [b"\xef\xbb\xbfs,y,score,yhat", b'"s",y,score,"yhat"'],
+        ids=["bom", "quoted"],
+    )
+    def test_pred_col_header_parsed_like_load_csv(self, tmp_path, capsys, header):
+        rows = [header, b"0,0,0.2,0", b"0,1,0.7,1", b"1,0,0.6,1", b"1,1,0.9,1"]
+        path = tmp_path / "preds.csv"
+        path.write_bytes(b"\n".join(rows) + b"\n")
+        code, out, err = run(
+            ["audit", path, "--pred-col", "yhat", "--ci", "none",
+             "--metrics", "statistical_parity"],
+            capsys,
+        )
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["metrics"]["statistical_parity"]["group0"] == 0.5
+        assert report["metrics"]["statistical_parity"]["group1"] == 1.0
+
+    def test_missing_pred_col_exit_2(self, toy_csv, capsys):
+        code, _, err = run(["audit", toy_csv, "--pred-col", "yhat"], capsys)
+        assert code == 2
+        assert "missing prediction column 'yhat'" in err
 
     def test_threshold_by_group(self, toy_csv, capsys):
         code, out, _ = run(
@@ -374,6 +398,31 @@ class TestSynthCommand:
         assert code == 0
         d = load_csv(tmp_path / "c.csv")
         assert set(np.unique(d.s[d.y == 0]).tolist()) == {0}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["audit", "{csv}", "--threshold", "0.5"],
+        ["mitigate", "{csv}", "--method", "reweigh", "--out", "{out}"],
+        ["validate", "{csv}"],
+    ],
+    ids=["audit", "mitigate", "validate"],
+)
+def test_infinite_weight_exit_2_names_row(tmp_path, capsys, argv):
+    path = tmp_path / "w.csv"
+    path.write_text("s,y,score,w\n0,0,0.2,1\n0,1,0.7,1\n1,0,0.4,inf\n1,1,0.9,1\n",
+                    encoding="utf-8")
+    argv = [a.replace("{csv}", str(path)).replace("{out}", str(tmp_path / "m")) for a in argv]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert "row 4" in err
+    assert out == ""
+
+
+def test_reports_are_strict_json():
+    with pytest.raises(ValueError):
+        _dump_json({"ratio": float("nan")}, None)
 
 
 class TestValidateCommand:

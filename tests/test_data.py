@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,6 @@ from fairaudit.data import (
     Dataset,
     Deterministic,
     Randomized,
-    Record,
     ThresholdPolicy,
     apply_policy,
     dataset_to_csv,
@@ -83,6 +84,18 @@ class TestLoadCsv:
         d = load_csv(path)
         assert len(d) == 2
 
+    def test_infinite_weight_names_row(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text("s,y,score,w\n0,0,0.2,1\n1,1,0.8,inf\n", encoding="utf-8")
+        with pytest.raises(DataError, match="row 3: weight must be finite"):
+            load_csv(path)
+
+    def test_duplicate_header_name(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("s,y,score,s\n0,0,0.2,1\n1,1,0.8,0\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"duplicate column name\(s\) \['s'\]"):
+            load_csv(path)
+
     def test_round_trip(self, toy_csv_path, tmp_path):
         d = load_csv(toy_csv_path)
         out = tmp_path / "rt.csv"
@@ -95,11 +108,16 @@ class TestLoadCsv:
 class TestRecordValidation:
     def test_bad_group(self):
         with pytest.raises(DataError):
-            Record(s=2, y=0)
+            Dataset(s=[2], y=[0])
 
     def test_bad_weight(self):
-        with pytest.raises(DataError):
-            Record(s=0, y=0, weight=0.0)
+        with pytest.raises(DataError, match="row 1"):
+            Dataset(s=[0], y=[0], weight=[0.0])
+
+    @pytest.mark.parametrize("w", [math.inf, -math.inf, math.nan])
+    def test_dataset_rejects_non_finite_weight(self, w):
+        with pytest.raises(DataError, match="row 2"):
+            Dataset(s=[0, 1], y=[0, 1], weight=[1.0, w])
 
     def test_dataset_rejects_bad_score(self):
         with pytest.raises(DataError, match="row 2"):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fairaudit.data import Dataset, Deterministic, apply_policy
+from fairaudit.data import Dataset, DegenerateGroupError, Deterministic, apply_policy
 from fairaudit.depmeasure import pearson
 from fairaudit.mitigate import (
     PenaltySpec,
@@ -481,3 +481,21 @@ class TestEqualizeOdds:
                 assert in_hull(d, g, res.realized[g])
             opp = equalize_odds(d, criterion="opportunity")
             assert opp.tpr_gap <= 1e-9
+
+    def test_weighted_zero_scores_realize_common_point(self):
+        # with some scores exactly 0 the t = 0 candidate decides like the one
+        # before it; its point must coincide exactly, or the near-duplicate
+        # vertex yields spurious segment intersections
+        rng = np.random.default_rng(0)
+        for trial in range(40):
+            n = int(rng.integers(20, 300))
+            s = rng.integers(0, 2, size=n)
+            y = rng.integers(0, 2, size=n)
+            score = rng.integers(0, 11, size=n) / 10.0
+            w = rng.uniform(0.1, 3.0, size=n)
+            d = Dataset(s=s, y=y, score=score, weight=w)
+            try:
+                res = equalize_odds(d, criterion="full")
+            except DegenerateGroupError:
+                continue
+            assert res.tpr_gap <= 1e-9 and res.fpr_gap <= 1e-9, trial
