@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from ._common import ks_distance, weighted_mean
 from .data import Dataset, DegenerateGroupError, PredictionSet
@@ -359,34 +359,49 @@ def impact_ci(
     lose a group are redrawn (at most 100 retries each).  "asymptotic":
     delta-method normal interval for the ratio of two independent
     proportions.
+
+    Bootstrap stream contract: replicate b draws n uniform record indices
+    from ``default_rng(SeedSequence(seed, spawn_key=(b,)))``, and its redraws
+    come from the same generator.  A replicate needs only the per-group sums
+    of w*p and of w, so it counts how often each record was drawn and takes
+    those four sums as one product with a per-record contribution matrix.
     """
+    if not (math.isfinite(level) and 0.0 < level < 1.0):
+        raise ValueError(
+            f"interval level must lie strictly between 0 and 1, got {level!r}"
+        )
     point = impact_point_estimate(d, pred)
     if method == "bootstrap":
         if n_boot < 100:
             raise ValueError("bootstrap needs at least 100 replicates")
         n = len(d)
+        w = d.weight
+        wp = w * pred.prob
+        g0, g1 = d.s == 0, d.s == 1
+        cols = np.column_stack([wp * g0, wp * g1, w * g0, w * g1])
         stats = np.empty(n_boot)
         for b in range(n_boot):
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
             for attempt in range(100):
                 idx = rng.integers(0, n, size=n)
-                s_b = d.s[idx]
-                if (s_b == 0).any() and (s_b == 1).any():
+                # weights are positive, so a group is present iff its weight sum is
+                num, den, n0, n1 = np.bincount(idx, minlength=n) @ cols
+                if n0 > 0 and n1 > 0:
                     break
             else:
                 raise DegenerateGroupError(
                     "bootstrap resampling kept losing a group (100 retries)"
                 )
-            w_b = d.weight[idx]
-            p_b = pred.prob[idx]
-            num = np.sum(w_b[s_b == 0] * p_b[s_b == 0])
-            den = np.sum(w_b[s_b == 1] * p_b[s_b == 1])
-            n1 = w_b[s_b == 1].sum()
-            n0 = w_b[s_b == 0].sum()
             stats[b] = math.inf if den == 0 else (num / den) * (n1 / n0)
         alpha = 1.0 - level
         with np.errstate(invalid="ignore"):  # inf replicates (no positives)
             lo, hi = np.quantile(stats, [alpha / 2, 1 - alpha / 2])
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            n_inf = int(np.isinf(stats).sum())
+            raise DegenerateGroupError(
+                f"bootstrap interval is undefined: {n_inf} of {n_boot} replicates "
+                "had an infinite ratio (no positive predictions in group 1)"
+            )
         return ImpactInterval(point, float(lo), float(hi), "bootstrap", level, n_boot, seed)
 
     if method == "asymptotic":
@@ -398,7 +413,7 @@ def impact_ci(
         if p0 <= 0 or p1 <= 0:
             raise DegenerateGroupError("asymptotic interval needs positives in both groups")
         var = point**2 * ((1 - p0) / (w0 * p0) + (1 - p1) / (w1 * p1))
-        z = float(norm.ppf((1 + level) / 2))
+        z = float(ndtri((1 + level) / 2))
         half = z * math.sqrt(var)
         return ImpactInterval(
             point, max(point - half, 0.0), point + half, "asymptotic", level, None, None

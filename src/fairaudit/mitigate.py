@@ -19,7 +19,6 @@ from typing import Sequence
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr
-from scipy.stats import rankdata
 
 from .data import (
     DataError,
@@ -530,6 +529,20 @@ def _quantile_grid(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return levels, np.sort(values, kind="stable")
 
 
+def _midranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks in which tied values share their mean rank (the
+    "average" ranks of ``scipy.stats.rankdata``)."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.r_[True, ordered[1:] != ordered[:-1]]
+    starts = np.flatnonzero(first)
+    counts = np.diff(np.r_[starts, len(values)])
+    mid = (starts + 1) + (counts - 1) / 2
+    ranks = np.empty(len(values))
+    ranks[order] = mid[np.cumsum(first) - 1]
+    return ranks
+
+
 def di_remove(
     d: Dataset, features: Sequence[str] | None = None, amount: float = 1.0
 ) -> RepairResult:
@@ -563,7 +576,7 @@ def di_remove(
         for g in (0, 1):
             vals = col[masks[g]]
             # own midrank level of every record (ties share their mean rank)
-            q = (rankdata(vals, method="average") - 0.5) / len(vals)
+            q = (_midranks(vals) - 0.5) / len(vals)
             target = 0.5 * (
                 np.interp(q, *grids[0]) + np.interp(q, *grids[1])
             )

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fairaudit
 from fairaudit.cli import _dump_json, main
 from fairaudit.data import TOY_CSV, dataset_to_csv, load_csv, load_toy
 
@@ -179,6 +184,36 @@ class TestAuditCommand:
         code, _, err = run(["audit", toy_csv, "--pred-col", "yhat"], capsys)
         assert code == 2
         assert "missing prediction column 'yhat'" in err
+
+    @pytest.mark.parametrize(
+        "ci_args",
+        [
+            ["--ci", "asymptotic", "--ci-level", "-0.5"],
+            ["--ci-level", "0"],
+            ["--ci-level", "1.5"],
+            ["--ci", "asymptotic", "--ci-level", "1.0"],
+        ],
+    )
+    def test_ci_level_outside_unit_interval_exit_2(self, toy_csv, capsys, ci_args):
+        code, out, err = run(
+            ["audit", toy_csv, "--threshold", TOY_THRESHOLD_ARG] + ci_args, capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "level must lie strictly between 0 and 1" in err
+
+    def test_non_finite_bootstrap_endpoint_exit_3(self, tmp_path, capsys):
+        # a valid input whose group 1 has a single positive prediction: about
+        # a third of the replicates have no group-1 positives (ratio inf)
+        rows = ["s,y,score"]
+        rows += [f"0,{i % 2},{0.9 if i % 3 == 0 else 0.1}" for i in range(100)]
+        rows += [f"1,{i % 2},{0.9 if i == 0 else 0.1}" for i in range(100)]
+        path = tmp_path / "one_positive.csv"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        code, out, err = run(["audit", path, "--threshold", "0.5"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "of 1000 replicates had an infinite ratio" in err
 
     def test_threshold_by_group(self, toy_csv, capsys):
         code, out, _ = run(
@@ -418,6 +453,16 @@ def test_infinite_weight_exit_2_names_row(tmp_path, capsys, argv):
     assert code == 2
     assert "row 4" in err
     assert out == ""
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    code = "import sys, fairaudit.cli; print('scipy.stats' in sys.modules)"
+    src = Path(fairaudit.__file__).resolve().parent.parent
+    res = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert res.stdout.strip() == "False"
 
 
 def test_reports_are_strict_json():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from fairaudit.data import (
     Dataset,
+    DegenerateGroupError,
     PredictionSet,
     ThresholdPolicy,
     apply_policy,
@@ -249,6 +252,107 @@ class TestImpactCI:
     def test_bad_method(self, toy, toy_pred):
         with pytest.raises(ValueError):
             impact_ci(toy, toy_pred, method="jackknife")
+
+    @pytest.mark.parametrize("method", ["bootstrap", "asymptotic"])
+    @pytest.mark.parametrize("level", [0.0, 1.0, -0.5, 1.5, math.nan, math.inf])
+    def test_level_outside_unit_interval_rejected(self, toy, toy_pred, method, level):
+        with pytest.raises(ValueError, match="strictly between 0 and 1"):
+            impact_ci(toy, toy_pred, method=method, level=level)
+
+    def test_infinite_replicates_make_endpoint_degenerate(self):
+        # one positive in a group of 100: about 37% of replicates miss it
+        n = 100
+        d = Dataset(s=[0] * n + [1] * n, y=[0, 1] * n, score=np.full(2 * n, 0.5))
+        pred = PredictionSet.from_labels([i % 3 == 0 for i in range(n)] + [1] + [0] * (n - 1))
+        with pytest.raises(DegenerateGroupError, match="of 200 replicates had an infinite"):
+            impact_ci(d, pred, n_boot=200, seed=0)
+
+
+def reference_bootstrap(d, pred, level, n_boot, seed):
+    """The per-record bootstrap loop that ``impact_ci`` replaced: gathers
+    each replicate's records and sums them by group."""
+    impact_point_estimate(d, pred)
+    n = len(d)
+    stats = np.empty(n_boot)
+    for b in range(n_boot):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
+        for _ in range(100):
+            idx = rng.integers(0, n, size=n)
+            s_b = d.s[idx]
+            if (s_b == 0).any() and (s_b == 1).any():
+                break
+        else:
+            raise DegenerateGroupError("bootstrap resampling kept losing a group")
+        w_b = d.weight[idx]
+        p_b = pred.prob[idx]
+        num = np.sum(w_b[s_b == 0] * p_b[s_b == 0])
+        den = np.sum(w_b[s_b == 1] * p_b[s_b == 1])
+        n1 = w_b[s_b == 1].sum()
+        n0 = w_b[s_b == 0].sum()
+        stats[b] = math.inf if den == 0 else (num / den) * (n1 / n0)
+    alpha = 1.0 - level
+    with np.errstate(invalid="ignore"):
+        lo, hi = np.quantile(stats, [alpha / 2, 1 - alpha / 2])
+    return float(lo), float(hi)
+
+
+@st.composite
+def bootstrap_inputs(draw):
+    """Small datasets, some with only one or two group-1 records (so that
+    replicates lose the group and are redrawn), with unit or fractional
+    weights and 0/1 or fractional decision probabilities."""
+    n1 = draw(st.sampled_from([1, 2, draw(st.integers(3, 30))]))
+    n0 = draw(st.integers(1, 30))
+    n = n0 + n1
+    order = draw(st.permutations(range(n)))
+    s = np.array([0] * n0 + [1] * n1)[list(order)]
+    fractional = draw(st.booleans())
+    if fractional:
+        prob = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+        weight = draw(st.lists(st.floats(0.05, 20.0), min_size=n, max_size=n))
+    else:
+        prob = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n))
+        weight = None
+    d = Dataset(s=s, y=np.zeros(n, dtype=int), weight=weight)
+    pred = PredictionSet(prob=np.array(prob), deterministic=not fractional)
+    seed = draw(st.integers(0, 2**32 - 1))
+    level = draw(st.sampled_from([0.5, 0.9, 0.95, 0.99]))
+    return d, pred, fractional, seed, level
+
+
+@settings(max_examples=60, deadline=None)
+@given(bootstrap_inputs())
+def test_bootstrap_matches_per_record_loop(inputs):
+    d, pred, fractional, seed, level = inputs
+    try:
+        expected = reference_bootstrap(d, pred, level, 100, seed)
+    except DegenerateGroupError:
+        with pytest.raises(DegenerateGroupError):
+            impact_ci(d, pred, level=level, n_boot=100, seed=seed)
+        return
+    if not all(map(math.isfinite, expected)):
+        with pytest.raises(DegenerateGroupError, match="replicates had an infinite ratio"):
+            impact_ci(d, pred, level=level, n_boot=100, seed=seed)
+        return
+    ci = impact_ci(d, pred, level=level, n_boot=100, seed=seed)
+    if fractional:
+        assert ci.lo == pytest.approx(expected[0], rel=1e-12, abs=0.0)
+        assert ci.hi == pytest.approx(expected[1], rel=1e-12, abs=0.0)
+    else:
+        assert (ci.lo, ci.hi) == expected
+
+
+def test_bootstrap_redraws_from_the_replicate_generator():
+    # one group-1 record in 5: a third of the first draws lose group 1, and
+    # distinct weights give every resample its own ratio, so only redraws
+    # from the same generator reproduce the reference interval
+    d = Dataset(s=[0, 0, 0, 0, 1], y=[0, 1, 0, 1, 1], weight=[1.0, 1.3, 1.7, 2.9, 1.1])
+    pred = PredictionSet(prob=np.array([0.9, 0.2, 0.6, 0.35, 0.8]), deterministic=False)
+    for level in (0.5, 0.8, 0.95):
+        expected = reference_bootstrap(d, pred, level, 500, 3)
+        ci = impact_ci(d, pred, level=level, n_boot=500, seed=3)
+        assert ci.lo == pytest.approx(expected[0], rel=1e-12, abs=0.0)
+        assert ci.hi == pytest.approx(expected[1], rel=1e-12, abs=0.0)
 
 
 class TestRocEquality:

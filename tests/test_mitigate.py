@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from fairaudit.data import Dataset, DegenerateGroupError, Deterministic, apply_policy
 from fairaudit.depmeasure import pearson
 from fairaudit.mitigate import (
     PenaltySpec,
+    _midranks,
     TrainOptions,
     di_remove,
     equalize_odds,
@@ -228,6 +230,14 @@ class TestReweigh:
 
         with pytest.raises(DegenerateGroupError, match=r"cell \(s=1, y=1\)"):
             reweigh(d)
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3, 7, None])
+def test_midranks_match_scipy_average_ranks(levels):
+    rng = np.random.default_rng(levels or 0)
+    for n in (1, 2, 5, 40, 1000):
+        x = rng.random(n) if levels is None else rng.integers(0, levels, n) * 0.5
+        assert np.array_equal(_midranks(x), rankdata(x, method="average"))
 
 
 class TestDiRemove:
