@@ -9,6 +9,20 @@ def weighted_mean(x: np.ndarray, w: np.ndarray) -> float:
     return float(np.sum(w * x) / np.sum(w))
 
 
+def _midranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks in which tied values share their mean rank (the
+    "average" ranks of ``scipy.stats.rankdata``)."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.r_[True, ordered[1:] != ordered[:-1]]
+    starts = np.flatnonzero(first)
+    counts = np.diff(np.r_[starts, len(values)])
+    mid = (starts + 1) + (counts - 1) / 2
+    ranks = np.empty(len(values))
+    ranks[order] = mid[np.cumsum(first) - 1]
+    return ranks
+
+
 def ks_distance(a, b, wa=None, wb=None) -> float:
     """Two-sample Kolmogorov-Smirnov distance, optionally weighted.
 

@@ -109,6 +109,12 @@ class Dataset:
                 self.feature_names = tuple(f"x{j}" for j in range(self.features.shape[1]))
             elif len(self.feature_names) != self.features.shape[1]:
                 raise DataError("feature_names length mismatch")
+            bad = np.isinf(self.features)  # NaN stays: it marks a missing value
+            if bad.any():
+                i, j = np.argwhere(bad)[0]
+                raise DataError(
+                    f"feature {self.feature_names[j]!r} is not finite in row {i + 1}"
+                )
         self.legit_names = tuple(legit_names)
         unknown = set(self.legit_names) - set(self.feature_names)
         if unknown:
@@ -258,7 +264,10 @@ def load_csv(path, schema: ColumnSchema = ColumnSchema()) -> Dataset:
             for name in feat_names:
                 raw = row[idx[name]].strip()
                 # empty cells become NaN so validate() can count them
-                vals.append(math.nan if raw == "" else _parse_float(raw, name, rownum))
+                v = math.nan if raw == "" else _parse_float(raw, name, rownum)
+                if math.isinf(v):
+                    raise DataError(f"row {rownum}: column {name!r} value {raw!r} is not finite")
+                vals.append(v)
             feats.append(vals)
 
     return Dataset(

@@ -18,6 +18,8 @@ from typing import Mapping
 
 import numpy as np
 
+from ._common import _midranks
+
 __all__ = [
     "ConstantInputError",
     "BasisSpec",
@@ -178,13 +180,9 @@ def _alternating_binned(bx, by, w, spec: BasisSpec) -> MaxCorResult:
 
 
 def _poly_features(v: np.ndarray, degree: int) -> np.ndarray:
-    ranks = np.argsort(np.argsort(v, kind="stable"), kind="stable").astype(float)
-    # midrank ties so the transform is a function of the value alone
-    distinct, inv = np.unique(v, return_inverse=True)
-    mean_rank = np.zeros(len(distinct))
-    np.add.at(mean_rank, inv, ranks)
-    counts = np.bincount(inv)
-    u = (mean_rank / counts)[inv] / max(len(v) - 1, 1)
+    # 0-based midranks: ties share a rank, so the transform is a function of
+    # the value alone
+    u = (_midranks(v) - 1) / max(len(v) - 1, 1)
     return np.column_stack([u**k for k in range(1, degree + 1)])
 
 

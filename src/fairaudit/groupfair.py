@@ -392,15 +392,18 @@ def impact_ci(
                 raise DegenerateGroupError(
                     "bootstrap resampling kept losing a group (100 retries)"
                 )
-            stats[b] = math.inf if den == 0 else (num / den) * (n1 / n0)
+            # sums near the ends of the float range can overflow to inf or NaN
+            with np.errstate(all="ignore"):
+                stats[b] = math.inf if den == 0 else (num / den) * (n1 / n0)
         alpha = 1.0 - level
         with np.errstate(invalid="ignore"):  # inf replicates (no positives)
             lo, hi = np.quantile(stats, [alpha / 2, 1 - alpha / 2])
         if not (math.isfinite(lo) and math.isfinite(hi)):
-            n_inf = int(np.isinf(stats).sum())
+            n_bad = int((~np.isfinite(stats)).sum())
             raise DegenerateGroupError(
-                f"bootstrap interval is undefined: {n_inf} of {n_boot} replicates "
-                "had an infinite ratio (no positive predictions in group 1)"
+                f"bootstrap interval is undefined: {n_bad} of {n_boot} replicates "
+                "had an infinite ratio or an undefined one (no positive predictions "
+                "in group 1, or weight sums beyond the float range)"
             )
         return ImpactInterval(point, float(lo), float(hi), "bootstrap", level, n_boot, seed)
 

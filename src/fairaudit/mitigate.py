@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import log_ndtr, ndtr
 
+from ._common import _midranks
 from .data import (
     DataError,
     Dataset,
@@ -529,20 +530,6 @@ def _quantile_grid(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return levels, np.sort(values, kind="stable")
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks in which tied values share their mean rank (the
-    "average" ranks of ``scipy.stats.rankdata``)."""
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    first = np.r_[True, ordered[1:] != ordered[:-1]]
-    starts = np.flatnonzero(first)
-    counts = np.diff(np.r_[starts, len(values)])
-    mid = (starts + 1) + (counts - 1) / 2
-    ranks = np.empty(len(values))
-    ranks[order] = mid[np.cumsum(first) - 1]
-    return ranks
-
-
 def di_remove(
     d: Dataset, features: Sequence[str] | None = None, amount: float = 1.0
 ) -> RepairResult:
@@ -649,21 +636,17 @@ def per_group_thresholds(d: Dataset, objective: str = "dp") -> ThresholdSearchRe
     v0, c0, t0 = _group_threshold_table(d, 0, objective)
     v1, c1, t1 = _group_threshold_table(d, 1, objective)
 
-    best_key = None
-    best_pair = None
-    for i, val0 in enumerate(v0):
-        j = int(np.searchsorted(v1, val0))
-        for jj in (j - 1, j, j + 1):
-            if not 0 <= jj < len(v1):
-                continue
-            gap = abs(val0 - v1[jj])
-            key = (round(gap, 15), -(c0[i] + c1[jj]), -t0[i], -t1[jj])
-            if best_key is None or key < best_key:
-                best_key = key
-                best_pair = (i, jj)
+    # pair each group-0 value with its nearest group-1 values
+    ii = np.repeat(np.arange(len(v0)), 3)
+    jj = (np.searchsorted(v1, v0)[:, None] + np.array([-1, 0, 1])).ravel()
+    ok = (jj >= 0) & (jj < len(v1))
+    ii, jj = ii[ok], jj[ok]
+    gaps = np.abs(v0[ii] - v1[jj])
+    # gaps equal to 15 decimals tie; thresholds are distinct, so keys are unique
+    best = np.lexsort((-t1[jj], -t0[ii], -(c0[ii] + c1[jj]), np.round(gaps, 15)))[0]
 
-    i, j = best_pair
-    gap = float(abs(v0[i] - v1[j]))
+    i, j = ii[best], jj[best]
+    gap = float(gaps[best])
     total_w = float(d.weight.sum())
     policy = ThresholdPolicy.per_group(float(t0[i]), float(t1[j]))
     return ThresholdSearchResult(
@@ -785,41 +768,11 @@ def _realized(geo: _GroupGeometry, i: int, j: int, u: float) -> np.ndarray:
     return (1.0 - u) * _point(geo, i) + u * _point(geo, j)
 
 
-def _intersect(p0, p1, q0, q1):
-    """Intersections of two segments, as (u, v) parameter pairs.
-
-    Returns a list; collinear overlaps contribute their overlap endpoints.
-    """
-    r = p1 - p0
-    s = q1 - q0
-    denom = r[0] * s[1] - r[1] * s[0]
-    diff = q0 - p0
-    if abs(denom) > 1e-14:
-        u = (diff[0] * s[1] - diff[1] * s[0]) / denom
-        v = (diff[0] * r[1] - diff[1] * r[0]) / denom
-        if -1e-12 <= u <= 1 + 1e-12 and -1e-12 <= v <= 1 + 1e-12:
-            return [(min(max(u, 0.0), 1.0), min(max(v, 0.0), 1.0))]
-        return []
-    # parallel: collinear iff diff is parallel to r
-    if abs(diff[0] * r[1] - diff[1] * r[0]) > 1e-12:
-        return []
-    rr = float(r @ r)
-    if rr == 0:
-        return []
-    tq0 = float(diff @ r) / rr
-    tq1 = float((q1 - p0) @ r) / rr
-    lo, hi = min(tq0, tq1), max(tq0, tq1)
-    a, b = max(0.0, lo), min(1.0, hi)
-    if a > b:
-        return []
-    out = []
-    for u in {a, b}:
-        point = p0 + u * r
-        ss = float(s @ s)
-        v = float((point - q0) @ s) / ss if ss > 0 else 0.0
-        if -1e-9 <= v <= 1 + 1e-9:
-            out.append((u, min(max(v, 0.0), 1.0)))
-    return out
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products through the same kernel as a 1-D ``a[k] @ b[k]``;
+    BLAS may fuse the multiply-add, so ``a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]``
+    can differ in the last bit."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 def _opportunity_mixture(geo: dict[int, _GroupGeometry], pos_w: float, total_w: float):
@@ -830,30 +783,27 @@ def _opportunity_mixture(geo: dict[int, _GroupGeometry], pos_w: float, total_w: 
     )
     taus = taus[taus <= min(geo[g].tpr[geo[g].hull][-1] for g in (0, 1)) + 1e-15]
 
-    def env_at_tpr(g: int, tau: float):
-        hull = geo[g].hull
-        tprs = geo[g].tpr[hull]
-        k = int(np.searchsorted(tprs, tau, side="left"))
-        k = min(k, len(hull) - 1)
-        if abs(tprs[k] - tau) <= 1e-15:
-            return float(geo[g].fpr[hull[k]]), (int(hull[k]), int(hull[k]), 0.0)
-        i, j = int(hull[max(k - 1, 0)]), int(hull[k])
-        span = geo[g].tpr[j] - geo[g].tpr[i]
-        u = 0.0 if span == 0 else (tau - geo[g].tpr[i]) / span
-        u = min(max(u, 0.0), 1.0)
-        f = (1 - u) * geo[g].fpr[i] + u * geo[g].fpr[j]
-        return float(f), (i, j, float(u))
+    # each group's envelope at every tau: a vertex (i == j, u = 0) or a mixture
+    # of the two vertices around it
+    f, mix = {}, {}
+    for g in (0, 1):
+        hull, fpr, tpr = geo[g].hull, geo[g].fpr, geo[g].tpr
+        k = np.minimum(np.searchsorted(tpr[hull], taus, side="left"), len(hull) - 1)
+        j = hull[k]
+        i = np.where(np.abs(tpr[j] - taus) <= 1e-15, j, hull[np.maximum(k - 1, 0)])
+        span = tpr[j] - tpr[i]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = np.clip(np.where(span == 0, 0.0, (taus - tpr[i]) / span), 0.0, 1.0)
+        f[g] = (1 - u) * fpr[i] + u * fpr[j]
+        mix[g] = (i, j, u)
 
-    best = None
-    for tau in taus:
-        f0, mix0 = env_at_tpr(0, float(tau))
-        f1, mix1 = env_at_tpr(1, float(tau))
-        acc = (tau * pos_w + (1 - f0) * geo[0].neg_w + (1 - f1) * geo[1].neg_w) / total_w
-        key = (acc, -(f0 + f1), tau)
-        if best is None or key > best[0]:
-            best = (key, tau, (mix0, mix1))
-    _, tau, mixes = best
-    return tau, mixes
+    acc = (taus * pos_w + (1 - f[0]) * geo[0].neg_w + (1 - f[1]) * geo[1].neg_w) / total_w
+    # taus are distinct, so the largest key is unique
+    best = np.lexsort((taus, -(f[0] + f[1]), acc))[-1]
+    mixes = tuple(
+        (int(mix[g][0][best]), int(mix[g][1][best]), float(mix[g][2][best])) for g in (0, 1)
+    )
+    return taus[best], mixes
 
 
 def _full_mixture(geo: dict[int, _GroupGeometry], accuracy):
@@ -875,43 +825,39 @@ def _full_mixture(geo: dict[int, _GroupGeometry], accuracy):
         u = cross_s / denom
         v = cross_r / denom
     tol = 1e-12
-    proper = (np.abs(denom) > 1e-14) & (u >= -tol) & (u <= 1 + tol) & (v >= -tol) & (v <= 1 + tol)
+    parallel = np.abs(denom) <= 1e-14
+    ii, jj = np.nonzero(~parallel & (u >= -tol) & (u <= 1 + tol) & (v >= -tol) & (v <= 1 + tol))
+    uu = np.clip(u[ii, jj], 0.0, 1.0)
+    vv = np.clip(v[ii, jj], 0.0, 1.0)
 
-    cands: list[tuple[tuple, tuple, tuple]] = []
-    ii, jj = np.nonzero(proper)
-    if len(ii):
-        uu = np.clip(u[ii, jj], 0.0, 1.0)
-        vv = np.clip(v[ii, jj], 0.0, 1.0)
-        xs = (1 - uu)[:, None] * A0[ii] + uu[:, None] * A1[ii]
-        accs = accuracy(xs[:, 0], xs[:, 1])
-        n_mixed = ((uu > tol) & (uu < 1 - tol)).astype(int) + (
-            (vv > tol) & (vv < 1 - tol)
-        ).astype(int)
-        for k in range(len(ii)):
-            cands.append(
-                (
-                    (-accs[k], xs[k, 0], n_mixed[k]),
-                    (int(segs[0][ii[k], 0]), int(segs[0][ii[k], 1]), float(uu[k])),
-                    (int(segs[1][jj[k], 0]), int(segs[1][jj[k], 1]), float(vv[k])),
-                )
-            )
-    # collinear overlapping pairs contribute their overlap endpoints
-    ci, cj = np.nonzero((np.abs(denom) <= 1e-14) & (np.abs(cross_r) <= 1e-12))
-    for i, j in zip(ci.tolist(), cj.tolist()):
-        for uo, vo in _intersect(A0[i], A1[i], B0[j], B1[j]):
-            x = (1 - uo) * A0[i] + uo * A1[i]
-            acc = accuracy(x[0], x[1])
-            n_mixed = sum(1 for t in (uo, vo) if tol < t < 1 - tol)
-            cands.append(
-                (
-                    (-acc, float(x[0]), n_mixed),
-                    (int(segs[0][i, 0]), int(segs[0][i, 1]), float(uo)),
-                    (int(segs[1][j, 0]), int(segs[1][j, 1]), float(vo)),
-                )
-            )
+    # collinear overlapping pairs contribute the two ends of their overlap,
+    # as consecutive candidates
+    ci, cj = np.nonzero(parallel & (np.abs(cross_r) <= 1e-12))
+    ci, cj = np.repeat(ci, 2), np.repeat(cj, 2)
+    rc, sc = r[ci], s[cj]
+    rr = _rowdot(rc, rc)
+    ss = _rowdot(sc, sc)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t0 = _rowdot(B0[cj] - A0[ci], rc) / rr
+        t1 = _rowdot(B1[cj] - A0[ci], rc) / rr
+        lo = np.maximum(np.minimum(t0, t1), 0.0)
+        hi = np.minimum(np.maximum(t0, t1), 1.0)
+        uo = np.where(np.arange(len(ci)) % 2 == 1, hi, lo)
+        vo = np.where(ss > 0, _rowdot(A0[ci] + uo[:, None] * rc - B0[cj], sc) / ss, 0.0)
+    keep = (rr != 0) & (lo <= hi) & (vo >= -1e-9) & (vo <= 1 + 1e-9)
 
-    _, mix0, mix1 = min(cands, key=lambda c: c[0])
-    return mix0, mix1
+    ii = np.concatenate((ii, ci[keep]))
+    jj = np.concatenate((jj, cj[keep]))
+    uu = np.concatenate((uu, uo[keep]))
+    vv = np.concatenate((vv, np.clip(vo[keep], 0.0, 1.0)))
+    xs = (1 - uu)[:, None] * A0[ii] + uu[:, None] * A1[ii]
+    n_mixed = ((uu > tol) & (uu < 1 - tol)).astype(int) + ((vv > tol) & (vv < 1 - tol))
+    # lexsort is stable: among equal keys the earliest candidate wins
+    k = np.lexsort((n_mixed, xs[:, 0], -accuracy(xs[:, 0], xs[:, 1])))[0]
+    return (
+        (int(segs[0][ii[k], 0]), int(segs[0][ii[k], 1]), float(uu[k])),
+        (int(segs[1][jj[k], 0]), int(segs[1][jj[k], 1]), float(vv[k])),
+    )
 
 
 def equalize_odds(d: Dataset, criterion: str = "full") -> EqualizedOddsResult:

@@ -345,16 +345,13 @@ def fairest_threshold(d: Dataset) -> tuple[float, float, float]:
         # only degenerate candidates exist: fall back to the best of those
         keep = (r0 > 0.0) & (r1 > 0.0)
 
-    best = None
-    for k in np.flatnonzero(keep):
-        ratio = min(r0[k] / r1[k], r1[k] / r0[k])
-        key = (ratio, correct[k], cands[k])
-        if best is None or key > best[0]:
-            # error from the wrong-count so unit-weight results stay exact
-            best = (key, float(cands[k]), float(ratio), (total_w - correct[k]) / total_w)
-
-    _, t, ratio, err = best
-    return t, ratio, err
+    idx = np.flatnonzero(keep)
+    ratio = np.minimum(r0[idx] / r1[idx], r1[idx] / r0[idx])
+    # thresholds are distinct, so the largest key is unique
+    best = np.lexsort((cands[idx], correct[idx], ratio))[-1]
+    k = idx[best]
+    # error from the wrong-count so unit-weight results stay exact
+    return float(cands[k]), float(ratio[best]), (total_w - correct[k]) / total_w
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,7 @@ def test_criterion_09_penalized_training():
 
 
 def test_criterion_10_equalized_odds_postprocessing():
+    t0 = time.perf_counter()
     rng = np.random.default_rng(100)
     for trial in range(100):
         s, y, score = [], [], []
@@ -255,7 +256,9 @@ def test_criterion_10_equalized_odds_postprocessing():
         assert res.fpr_gap <= 1e-9
         for g in (0, 1):
             assert in_hull(d, g, res.realized[g])
-    report(10, "100 datasets: |TPR gap|, |FPR gap| <= 1e-9, target in both hulls")
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 10.0
+    report(10, f"100 datasets: |TPR gap|, |FPR gap| <= 1e-9, target in both hulls, {elapsed:.1f}s")
 
 
 def test_criterion_11_beta_invariance():

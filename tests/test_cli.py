@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -453,6 +454,33 @@ def test_infinite_weight_exit_2_names_row(tmp_path, capsys, argv):
     assert code == 2
     assert "row 4" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "1e999"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["audit", "{csv}", "--threshold", "0.5"],
+        ["mitigate", "{csv}", "--method", "repair", "--out", "{out}"],
+        ["mitigate", "{csv}", "--method", "train", "--out", "{out}"],
+        ["validate", "{csv}"],
+    ],
+    ids=["audit", "repair", "train", "validate"],
+)
+def test_infinite_feature_exit_2_names_row(tmp_path, capsys, argv, cell):
+    rows = ["s,y,score,x1,x2"]
+    rows += [f"{i % 2},{(i // 2) % 2},{0.1 + 0.05 * i},{i},{i % 3}" for i in range(16)]
+    rows[5] = rows[5].replace(",4,", f",{cell},")
+    path = tmp_path / "x.csv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    argv = [a.replace("{csv}", str(path)).replace("{out}", str(tmp_path / "m")) for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(argv, capsys)
+    assert code == 2
+    assert "row 6: column 'x1'" in err
+    assert out == ""
+    assert not list(tmp_path.glob("m*"))
 
 
 def test_cli_import_leaves_out_scipy_stats():

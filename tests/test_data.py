@@ -90,6 +90,12 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="row 3: weight must be finite"):
             load_csv(path)
 
+    def test_infinite_feature_names_row_and_column(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("s,y,score,a,b\n0,0,0.2,1,\n1,1,0.8,2,-inf\n", encoding="utf-8")
+        with pytest.raises(DataError, match="row 3: column 'b' value '-inf' is not finite"):
+            load_csv(path)
+
     def test_duplicate_header_name(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text("s,y,score,s\n0,0,0.2,1\n1,1,0.8,0\n", encoding="utf-8")
@@ -118,6 +124,15 @@ class TestRecordValidation:
     def test_dataset_rejects_non_finite_weight(self, w):
         with pytest.raises(DataError, match="row 2"):
             Dataset(s=[0, 1], y=[0, 1], weight=[1.0, w])
+
+    @pytest.mark.parametrize("v", [math.inf, -math.inf])
+    def test_dataset_rejects_infinite_feature(self, v):
+        with pytest.raises(DataError, match="feature 'b' is not finite in row 2"):
+            Dataset(s=[0, 1], y=[0, 1], features=[[0.0, 1.0], [2.0, v]], feature_names=("a", "b"))
+
+    def test_dataset_keeps_missing_feature(self):
+        d = Dataset(s=[0, 1], y=[0, 1], features=[[0.0, math.nan], [1.0, 2.0]])
+        assert np.isnan(d.features[0, 1])
 
     def test_dataset_rejects_bad_score(self):
         with pytest.raises(DataError, match="row 2"):

@@ -10,6 +10,7 @@ from fairaudit.data import TOY_THRESHOLD, ThresholdPolicy, apply_policy
 from fairaudit.depmeasure import (
     BasisSpec,
     ConstantInputError,
+    _poly_features,
     conditional_maximal_correlation,
     maximal_correlation,
     maximal_correlation_joint,
@@ -245,3 +246,23 @@ class TestMutualInformation:
         y = rng.integers(0, 3, size=n)
         assert mutual_information(x, y) >= -1e-15
         assert mutual_information(x, y) == pytest.approx(mutual_information(y, x), abs=1e-12)
+
+
+def reference_poly_features(v, degree):
+    """The rank transform as an argsort of argsorts with tie ranks averaged
+    by np.add.at over np.unique groups."""
+    ranks = np.argsort(np.argsort(v, kind="stable"), kind="stable").astype(float)
+    distinct, inv = np.unique(v, return_inverse=True)
+    mean_rank = np.zeros(len(distinct))
+    np.add.at(mean_rank, inv, ranks)
+    counts = np.bincount(inv)
+    u = (mean_rank / counts)[inv] / max(len(v) - 1, 1)
+    return np.column_stack([u**k for k in range(1, degree + 1)])
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3, 7, None])
+def test_poly_features_match_reference_rank_transform(levels):
+    rng = np.random.default_rng(levels or 0)
+    for n in (1, 2, 5, 40, 1000, 5000):
+        x = rng.random(n) if levels is None else rng.integers(0, levels, n) * 0.5 - 0.5
+        assert np.array_equal(_poly_features(x, 4), reference_poly_features(x, 4))

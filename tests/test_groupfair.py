@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -353,6 +354,24 @@ def test_bootstrap_redraws_from_the_replicate_generator():
         ci = impact_ci(d, pred, level=level, n_boot=500, seed=3)
         assert ci.lo == pytest.approx(expected[0], rel=1e-12, abs=0.0)
         assert ci.hi == pytest.approx(expected[1], rel=1e-12, abs=0.0)
+
+
+def test_bootstrap_overflowing_ratio_counts_undefined_replicates():
+    # group-0 sums are subnormal and group-1 sums huge: every replicate ratio
+    # is 0 * inf = NaN, which must neither warn nor count as zero replicates
+    n = 20
+    d = Dataset(
+        s=[0] * n + [1] * n,
+        y=[0, 1] * n,
+        weight=[1e-310] * n + [1e300] * n,
+    )
+    pred = PredictionSet(prob=np.array([0.0, 1.0] * n), deterministic=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateGroupError, match="undefined") as exc:
+            impact_ci(d, pred, n_boot=100, seed=0)
+    count = int(str(exc.value).split("undefined: ")[1].split(" of ")[0])
+    assert count > 0
 
 
 class TestRocEquality:

@@ -6,7 +6,6 @@ from fairaudit.data import Dataset, DegenerateGroupError, Deterministic, apply_p
 from fairaudit.depmeasure import pearson
 from fairaudit.mitigate import (
     PenaltySpec,
-    _midranks,
     TrainOptions,
     di_remove,
     equalize_odds,
@@ -16,7 +15,7 @@ from fairaudit.mitigate import (
     reweigh,
     train_logistic,
 )
-from fairaudit._common import ks_distance
+from fairaudit._common import _midranks, ks_distance
 
 
 def make_logistic_data(rng, n=10_000, p=5, beta=None, intercept=-0.3, s_feature=False):
