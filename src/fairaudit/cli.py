@@ -164,10 +164,6 @@ def _points(v) -> str:
     return "-" if v is None else f"{v:.1f}"
 
 
-def _signed_percent(v) -> str:
-    return "-" if v is None else f"{v:+.1f}%"
-
-
 def render_markdown(report: dict) -> str:
     lines = [
         "# Fairness audit",
@@ -427,6 +423,9 @@ def cmd_mitigate(args) -> int:
         else:
             raise DataError(f"unknown penalty {args.penalty!r}")
         model = mitigate.train_logistic(d, penalty=spec, link=args.link)
+        if model.diverged or not model.converged:
+            failure = "diverged (separable data)" if model.diverged else "did not converge"
+            print(f"warning: training {failure} after {model.n_iter} iterations", file=sys.stderr)
         artifacts["model"] = str(out_prefix) + ".model.json"
         model.save(artifacts["model"])
         written = d.with_(score=model.predict_score(d.features))

@@ -1,13 +1,13 @@
 """Discrimination correction.
 
 Pre-processing: label massaging, pairwise reweighting, quantile repair.
-In-processing: full-batch penalized logistic/probit training.
+In-processing: penalized logistic/probit training, quasi-Newton (BFGS).
 Post-processing: accuracy-optimal per-group thresholds and randomized
 two-threshold mixtures equalizing error rates.
 
-The trainer is deterministic (zero init, backtracking line search); fairness
-penalties are quadratic in the relevant correlation so the objective is
-smooth and magnitude-penalizing.
+The trainer is deterministic (zero init, BFGS with an Armijo backtracking
+line search from the unit step); fairness penalties are quadratic in the
+relevant correlation so the objective is smooth and magnitude-penalizing.
 """
 
 from __future__ import annotations
@@ -99,7 +99,6 @@ class PenaltySpec:
 
 @dataclass(frozen=True)
 class TrainOptions:
-    step: float = 1.0
     tol: float = 1e-7  # gradient-norm stopping rule
     max_iter: int = 2000
 
@@ -305,14 +304,15 @@ def train_logistic(
     opts: TrainOptions = TrainOptions(),
     link: str = "logistic",
 ) -> LinearModel:
-    """Fit a linear score model by full-batch gradient descent.
+    """Fit a linear score model by the BFGS quasi-Newton method.
 
     Features are standardized internally; the returned coefficients live on
-    the original scale.  Backtracking (Armijo) line search makes the run
-    deterministic.  An active fairness penalty is warm-started at the
-    unpenalized optimum: the correlation penalties are scale-free, so from a
-    zero init no descent direction improves on the raw loss gradient and the
-    search would stall at the constant model.
+    the original scale.  An Armijo line search backtracking from the unit
+    quasi-Newton step makes the run deterministic.  An active fairness
+    penalty is warm-started at the unpenalized optimum: the correlation
+    penalties are scale-free, so from a zero init no descent direction
+    improves on the raw loss gradient and the search would stall at the
+    constant model.
 
     Perfectly separable data has no finite optimum; that is detected (zero
     training error with strict margins, plus a coefficient-norm cap of 1e3
@@ -343,30 +343,39 @@ def train_logistic(
         )
     else:
         theta = np.zeros(X.shape[1] + 1)
-    step = opts.step
     converged = False
     diverged = False
     it = 0
+    # the inverse-Hessian estimate starts at the design's inverse second
+    # moments, so correlated features do not slow the first steps
+    X1 = np.hstack((Xs, np.ones((len(y), 1))))
+    H = H0 = np.linalg.pinv(X1.T @ (wn[:, None] * X1), hermitian=True)
     value, grad = objective_value_and_grad(theta, Xs, y, d.s, wn, penalty, link)
     for it in range(1, opts.max_iter + 1):
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm < opts.tol:
+        if float(np.linalg.norm(grad)) <= opts.tol:
             converged = True
             break
-        step = min(step * 2.0, 1e4)
-        while True:
-            cand = theta - step * grad
+        direction = -(H @ grad)
+        slope = float(grad @ direction)
+        if not -math.inf < slope < 0:  # not a finite descent direction: restart
+            H, direction, slope = H0, -grad, -float(grad @ grad)
+        for step in 0.5 ** np.arange(67.0):  # from 1 down to about 1e-20
+            cand = theta + step * direction
             cand_value, cand_grad = objective_value_and_grad(
                 cand, Xs, y, d.s, wn, penalty, link
             )
-            if cand_value <= value - 1e-4 * step * gnorm**2:
+            # a difference, since value + 1e-4 * step * slope can round to value
+            if cand_value - value <= 1e-4 * step * slope:
                 break
-            step *= 0.5
-            if step < 1e-20:
-                cand, cand_value, cand_grad = theta, value, grad
-                break
-        if step < 1e-20:
-            break
+        else:
+            break  # the line search stalled
+        sk, yk = cand - theta, cand_grad - grad
+        sy = sk @ yk
+        if sy > 0:  # curvature guard; otherwise keep H
+            if H is H0:  # first update: scale H0 to the measured curvature
+                H = H0 * (sy / (yk @ H0 @ yk))
+            V = np.eye(len(sk)) - np.outer(sk, yk) / sy
+            H = V @ H @ V.T + np.outer(sk, sk) / sy
         theta, value, grad = cand, cand_value, cand_grad
         if np.linalg.norm(theta) > 1e3:
             diverged = True
@@ -810,6 +819,9 @@ def _full_mixture(geo: dict[int, _GroupGeometry], accuracy):
     """Accuracy-best intersection of the two groups' realizable segment
     families, solved for all pairs at once."""
     segs = {g: np.asarray(_segments(geo[g]), dtype=int) for g in (0, 1)}
+    for g in (0, 1):
+        if len(segs[g]) == 0:  # every score in the group is 0
+            raise DegenerateGroupError(f"group {g} has a single ROC point (every score is 0)")
     A0 = np.column_stack([geo[0].fpr[segs[0][:, 0]], geo[0].tpr[segs[0][:, 0]]])
     A1 = np.column_stack([geo[0].fpr[segs[0][:, 1]], geo[0].tpr[segs[0][:, 1]]])
     B0 = np.column_stack([geo[1].fpr[segs[1][:, 0]], geo[1].tpr[segs[1][:, 0]]])

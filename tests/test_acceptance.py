@@ -228,6 +228,7 @@ def test_criterion_09_penalized_training():
     # the documented benchmark: n = 1e4, p = 5, group loads on feature 0
     d_big, _, _ = make_logistic_data(rng, n=10_000, p=5, s_feature=True)
     model = mitigate.train_logistic(d_big, mitigate.PenaltySpec.dp_correlation(1e3))
+    assert model.converged
     cor = depmeasure.pearson(model.predict_score(d_big.features), d_big.s.astype(float))
     assert abs(cor) <= 0.05
 

@@ -317,6 +317,51 @@ class TestMitigateCommand:
         scored = load_csv(tmp_path / "tr.scored.csv")
         assert scored.score is not None
 
+    def test_train_warns_when_the_fit_diverges(self, tmp_path, capsys):
+        # the separable data of test_perfect_separation_guard
+        X = np.array([[0.0], [1.0], [2.0], [3.0]] * 10)
+        y = (X[:, 0] > 1.5).astype(int)
+        from fairaudit.data import Dataset
+
+        src = tmp_path / "sep.csv"
+        src.write_text(
+            dataset_to_csv(Dataset(s=[0, 1] * 20, y=y, features=X, feature_names=("x0",))),
+            encoding="utf-8",
+        )
+        code, out, err = run(["mitigate", src, "--method", "train", "--out", tmp_path / "tr"], capsys)
+        assert code == 0
+        assert err.count("\n") == 1
+        assert err.startswith("warning: training diverged (separable data) after ")
+        report = json.loads(out)
+        assert report["method"]["diverged"] and not report["method"]["converged"]
+        assert (tmp_path / "tr.model.json").exists()
+
+    def test_train_is_quiet_when_the_fit_converges(self, toy_csv, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        d = load_toy().with_(features=rng.normal(size=(24, 2)))
+        src = tmp_path / "in.csv"
+        src.write_text(dataset_to_csv(d), encoding="utf-8")
+        code, _, err = run(["mitigate", src, "--method", "train", "--out", tmp_path / "tr"], capsys)
+        assert code == 0
+        assert err == ""
+
+    @pytest.mark.parametrize("flat_group", [0, 1])
+    def test_equalize_odds_single_point_roc(self, tmp_path, capsys, flat_group):
+        # every score of one group is 0, so its ROC is the single point (0, 0)
+        rows = [(flat_group, 0, 0.0), (flat_group, 1, 0.0), (1 - flat_group, 0, 0.2),
+                (1 - flat_group, 1, 0.8)]
+        src = tmp_path / "four.csv"
+        src.write_text("s,y,score\n" + "".join(f"{g},{v},{m!r}\n" for g, v, m in rows))
+        argv = ["mitigate", src, "--method", "equalize-odds", "--out", tmp_path / "eo"]
+        code, out, err = run(argv, capsys)
+        assert code == 3
+        assert err == f"error: group {flat_group} has a single ROC point (every score is 0)\n"
+        assert out == ""
+        assert not list(tmp_path.glob("eo*"))
+        code, out, err = run(argv + ["--criterion", "opportunity"], capsys)
+        assert code == 0
+        assert json.loads(out)["method"]["tpr_gap"] == 0.0
+
 
 class TestPipelineIntegration:
     def test_train_debias_then_reaudit_shrinks_gap(self, tmp_path, capsys):
@@ -491,6 +536,31 @@ def test_cli_import_leaves_out_scipy_stats():
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert res.stdout.strip() == "False"
+
+
+def test_cli_import_loads_no_new_modules():
+    code = (
+        "import json, sys; before = set(sys.modules); import fairaudit.cli; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    src = Path(fairaudit.__file__).resolve().parent.parent
+    res = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    loaded = json.loads(res.stdout)
+    assert "scipy.optimize" not in loaded
+    # the packages and scipy subpackages the import loaded before the BFGS
+    # trainer; scipy's array-API layer loads numpy.f2py, which loads
+    # charset_normalizer
+    assert {m for m in loaded if m.startswith("scipy.") and m.count(".") == 1} <= {
+        "scipy.__config__", "scipy._cyutility", "scipy._distributor_init", "scipy._lib",
+        "scipy.special", "scipy.version",
+    }
+    packages = {m.split(".")[0] for m in loaded}
+    assert {p for p in packages if p.isidentifier() and not p.startswith("_")} - set(
+        sys.stdlib_module_names
+    ) <= {"fairaudit", "numpy", "scipy", "charset_normalizer", "cython_runtime"}
 
 
 def test_reports_are_strict_json():

@@ -33,6 +33,25 @@ def make_logistic_data(rng, n=10_000, p=5, beta=None, intercept=-0.3, s_feature=
     return d, beta, intercept
 
 
+PENALTY_SPECS = [
+    PenaltySpec.none(),
+    PenaltySpec.dp_correlation(3.0),
+    PenaltySpec.eo_correlation(2.0, 4.0),
+    PenaltySpec.dp_maxcor(3.0, degree=3),
+]
+
+
+def standardized_objective(model, d, spec):
+    """Objective value and gradient at the model's standardized parameters,
+    on the standardized features the trainer fitted."""
+    mu, sd = model.standardization["mean"], model.standardization["scale"]
+    theta = np.append(model.coef * sd, model.intercept + np.sum(model.coef * mu))
+    wn = d.weight / d.weight.sum()
+    return objective_value_and_grad(
+        theta, (d.features - mu) / sd, d.y.astype(float), d.s, wn, spec, model.link
+    )
+
+
 class TestTrainLogistic:
     def test_recovers_known_coefficients(self):
         rng = np.random.default_rng(101)
@@ -51,16 +70,7 @@ class TestTrainLogistic:
         assert np.max(np.abs(plain.coef - zero.coef)) <= 1e-8
         assert abs(plain.intercept - zero.intercept) <= 1e-8
 
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            PenaltySpec.none(),
-            PenaltySpec.dp_correlation(3.0),
-            PenaltySpec.eo_correlation(2.0, 4.0),
-            PenaltySpec.dp_maxcor(3.0, degree=3),
-        ],
-        ids=lambda s: s.kind,
-    )
+    @pytest.mark.parametrize("spec", PENALTY_SPECS, ids=lambda s: s.kind)
     @pytest.mark.parametrize("link", ["logistic", "probit"])
     def test_gradient_matches_central_differences(self, spec, link):
         rng = np.random.default_rng(17)
@@ -85,6 +95,30 @@ class TestTrainLogistic:
             rel = np.linalg.norm(fd - grad) / max(np.linalg.norm(grad), 1e-10)
             assert rel <= 1e-5
 
+    @pytest.mark.parametrize("spec", PENALTY_SPECS, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("link", ["logistic", "probit"])
+    def test_converges_to_stationary_point(self, spec, link):
+        rng = np.random.default_rng(17)
+        d, _, _ = make_logistic_data(rng, n=400, s_feature=True)
+        model = train_logistic(d, spec, link=link)
+        assert model.converged and not model.diverged
+        _, grad = standardized_objective(model, d, spec)
+        assert np.linalg.norm(grad) <= TrainOptions().tol
+
+    def test_line_search_rejects_steps_that_do_not_descend(self):
+        # the maximal-correlation penalty is scale-free, so on these 11 rows
+        # the fit reaches a point where only steps leaving the objective
+        # unchanged pass an Armijo test written as value + c * step * slope;
+        # accepting them stalled the fit until max_iter
+        x = [1143.558, 676.48, 746.473, 469.102, 893.975, 421.904, -173.645, 1006.831,
+             237.823, -535.752, 350.59]
+        w = [2.247, 4.722, 1.544, 0.843, 4.37, 0.119, 4.486, 0.971, 2.119, 4.333, 0.137]
+        d = Dataset(s=[0, 1, 0, 0, 1, 1, 1, 1, 1, 1, 1], y=[0, 0, 0, 1, 1, 0, 1, 1, 0, 0, 1],
+                    features=np.array(x)[:, None], weight=w)
+        model = train_logistic(d, PenaltySpec.dp_maxcor(5.0), link="probit")
+        assert model.n_iter < 100
+        assert np.isfinite(model.coef).all()
+
     def test_heavy_dp_penalty_decorrelates_scores(self):
         rng = np.random.default_rng(2)
         d, _, _ = make_logistic_data(rng, n=10_000, s_feature=True)
@@ -92,6 +126,7 @@ class TestTrainLogistic:
         base_cor = pearson(baseline.predict_score(d.features), d.s.astype(float))
         assert abs(base_cor) > 0.2  # the benchmark really is biased
         model = train_logistic(d, PenaltySpec.dp_correlation(1e3))
+        assert model.converged and model.n_iter < 100
         cor = pearson(model.predict_score(d.features), d.s.astype(float))
         assert abs(cor) <= 0.05
 
@@ -102,6 +137,16 @@ class TestTrainLogistic:
         model = train_logistic(d, opts=TrainOptions(max_iter=100_000, tol=0.0))
         assert model.diverged
         assert not model.converged
+
+    def test_perfect_separation_guard_probit(self):
+        # the probit gradient underflows to exactly zero before the norm cap
+        X = np.array([[0.0], [1.0], [2.0], [3.0]] * 10)
+        y = (X[:, 0] > 1.5).astype(int)
+        d = Dataset(s=[0, 1] * 20, y=y, features=X, feature_names=("x0",))
+        model = train_logistic(d, opts=TrainOptions(max_iter=5000, tol=0.0), link="probit")
+        assert model.diverged
+        assert not model.converged
+        assert model.n_iter < 1000
 
     def test_probit_link_fits(self):
         rng = np.random.default_rng(33)
