@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -200,45 +201,102 @@ def load_csv(path, schema: ColumnSchema = ColumnSchema()) -> Dataset:
 
     Raises :class:`DataError` with the offending row number on the first
     malformed value encountered.
-    """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("no records (empty file)")
-        header = [h.strip() for h in header]
-        rows = [row for row in reader if row and any(c.strip() for c in row)]
 
+    The body is parsed as one float table by ``np.loadtxt`` and checked
+    column by column.  A body it cannot parse, whose width differs from the
+    header's, or whose values fail a check goes through a row loop instead,
+    which finds the first bad cell in row order.  That loop also reads what
+    ``loadtxt`` does not: empty cells (missing features), blank-only lines,
+    and numbers that only Python's ``float`` accepts, such as ``1_0``.
+    """
+    # the lines are kept for the row loop: a pipe cannot be read twice
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        lines = fh.readlines()
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header is None:
+        raise DataError("no records (empty file)")
+    header = [h.strip() for h in header]
     duplicates = sorted({h for h in header if header.count(h) > 1})
     if duplicates:
         raise DataError(f"duplicate column name(s) {duplicates} in header")
 
-    if not rows:
-        raise DataError("no records")
+    body = lines[reader.line_num :]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # raised on an empty body
+            table = np.loadtxt(
+                body, delimiter=",", comments=None, quotechar='"', ndmin=2, dtype=float
+            )
+    except (ValueError, UserWarning):
+        table = None
+    if table is not None and table.shape[1] == len(header):
+        d = _dataset_from_table(table, header, schema)
+        if d is not None:
+            return d
+    return _dataset_from_rows(body, header, schema)
+
+
+def _resolve_columns(header: list[str], schema: ColumnSchema):
+    """The score column, weight column (each None when absent) and feature
+    names that ``schema`` selects from ``header``."""
     for col in (schema.s_col, schema.y_col):
         if col not in header:
             raise DataError(f"missing column {col!r} (header: {header})")
-
-    idx = {name: header.index(name) for name in header}
-    has_score = schema.score_col is not None and schema.score_col in header
-    has_weight = schema.weight_col is not None and schema.weight_col in header
-    reserved = {schema.s_col, schema.y_col}
-    if has_score:
-        reserved.add(schema.score_col)
-    if has_weight:
-        reserved.add(schema.weight_col)
-
+    score_col = schema.score_col if schema.score_col in header else None
+    weight_col = schema.weight_col if schema.weight_col in header else None
     if schema.feature_cols is not None:
         feat_names = list(schema.feature_cols)
         missing = [c for c in feat_names if c not in header]
         if missing:
             raise DataError(f"missing feature column(s) {missing}")
     else:
+        reserved = {schema.s_col, schema.y_col, score_col, weight_col}
         feat_names = [h for h in header if h not in reserved]
-
-    if not has_score and not feat_names:
+    if score_col is None and not feat_names:
         raise DataError("need a score column or at least one feature column")
+    return score_col, weight_col, feat_names
+
+
+def _dataset_from_table(
+    table: np.ndarray, header: list[str], schema: ColumnSchema
+) -> Dataset | None:
+    """The dataset of a parsed float table, or None if any value fails a check."""
+    score_col, weight_col, feat_names = _resolve_columns(header, schema)
+    # contiguous copies: strided columns can change reductions in the last bits
+    column = dict(zip(header, np.ascontiguousarray(table.T)))
+    s, y = column[schema.s_col], column[schema.y_col]
+    score, weight = column.get(score_col), column.get(weight_col)
+    features = np.column_stack([column[c] for c in feat_names]) if feat_names else None
+    valid = (
+        np.isin(s, (0, 1)).all()
+        and np.isin(y, (0, 1)).all()
+        and (score is None or ((score >= 0) & (score <= 1)).all())
+        and (weight is None or ((weight > 0) & (weight < math.inf)).all())
+        and (features is None or not np.isinf(features).any())
+    )
+    if not valid:
+        return None
+    if score is not None and schema.flip_score:
+        score = 1.0 - score
+    return Dataset(
+        s=s.astype(np.int64),
+        y=y.astype(np.int64),
+        score=score,
+        features=features,
+        weight=weight,
+        feature_names=feat_names,
+        legit_names=schema.legit_cols,
+    )
+
+
+def _dataset_from_rows(lines: list[str], header: list[str], schema: ColumnSchema) -> Dataset:
+    """Parse the body cell by cell, raising on the first bad cell in row order."""
+    rows = [row for row in csv.reader(lines) if row and any(c.strip() for c in row)]
+    if not rows:
+        raise DataError("no records")
+    score_col, weight_col, feat_names = _resolve_columns(header, schema)
+    idx = {name: header.index(name) for name in header}
 
     s_vals, y_vals, scores, weights, feats = [], [], [], [], []
     for i, row in enumerate(rows):
@@ -247,15 +305,13 @@ def load_csv(path, schema: ColumnSchema = ColumnSchema()) -> Dataset:
             raise DataError(f"row {rownum}: expected {len(header)} fields, got {len(row)}")
         s_vals.append(_parse_binary(row[idx[schema.s_col]], schema.s_col, rownum))
         y_vals.append(_parse_binary(row[idx[schema.y_col]], schema.y_col, rownum))
-        if has_score:
-            v = _parse_float(row[idx[schema.score_col]], schema.score_col, rownum)
+        if score_col is not None:
+            v = _parse_float(row[idx[score_col]], score_col, rownum)
             if not 0.0 <= v <= 1.0:
-                raise DataError(
-                    f"row {rownum}: column {schema.score_col!r} outside [0, 1]: {v}"
-                )
+                raise DataError(f"row {rownum}: column {score_col!r} outside [0, 1]: {v}")
             scores.append(1.0 - v if schema.flip_score else v)
-        if has_weight:
-            w = _parse_float(row[idx[schema.weight_col]], schema.weight_col, rownum)
+        if weight_col is not None:
+            w = _parse_float(row[idx[weight_col]], weight_col, rownum)
             if not 0 < w < math.inf:
                 raise DataError(f"row {rownum}: weight must be finite and positive, got {w}")
             weights.append(w)
@@ -273,9 +329,9 @@ def load_csv(path, schema: ColumnSchema = ColumnSchema()) -> Dataset:
     return Dataset(
         s=s_vals,
         y=y_vals,
-        score=scores if has_score else None,
+        score=scores if score_col is not None else None,
         features=np.array(feats) if feats else None,
-        weight=weights if has_weight else None,
+        weight=weights if weight_col is not None else None,
         feature_names=feat_names,
         legit_names=schema.legit_cols,
     )
@@ -510,15 +566,13 @@ def dataset_to_csv(d: Dataset) -> str:
         header.append("score")
     header.append("w")
     header.extend(d.feature_names)
-    lines = [",".join(header)]
-    for i in range(len(d)):
-        row = [str(int(d.s[i])), str(int(d.y[i]))]
-        if d.score is not None:
-            row.append(repr(float(d.score[i])))
-        row.append(repr(float(d.weight[i])))
-        if d.features is not None:
-            row.extend(repr(float(v)) for v in d.features[i])
-        lines.append(",".join(row))
+    columns = [map(str, d.s.tolist()), map(str, d.y.tolist())]
+    if d.score is not None:
+        columns.append(map(repr, d.score.tolist()))
+    columns.append(map(repr, d.weight.tolist()))
+    if d.features is not None:
+        columns.extend(map(repr, col) for col in d.features.T.tolist())
+    lines = [",".join(header)] + [",".join(row) for row in zip(*columns)]
     return "\n".join(lines) + "\n"
 
 

@@ -385,7 +385,7 @@ def impact_ci(
             for attempt in range(100):
                 idx = rng.integers(0, n, size=n)
                 # weights are positive, so a group is present iff its weight sum is
-                num, den, n0, n1 = np.bincount(idx, minlength=n) @ cols
+                num, den, n0, n1 = np.bincount(idx, minlength=n).astype(np.float64) @ cols
                 if n0 > 0 and n1 > 0:
                     break
             else:
@@ -415,9 +415,16 @@ def impact_ci(
         p1 = float(np.sum(w[m1] * pred.prob[m1])) / w1
         if p0 <= 0 or p1 <= 0:
             raise DegenerateGroupError("asymptotic interval needs positives in both groups")
-        var = point**2 * ((1 - p0) / (w0 * p0) + (1 - p1) / (w1 * p1))
+        try:
+            var = point**2 * ((1 - p0) / (w0 * p0) + (1 - p1) / (w1 * p1))
+        except OverflowError:  # a ratio beyond about 1e154
+            var = math.inf
         z = float(ndtri((1 + level) / 2))
         half = z * math.sqrt(var)
+        if not math.isfinite(point + half):
+            raise DegenerateGroupError(
+                "asymptotic interval is not finite (weight sums beyond the float range)"
+            )
         return ImpactInterval(
             point, max(point - half, 0.0), point + half, "asymptotic", level, None, None
         )

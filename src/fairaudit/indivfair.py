@@ -125,7 +125,8 @@ def lipschitz_audit(
     block = 500_000
     for start in range(0, len(ii), block):
         bi, bj = ii[start : start + block], jj[start : start + block]
-        dx = np.linalg.norm(white[bi] - white[bj], axis=1)
+        # np.take gathers whole rows several times faster than white[bi]
+        dx = np.linalg.norm(np.take(white, bi, axis=0) - np.take(white, bj, axis=0), axis=1)
         dyv = np.abs(out[bi] - out[bj])
         bad = dyv > scale * dx
         violations += int(bad.sum())

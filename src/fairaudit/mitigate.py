@@ -381,12 +381,13 @@ def train_logistic(
             diverged = True
             break
 
-    if not penalty_active and not diverged:
+    if penalty_active:
+        # a fit warm-started at a diverged optimum inherits the divergence
+        diverged = diverged or base.diverged
+    elif not diverged:  # separable data: the optimum lies at infinity
         z = Xs @ theta[:-1] + theta[-1]
-        separated = bool((z != 0).all() and ((z > 0) == (y == 1)).all())
-        if separated:  # separable data: the optimum lies at infinity
-            diverged = True
-            converged = False
+        diverged = bool((z != 0).all() and ((z > 0) == (y == 1)).all())
+    converged = converged and not diverged
 
     beta = theta[:-1] / sd
     intercept = float(theta[-1] - np.sum(theta[:-1] * mu / sd))

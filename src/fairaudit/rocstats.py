@@ -230,12 +230,18 @@ def auc(r: RocCurve) -> float:
     """
     counts = np.concatenate((r.neg_above, r.pos_above, [r.neg_total, r.pos_total]))
     if np.all(counts == np.rint(counts)):
+        den = 2 * int(round(r.neg_total)) * int(round(r.pos_total))
+        if den < 2**63:
+            # the counts rise along the curve, so no partial sum exceeds den
+            neg = np.rint(r.neg_above).astype(np.int64)
+            pos = np.rint(r.pos_above).astype(np.int64)
+            return int(np.sum(np.diff(neg) * (pos[:-1] + pos[1:]))) / den
         neg = [int(v) for v in np.rint(r.neg_above)]
         pos = [int(v) for v in np.rint(r.pos_above)]
         num = sum(
             (neg[i + 1] - neg[i]) * (pos[i] + pos[i + 1]) for i in range(len(neg) - 1)
         )
-        return num / (2 * int(round(r.neg_total)) * int(round(r.pos_total)))
+        return num / den
     terms = (r.fpr[1:] - r.fpr[:-1]) * (r.tpr[1:] + r.tpr[:-1]) / 2.0
     return float(math.fsum(terms.tolist()))
 

@@ -7,10 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import fairaudit
 from fairaudit.cli import _dump_json, main
 from fairaudit.data import TOY_CSV, dataset_to_csv, load_csv, load_toy
+
+from test_load_csv_reference import csv_files
 
 TOY_THRESHOLD_ARG = "0.4375"  # between the 10th and 11th scores
 
@@ -216,6 +220,17 @@ class TestAuditCommand:
         assert out == ""
         assert "of 1000 replicates had an infinite ratio" in err
 
+    def test_non_finite_asymptotic_interval_exit_3(self, tmp_path, capsys):
+        # group 1's weight sum is near 1e154, so the squared ratio overflows
+        path = tmp_path / "huge_weight.csv"
+        path.write_text("s,w,y,score\n1,1.3407807929942597e+154,0,0.0\n0,1.0,0,0.9\n"
+                        "1,1.0,1,0.9\n", encoding="utf-8")
+        code, out, err = run(["audit", path, "--threshold", "0.5", "--ci", "asymptotic"],
+                             capsys)
+        assert code == 3
+        assert out == ""
+        assert "asymptotic interval is not finite" in err
+
     def test_threshold_by_group(self, toy_csv, capsys):
         code, out, _ = run(
             [
@@ -317,7 +332,8 @@ class TestMitigateCommand:
         scored = load_csv(tmp_path / "tr.scored.csv")
         assert scored.score is not None
 
-    def test_train_warns_when_the_fit_diverges(self, tmp_path, capsys):
+    @staticmethod
+    def separable_csv(tmp_path):
         # the separable data of test_perfect_separation_guard
         X = np.array([[0.0], [1.0], [2.0], [3.0]] * 10)
         y = (X[:, 0] > 1.5).astype(int)
@@ -328,6 +344,10 @@ class TestMitigateCommand:
             dataset_to_csv(Dataset(s=[0, 1] * 20, y=y, features=X, feature_names=("x0",))),
             encoding="utf-8",
         )
+        return src
+
+    def test_train_warns_when_the_fit_diverges(self, tmp_path, capsys):
+        src = self.separable_csv(tmp_path)
         code, out, err = run(["mitigate", src, "--method", "train", "--out", tmp_path / "tr"], capsys)
         assert code == 0
         assert err.count("\n") == 1
@@ -335,6 +355,18 @@ class TestMitigateCommand:
         report = json.loads(out)
         assert report["method"]["diverged"] and not report["method"]["converged"]
         assert (tmp_path / "tr.model.json").exists()
+
+    def test_penalized_train_warns_when_the_warm_start_diverges(self, tmp_path, capsys):
+        src = self.separable_csv(tmp_path)
+        code, out, err = run(
+            ["mitigate", src, "--method", "train", "--penalty", "dp_correlation",
+             "--lam", "10", "--out", tmp_path / "tr"],
+            capsys,
+        )
+        assert code == 0
+        assert err.startswith("warning: training diverged (separable data) after ")
+        report = json.loads(out)
+        assert report["method"]["diverged"] and not report["method"]["converged"]
 
     def test_train_is_quiet_when_the_fit_converges(self, toy_csv, tmp_path, capsys):
         rng = np.random.default_rng(3)
@@ -561,6 +593,32 @@ def test_cli_import_loads_no_new_modules():
     assert {p for p in packages if p.isidentifier() and not p.startswith("_")} - set(
         sys.stdlib_module_names
     ) <= {"fairaudit", "numpy", "scipy", "charset_normalizer", "cython_runtime"}
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    text=csv_files(),
+    argv=st.sampled_from([
+        ["validate"],
+        ["audit", "--threshold", "0.5", "--ci", "asymptotic"],
+        ["audit", "--pred-col", "yhat", "--ci", "asymptotic"],
+        ["audit", "--boot", "100"],
+    ]),
+)
+def test_random_csv_exits_0_2_or_3_with_strict_json(tmp_path, capsys, text, argv):
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode("utf-8"))
+    code, out, err = run([argv[0], path, *argv[1:]], capsys)
+    assert code in (0, 2, 3), err
+    if code == 0:
+        json.loads(out, parse_constant=_reject_constant)
+    else:
+        assert out == "" and err.startswith("error: ")
 
 
 def test_reports_are_strict_json():

@@ -1,9 +1,11 @@
 """Golden CLI outputs: every report and artifact of a fixed command list.
 
-The commands run in process through ``fairaudit.cli.main`` on three inputs:
+The commands run in process through ``fairaudit.cli.main`` on four inputs:
 the 24-row toy CSV, a seeded operating-point sample (n=2000) with four
-seeded Gaussian feature columns and a 0/1 ``yhat`` column, and a copy of
-that sample with a non-integer weight column ``w``.
+seeded Gaussian feature columns and a 0/1 ``yhat`` column, a copy of that
+sample with a non-integer weight column ``w``, and a copy with an empty
+feature cell, a ``1_0`` cell and a whitespace-only line, which ``load_csv``
+reads through its row loop instead of ``np.loadtxt``.
 
 * Outputs from the unit-weight inputs are pinned by SHA-256.
 * Outputs from the weighted copy, and the ``after.metrics`` blocks of
@@ -89,11 +91,21 @@ _TOY = [
     ("plot-roc-by-group", ["plot", "{csv}", "--kind", "roc-by-group", "--out", "{out}"]),
 ]
 
+# the missing feature value leaves out the individual audits
+_FALLBACK = [
+    ("validate", ["validate", "{csv}"]),
+    ("audit-shared-json", ["audit", "{csv}", "--threshold", T]),
+    ("audit-pred-col-asym", ["audit", "{csv}", "--pred-col", "yhat", "--ci", "asymptotic"]),
+    ("thresholds-dp", ["mitigate", "{csv}", "--method", "thresholds", "--out", "{out}"]),
+]
+
 CASES = (
     [(f"toy/{name}", "toy.csv", argv) for name, argv in _TOY]
     + [(f"synth/{name}", "synth.csv", argv) for name, argv in _PER_DATASET]
     + [(f"weighted/{name}", "weighted.csv", argv) for name, argv in _PER_DATASET]
+    + [(f"fallback/{name}", "fallback.csv", argv) for name, argv in _FALLBACK]
 )
+INPUTS = ("toy.csv", "synth.csv", "weighted.csv", "fallback.csv")
 
 
 def write_inputs(root: Path) -> None:
@@ -113,12 +125,18 @@ def write_inputs(root: Path) -> None:
         "yhat": [str(int(v > 0.6)) for v in d.score],
     }
 
-    def write(name: str, columns: dict) -> None:
+    def write(name: str, columns: dict, extra_lines=()) -> None:
         lines = [",".join(columns)] + [",".join(row) for row in zip(*columns.values())]
+        for k, line in extra_lines:
+            lines.insert(k, line)
         (root / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     write("synth.csv", cols)
     write("weighted.csv", {**cols, "w": [repr(float(v)) for v in w]})
+    quirks = {"x1": list(cols["x1"]), "x2": list(cols["x2"])}
+    quirks["x1"][4] = "1_0"
+    quirks["x2"][2] = ""
+    write("fallback.csv", {**cols, **quirks}, [(11, "   ")])
 
 
 def run_case(root: Path, case: str, csv: str, argv: list[str]) -> dict[str, str]:
@@ -231,7 +249,7 @@ def test_golden(workdir, expected, case, csv, argv):
 
 
 def test_inputs_are_as_pinned(workdir, expected):
-    for name in ("toy.csv", "synth.csv", "weighted.csv"):
+    for name in INPUTS:
         assert _sha((workdir / name).read_text(encoding="utf-8")) == expected["inputs"][name]
 
 
@@ -243,10 +261,7 @@ def _regenerate() -> None:
         (root / "out").mkdir()
         write_inputs(root)
         pins = {
-            "inputs": {
-                name: _sha((root / name).read_text(encoding="utf-8"))
-                for name in ("toy.csv", "synth.csv", "weighted.csv")
-            }
+            "inputs": {name: _sha((root / name).read_text(encoding="utf-8")) for name in INPUTS}
         }
         for case, csv, argv in CASES:
             pins[case] = pins_for(case, run_case(root, case, csv, argv))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fairaudit import indivfair
 from fairaudit.data import DataError, Dataset, PredictionSet
 from fairaudit.indivfair import lipschitz_audit, reconstruction_audit
 
@@ -20,7 +21,59 @@ def smooth_score_dataset(rng, n=200, lipschitz=0.25):
     return Dataset(s=rng.integers(0, 2, size=n), y=rng.integers(0, 2, size=n), score=score, features=X)
 
 
+def ref_lipschitz_audit(d, scale, top_k=10, seed=0):
+    """Score-mode Lipschitz audit with the white[bi] row gather it had before
+    np.take; the pair stream and block loop are unchanged."""
+    n = len(d)
+    white = d.features @ indivfair._mahalanobis_factor(d.features).T
+    exact = n <= indivfair.EXACT_PAIR_LIMIT
+    if exact:
+        ii, jj = np.triu_indices(n, k=1)
+    else:
+        rng = np.random.default_rng(seed)
+        ii = rng.integers(0, n, size=indivfair.SAMPLED_PAIRS)
+        jj = rng.integers(0, n, size=indivfair.SAMPLED_PAIRS)
+        keep = ii != jj
+        ii, jj = ii[keep], jj[keep]
+    violations, worst, top = 0, 0.0, []
+    for start in range(0, len(ii), 500_000):
+        bi, bj = ii[start : start + 500_000], jj[start : start + 500_000]
+        dx = np.linalg.norm(white[bi] - white[bj], axis=1)
+        dyv = np.abs(d.score[bi] - d.score[bj])
+        bad = dyv > scale * dx
+        violations += int(bad.sum())
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(dx > 0, dyv / dx, np.where(dyv > 0, np.inf, 0.0))
+        if len(ratio):
+            worst = max(worst, float(np.max(ratio)))
+        bad_idx = np.flatnonzero(bad)
+        for k in bad_idx[np.argsort(-ratio[bad_idx], kind="stable")][:top_k]:
+            top.append((float(ratio[k]), int(bi[k]), int(bj[k]), float(dyv[k]), float(dx[k])))
+    top.sort(key=lambda t: -t[0])
+    top_pairs = [
+        {"i": i, "j": j, "d_y": dy_, "d_x": dx_, "ratio": r} for r, i, j, dy_, dx_ in top[:top_k]
+    ]
+    return violations, len(ii), worst, top_pairs, exact
+
+
 class TestLipschitzAudit:
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "sampled"])
+    @pytest.mark.parametrize("p", range(1, 10))
+    def test_matches_fancy_index_gather(self, monkeypatch, p, exact):
+        if not exact:  # sample pairs at a small n
+            monkeypatch.setattr(indivfair, "EXACT_PAIR_LIMIT", 40)
+            monkeypatch.setattr(indivfair, "SAMPLED_PAIRS", 20_000)
+        rng = np.random.default_rng(p)
+        n = 120
+        X = rng.normal(size=(n, p)) * rng.uniform(0.1, 10.0, size=p)
+        d = Dataset(s=rng.integers(0, 2, n), y=rng.integers(0, 2, n), score=rng.random(n),
+                    features=X)
+        res = lipschitz_audit(d, scale=0.5)
+        got = (res.violations, res.checked_pairs, res.worst_ratio, res.top_pairs, res.exact)
+        assert got == ref_lipschitz_audit(d, scale=0.5)
+        assert res.exact == exact and res.violations > 0
+
+
     def test_identical_outputs_no_violations(self):
         rng = np.random.default_rng(1)
         d = Dataset(

@@ -183,6 +183,18 @@ class TestAuc:
             assert auc(roc_curve(d)) == brute_force_concordance(score, y)
             checked += 1
 
+    @pytest.mark.parametrize("unit", [2.0**30, 2.0**31])
+    def test_exact_for_integer_weights_near_the_int64_range(self, unit):
+        # 2 * neg_total * pos_total passes 2**63 for most of these at 2**30
+        # and for all at 2**31, so both the int64 and the Python-int sums run
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            n = int(rng.integers(2, 13))
+            y = np.array([0, 1] + rng.integers(0, 2, size=n - 2).tolist())
+            score = rng.integers(0, 8, size=n) / 7.0
+            d = Dataset(s=np.zeros(n, dtype=int), y=y, score=score, weight=np.full(n, unit))
+            assert auc(roc_curve(d)) == brute_force_concordance(score, y)
+
 
 def upper_hull_value(curve, x):
     """Piecewise-linear evaluation of a curve at fpr = x (max tpr)."""
