@@ -18,8 +18,7 @@ def main() -> None:
     pred = apply_policy(d, ThresholdPolicy.shared(TOY_THRESHOLD))
 
     print("== group metrics at the shared threshold ==")
-    for metric in groupfair.TABLE_METRICS:
-        r = groupfair.group_metric(metric, d, pred)
+    for metric, r in groupfair.group_metrics(groupfair.TABLE_METRICS, d, pred).items():
         fmt = lambda v: "   - " if v is None else f"{v * 100:5.1f}"
         rel = "    -" if r.rel_diff is None else f"{r.rel_diff:+.1f}"
         print(f"  {metric:24s} s=0 {fmt(r.group0)}  s=1 {fmt(r.group1)}  rel {rel}%")

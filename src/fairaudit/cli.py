@@ -34,15 +34,7 @@ from .data import (
 
 SCHEMA_VERSION = 1
 
-TABLE_LABELS = {
-    "statistical_parity": "statistical parity",
-    "equal_opportunity": "equal opportunity",
-    "predictive_equality": "predictive equality",
-    "conditional_accuracy": "conditional accuracy",
-    "predictive_parity": "predictive parity",
-    "accuracy_equality": "accuracy equality",
-    "treatment_equality": "treatment equality",
-}
+TABLE_LABELS = {m: m.replace("_", " ") for m in groupfair.TABLE_METRICS}
 
 
 def _json_default(o):
@@ -130,18 +122,8 @@ def _load_with_pred(args) -> tuple[Dataset, PredictionSet | None, dict]:
 def _default_metrics(d: Dataset, pred: PredictionSet | None, legit) -> list[str]:
     out = []
     if pred is not None:
-        out += [
-            "statistical_parity",
-            "equal_opportunity",
-            "predictive_equality",
-            "conditional_accuracy",
-            "predictive_parity",
-            "accuracy_equality",
-            "treatment_equality",
-            "equalized_odds",
-            "equalizing_disincentives",
-            "phi_fairness",
-        ]
+        out += [*groupfair.TABLE_METRICS, "equalized_odds", "equalizing_disincentives",
+                "phi_fairness"]
     if d.score is not None:
         out += [
             "auc_fairness",
@@ -258,29 +240,15 @@ def cmd_audit(args) -> int:
 
     if args.metrics:
         wanted = [m for m in args.metrics.split(",") if m]
-        unknown = [m for m in wanted if m not in groupfair.METRICS]
-        if unknown:
-            raise DataError(f"unknown metric id(s): {unknown}")
-        explicit = True
     else:
         wanted = _default_metrics(d, pred, legit)
-        explicit = False
-
-    metrics = {}
-    for mid in wanted:
-        try:
-            metrics[mid] = groupfair.group_metric(
-                mid, d, pred, epsilon=args.epsilon, bins=args.bins, legit=legit
-            ).to_json_dict()
-        except DegenerateGroupError as exc:
-            if explicit:
-                raise
-            # a defaulted metric that this dataset cannot support is
-            # reported as undefined instead of failing the whole audit
-            metrics[mid] = groupfair.MetricResult(
-                metric=mid, group0=None, group1=None, diff=None, gap=None,
-                rel_diff=None, passed=None, details={"undefined": str(exc)},
-            ).to_json_dict()
+    # a defaulted metric that this dataset cannot support is reported as
+    # undefined; an explicitly requested one fails the audit
+    results = groupfair.group_metrics(
+        wanted, d, pred, epsilon=args.epsilon, bins=args.bins, legit=legit,
+        undefined_ok=not args.metrics,
+    )
+    metrics = {mid: r.to_json_dict() for mid, r in results.items()}
 
     di = groupfair.disparate_impact(d, pred, threshold=args.di_threshold, epsilon=args.epsilon)
     report = {
@@ -367,10 +335,8 @@ def _label_rates(d: Dataset) -> dict:
 def _metric_block(d: Dataset, pred: PredictionSet | None, epsilon: float) -> dict:
     if pred is None:
         return {}
-    out = {}
-    for mid in groupfair.TABLE_METRICS:
-        out[mid] = groupfair.group_metric(mid, d, pred, epsilon=epsilon).to_json_dict()
-    return out
+    results = groupfair.group_metrics(groupfair.TABLE_METRICS, d, pred, epsilon=epsilon)
+    return {mid: r.to_json_dict() for mid, r in results.items()}
 
 
 def cmd_mitigate(args) -> int:

@@ -213,7 +213,10 @@ def load_csv(path, schema: ColumnSchema = ColumnSchema()) -> Dataset:
     with open(path, newline="", encoding="utf-8-sig") as fh:
         lines = fh.readlines()
     reader = csv.reader(lines)
-    header = next(reader, None)
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:  # e.g. a field longer than the csv module's limit
+        raise DataError(f"line {reader.line_num}: {exc}") from None
     if header is None:
         raise DataError("no records (empty file)")
     header = [h.strip() for h in header]
@@ -234,7 +237,7 @@ def load_csv(path, schema: ColumnSchema = ColumnSchema()) -> Dataset:
         d = _dataset_from_table(table, header, schema)
         if d is not None:
             return d
-    return _dataset_from_rows(body, header, schema)
+    return _dataset_from_rows(body, header, schema, reader.line_num)
 
 
 def _resolve_columns(header: list[str], schema: ColumnSchema):
@@ -290,9 +293,16 @@ def _dataset_from_table(
     )
 
 
-def _dataset_from_rows(lines: list[str], header: list[str], schema: ColumnSchema) -> Dataset:
-    """Parse the body cell by cell, raising on the first bad cell in row order."""
-    rows = [row for row in csv.reader(lines) if row and any(c.strip() for c in row)]
+def _dataset_from_rows(
+    lines: list[str], header: list[str], schema: ColumnSchema, header_lines: int
+) -> Dataset:
+    """Parse the body, which follows ``header_lines`` file lines, cell by cell,
+    raising on the first bad cell in row order."""
+    reader = csv.reader(lines)
+    try:
+        rows = [row for row in reader if row and any(c.strip() for c in row)]
+    except csv.Error as exc:
+        raise DataError(f"line {header_lines + reader.line_num}: {exc}") from None
     if not rows:
         raise DataError("no records")
     score_col, weight_col, feat_names = _resolve_columns(header, schema)

@@ -35,6 +35,7 @@ __all__ = [
     "CalibrationResult",
     "RocEqualityResult",
     "group_metric",
+    "group_metrics",
     "disparate_impact",
     "impact_point_estimate",
     "impact_ci",
@@ -134,13 +135,6 @@ def _composite(metric: str, gap01: float | None, epsilon: float, details) -> Met
     )
 
 
-def _confusions(d: Dataset, pred: PredictionSet) -> list[rocstats.ConfusionMatrix]:
-    """One weighted confusion matrix per group; both groups must be present."""
-    for g in (0, 1):
-        d.require_group(g)
-    return [rocstats.confusion(d, pred, g) for g in (0, 1)]
-
-
 def _positive_rate(c: rocstats.ConfusionMatrix) -> float | None:
     return _ratio(c.tp + c.fp, c.total)
 
@@ -161,72 +155,95 @@ _SCALAR_METRICS = {
 }
 
 
-def group_metric(
-    metric: str,
+def group_metric(metric: str, d: Dataset, pred: PredictionSet | None = None, **kw) -> MetricResult:
+    """Evaluate one catalog metric; keyword arguments as for :func:`group_metrics`."""
+    return group_metrics([metric], d, pred, **kw)[metric]
+
+
+def group_metrics(
+    ids: Sequence[str],
     d: Dataset,
     pred: PredictionSet | None = None,
     *,
     epsilon: float = 0.05,
     bins: int = 10,
     legit: Sequence[str] | None = None,
-) -> MetricResult:
-    """Evaluate one catalog metric; both groups must be present."""
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric id {metric!r}")
-    for g in (0, 1):
-        d.require_group(g)
+    undefined_ok: bool = False,
+) -> dict[str, MetricResult]:
+    """Evaluate catalog metrics in the order of ``ids``; both groups must be present.
 
-    if metric in _SCALAR_METRICS or metric == "equalized_odds":
-        if pred is None:
-            raise ValueError(f"{metric} requires predictions")
-        counts = _confusions(d, pred)
-        rates = [rocstats.rates(c) for c in counts]
-        if metric in _SCALAR_METRICS:
-            v0, v1 = (_SCALAR_METRICS[metric](c, r) for c, r in zip(counts, rates))
-            return _result(metric, v0, v1, epsilon)
-        tpr = [r.tpr for r in rates]
-        fpr = [r.fpr for r in rates]
-        gaps = [abs(a - b) for a, b in (tpr, fpr) if a is not None and b is not None]
-        gap = max(gaps) if len(gaps) == 2 else None
-        return _composite(
-            metric, gap, epsilon, details={"tpr": tpr, "fpr": fpr}
-        )
+    The group check, the per-group confusion counts and rates, the two group
+    ROC curves and the calibration table are each built on first use and
+    shared by every metric that reads them.  A build that raises is not
+    kept, so every metric that reads it raises the same error.  With
+    ``undefined_ok``, a metric that raises :class:`DegenerateGroupError` is
+    reported with ``details={"undefined": reason}`` instead.
+    """
+    unknown = [m for m in ids if m not in METRICS]
+    if unknown:
+        raise ValueError(f"unknown metric id(s): {unknown}")
+    built: dict = {}
 
-    if metric == "auc_fairness":
-        v0 = rocstats.auc(rocstats.roc_curve(d, group=0))
-        v1 = rocstats.auc(rocstats.roc_curve(d, group=1))
-        return _result(metric, v0, v1, epsilon)
+    def shared(key: str, build):
+        if key not in built:
+            built[key] = build()
+        return built[key]
 
-    if metric == "roc_equality":
-        res = roc_equality(d)
-        gap = max(res.sup_tpr_gap, res.sup_fpr_gap)
-        return _composite(
-            metric,
-            gap,
-            epsilon,
-            details={"sup_tpr_gap": res.sup_tpr_gap, "sup_fpr_gap": res.sup_fpr_gap},
-        )
+    def evaluate(metric: str) -> MetricResult:
+        shared("groups", lambda: [d.require_group(g) for g in (0, 1)])
+        if metric in _SCALAR_METRICS or metric == "equalized_odds":
+            if pred is None:
+                raise ValueError(f"{metric} requires predictions")
+            counts = shared("counts", lambda: [
+                (c, rocstats.rates(c)) for c in (rocstats.confusion(d, pred, g) for g in (0, 1))
+            ])
+            if metric in _SCALAR_METRICS:
+                v0, v1 = (_SCALAR_METRICS[metric](c, r) for c, r in counts)
+                return _result(metric, v0, v1, epsilon)
+            tpr = [r.tpr for _, r in counts]
+            fpr = [r.fpr for _, r in counts]
+            gaps = [abs(a - b) for a, b in (tpr, fpr) if a is not None and b is not None]
+            gap = max(gaps) if len(gaps) == 2 else None
+            return _composite(metric, gap, epsilon, details={"tpr": tpr, "fpr": fpr})
 
-    if metric in ("class_balance_weak", "class_balance_strong"):
-        mode = "weak" if metric.endswith("weak") else "strong"
-        per_y = class_balance(d, mode)
-        defined = [v for v in per_y.values() if v is not None]
-        gap = max(defined) if defined else None
-        return _composite(metric, gap, epsilon, details={"per_y": {str(k): v for k, v in per_y.items()}})
+        if metric in ("auc_fairness", "roc_equality"):
+            c0, c1 = shared("curves", lambda: [rocstats.roc_curve(d, group=g) for g in (0, 1)])
+            if metric == "auc_fairness":
+                return _result(metric, rocstats.auc(c0), rocstats.auc(c1), epsilon)
+            res = _roc_gaps(c0, c1)
+            gap = max(res.sup_tpr_gap, res.sup_fpr_gap)
+            details = {"sup_tpr_gap": res.sup_tpr_gap, "sup_fpr_gap": res.sup_fpr_gap}
+            return _composite(metric, gap, epsilon, details)
 
-    if metric in ("calibration_parity", "good_calibration"):
-        cal = calibration(d, bins)
-        gap = cal.parity_gap if metric == "calibration_parity" else cal.good_calibration_deviation
-        return _composite(metric, gap, epsilon, details={"bins": len(cal.edges) - 1})
+        if metric in ("class_balance_weak", "class_balance_strong"):
+            mode = "weak" if metric.endswith("weak") else "strong"
+            per_y = class_balance(d, mode)
+            defined = [v for v in per_y.values() if v is not None]
+            gap = max(defined) if defined else None
+            per_y = {str(k): v for k, v in per_y.items()}
+            return _composite(metric, gap, epsilon, details={"per_y": per_y})
 
-    if metric == "conditional_demographic_parity":
+        if metric in ("calibration_parity", "good_calibration"):
+            cal = shared("calibration", lambda: calibration(d, bins))
+            gap = cal.good_calibration_deviation if metric == "good_calibration" else cal.parity_gap
+            return _composite(metric, gap, epsilon, details={"bins": len(cal.edges) - 1})
+
+        # conditional_demographic_parity, the one metric left
         if pred is None:
             raise ValueError("conditional_demographic_parity requires predictions")
         res = conditional_dp(d, pred, legit or d.legit_names)
         gap = None if res["max_gap"] is None else res["max_gap"] / 100.0
         return _composite(metric, gap, epsilon, details={"strata": res["strata"]})
 
-    raise ValueError(f"unhandled metric {metric!r}")
+    out = {}
+    for metric in ids:
+        try:
+            out[metric] = evaluate(metric)
+        except DegenerateGroupError as exc:
+            if not undefined_ok:
+                raise
+            out[metric] = _composite(metric, None, epsilon, {"undefined": str(exc)})
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +290,9 @@ def disparate_impact(
     D_max = min(P[Yhat=1]/P[S=1], P[Yhat=0]/P[S=0]), and the equal
     opportunity difference EOD (TPR_1 - TPR_0).
     """
-    c0, c1 = _confusions(d, pred)
+    for g in (0, 1):
+        d.require_group(g)
+    c0, c1 = (rocstats.confusion(d, pred, g) for g in (0, 1))
     p0, p1 = _positive_rate(c0), _positive_rate(c1)
     if p0 > 0 and p1 > 0:
         ratio = min(p0 / p1, p1 / p0)
@@ -314,13 +333,19 @@ def impact_point_estimate(d: Dataset, pred: PredictionSet) -> float:
     This is the empirical group-0-over-group-1 positive-rate ratio; weights
     act as replication counts.
     """
+    wp0, wp1, w0, w1 = _impact_sums(d, pred)
+    return (wp0 / wp1) * (w1 / w0)
+
+
+def _impact_sums(d: Dataset, pred: PredictionSet) -> tuple[float, float, float, float]:
+    """Per-group sums of w*p (group 0, group 1), then of w, behind the impact ratio."""
     w = d.weight
     m0, m1 = d.require_group(0), d.require_group(1)
-    num = float(np.sum(w[m0] * pred.prob[m0]))
-    den = float(np.sum(w[m1] * pred.prob[m1]))
-    if den == 0:
+    wp0 = float(np.sum(w[m0] * pred.prob[m0]))
+    wp1 = float(np.sum(w[m1] * pred.prob[m1]))
+    if wp1 == 0:
         raise DegenerateGroupError("no positive predictions in group 1")
-    return (num / den) * (float(w[m1].sum()) / float(w[m0].sum()))
+    return wp0, wp1, float(w[m0].sum()), float(w[m1].sum())
 
 
 @dataclass
@@ -408,11 +433,8 @@ def impact_ci(
         return ImpactInterval(point, float(lo), float(hi), "bootstrap", level, n_boot, seed)
 
     if method == "asymptotic":
-        m0, m1 = d.require_group(0), d.require_group(1)
-        w = d.weight
-        w0, w1 = float(w[m0].sum()), float(w[m1].sum())
-        p0 = float(np.sum(w[m0] * pred.prob[m0])) / w0
-        p1 = float(np.sum(w[m1] * pred.prob[m1])) / w1
+        wp0, wp1, w0, w1 = _impact_sums(d, pred)
+        p0, p1 = wp0 / w0, wp1 / w1
         if p0 <= 0 or p1 <= 0:
             raise DegenerateGroupError("asymptotic interval needs positives in both groups")
         try:
@@ -451,23 +473,22 @@ def roc_equality(d: Dataset) -> RocEqualityResult:
     at matched TPR).  Both gaps are zero iff the group curves coincide, and
     the comparison only depends on within-group score ranks.
     """
-    c0 = rocstats.roc_curve(d, group=0)
-    c1 = rocstats.roc_curve(d, group=1)
+    return _roc_gaps(rocstats.roc_curve(d, group=0), rocstats.roc_curve(d, group=1))
 
-    def sup_vertical(a: rocstats.RocCurve, b: rocstats.RocCurve) -> float:
-        grid = np.union1d(a.fpr, b.fpr)
-        ta = a.tpr[np.searchsorted(a.fpr, grid, side="right") - 1]
-        tb = b.tpr[np.searchsorted(b.fpr, grid, side="right") - 1]
-        return float(np.max(np.abs(ta - tb)))
 
-    def sup_horizontal(a: rocstats.RocCurve, b: rocstats.RocCurve) -> float:
-        grid = np.union1d(a.tpr, b.tpr)
-        ia = np.minimum(np.searchsorted(a.tpr, grid, side="left"), len(a.tpr) - 1)
-        ib = np.minimum(np.searchsorted(b.tpr, grid, side="left"), len(b.tpr) - 1)
-        return float(np.max(np.abs(a.fpr[ia] - b.fpr[ib])))
-
+def _roc_gaps(a: rocstats.RocCurve, b: rocstats.RocCurve) -> RocEqualityResult:
+    """The sup-norm gaps of :func:`roc_equality` between two built curves."""
+    # vertically: TPR at every FPR either curve steps at
+    grid = np.union1d(a.fpr, b.fpr)
+    ta = a.tpr[np.searchsorted(a.fpr, grid, side="right") - 1]
+    tb = b.tpr[np.searchsorted(b.fpr, grid, side="right") - 1]
+    # horizontally: the first FPR reaching every TPR either curve steps at
+    grid = np.union1d(a.tpr, b.tpr)
+    ia = np.minimum(np.searchsorted(a.tpr, grid, side="left"), len(a.tpr) - 1)
+    ib = np.minimum(np.searchsorted(b.tpr, grid, side="left"), len(b.tpr) - 1)
     return RocEqualityResult(
-        sup_tpr_gap=sup_vertical(c0, c1), sup_fpr_gap=sup_horizontal(c0, c1)
+        sup_tpr_gap=float(np.max(np.abs(ta - tb))),
+        sup_fpr_gap=float(np.max(np.abs(a.fpr[ia] - b.fpr[ib]))),
     )
 
 

@@ -185,6 +185,32 @@ class TestAuditCommand:
         assert report["metrics"]["statistical_parity"]["group0"] == 0.5
         assert report["metrics"]["statistical_parity"]["group1"] == 1.0
 
+    def test_unknown_metric_id_exit_2(self, toy_csv, capsys):
+        code, out, err = run(
+            ["audit", toy_csv, "--threshold", TOY_THRESHOLD_ARG,
+             "--metrics", "statistical_parity,vibes,auras"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: unknown metric id(s): ['vibes', 'auras']\n"
+
+    def test_catalog_builds_each_shared_input_once(self, toy_csv, capsys, monkeypatch):
+        from fairaudit import groupfair, rocstats
+
+        calls = {"confusion": 0, "roc_curve": 0, "calibration": 0}
+        for module, name in ((rocstats, "confusion"), (rocstats, "roc_curve"),
+                             (groupfair, "calibration")):
+            def counted(*args, _fn=getattr(module, name), _name=name, **kw):
+                calls[_name] += 1
+                return _fn(*args, **kw)
+
+            monkeypatch.setattr(module, name, counted)
+        code, _, _ = run(["audit", toy_csv, "--threshold", TOY_THRESHOLD_ARG, "--no-individual"],
+                         capsys)
+        assert code == 0
+        # two confusions for the catalog and two for the disparate-impact block
+        assert calls == {"confusion": 4, "roc_curve": 2, "calibration": 1}
+
     def test_missing_pred_col_exit_2(self, toy_csv, capsys):
         code, _, err = run(["audit", toy_csv, "--pred-col", "yhat"], capsys)
         assert code == 2
@@ -619,6 +645,23 @@ def test_random_csv_exits_0_2_or_3_with_strict_json(tmp_path, capsys, text, argv
         json.loads(out, parse_constant=_reject_constant)
     else:
         assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "lines,line",
+    [
+        # the empty feature cell sends the body through the row loop
+        (["s,y,score,x1", "0,0,0.2,1", "1,1,0.5,", "0,1,0." + "1" * 200_000 + ",2"], 4),
+        (["s,y,score," + "h" * 140_000, "0,0,0.2,1", "1,1,0.5,2"], 1),
+    ],
+    ids=["body", "header"],
+)
+def test_field_beyond_csv_limit_exit_2_names_line(tmp_path, capsys, lines, line):
+    path = tmp_path / "long.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run(["validate", path], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: line {line}: field larger than field limit")
 
 
 def test_reports_are_strict_json():

@@ -56,6 +56,10 @@ _PER_DATASET = [
                          "--no-individual"]),
     ("audit-pred-col-boot", ["audit", "{csv}", "--pred-col", "yhat", "--no-individual"]),
     ("audit-pred-col-asym", ["audit", "{csv}", "--pred-col", "yhat", "--ci", "asymptotic"]),
+    # explicitly requested metrics that share ROC curves and the calibration table
+    ("audit-explicit", ["audit", "{csv}", "--threshold", T, "--metrics",
+                        "equalized_odds,auc_fairness,roc_equality,calibration_parity,"
+                        "good_calibration", "--ci", "none", "--no-individual"]),
     ("thresholds-dp", ["mitigate", "{csv}", "--method", "thresholds", "--out", "{out}"]),
     ("thresholds-eo", ["mitigate", "{csv}", "--method", "thresholds",
                        "--objective", "eo_tpr", "--out", "{out}"]),
