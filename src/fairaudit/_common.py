@@ -1,8 +1,32 @@
-"""Small shared numeric helpers."""
+"""Small shared numeric helpers and the strict JSON writer."""
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
+
+
+def _json_default(o):
+    if isinstance(o, np.bool_):
+        return bool(o)
+    if isinstance(o, np.integer):
+        return int(o)
+    if isinstance(o, np.floating):
+        return float(o)
+    if isinstance(o, np.ndarray):
+        return o.tolist()
+    raise TypeError(f"not JSON serializable: {type(o)}")
+
+
+def _dump_json(obj, path: Path | None) -> str:
+    """Strict JSON text (sorted keys, no NaN or infinity), written to ``path``
+    when one is given; nothing is written when the object does not encode."""
+    text = json.dumps(obj, indent=2, sort_keys=True, default=_json_default, allow_nan=False) + "\n"
+    if path is not None:
+        path.write_text(text, encoding="utf-8")
+    return text
 
 
 def weighted_mean(x: np.ndarray, w: np.ndarray) -> float:

@@ -13,11 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, depmeasure, groupfair, indivfair, mitigate, rocstats, synth
+from ._common import _dump_json, weighted_mean
 from .data import (
     ColumnSchema,
     DataError,
@@ -35,25 +37,6 @@ from .data import (
 SCHEMA_VERSION = 1
 
 TABLE_LABELS = {m: m.replace("_", " ") for m in groupfair.TABLE_METRICS}
-
-
-def _json_default(o):
-    if isinstance(o, np.bool_):
-        return bool(o)
-    if isinstance(o, np.integer):
-        return int(o)
-    if isinstance(o, np.floating):
-        return float(o)
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    raise TypeError(f"not JSON serializable: {type(o)}")
-
-
-def _dump_json(obj, path: Path | None) -> str:
-    text = json.dumps(obj, indent=2, sort_keys=True, default=_json_default, allow_nan=False) + "\n"
-    if path is not None:
-        path.write_text(text, encoding="utf-8")
-    return text
 
 
 def _schema_from_args(args) -> ColumnSchema:
@@ -248,7 +231,7 @@ def cmd_audit(args) -> int:
         wanted, d, pred, epsilon=args.epsilon, bins=args.bins, legit=legit,
         undefined_ok=not args.metrics,
     )
-    metrics = {mid: r.to_json_dict() for mid, r in results.items()}
+    metrics = {mid: asdict(r) for mid, r in results.items()}
 
     di = groupfair.disparate_impact(d, pred, threshold=args.di_threshold, epsilon=args.epsilon)
     report = {
@@ -263,12 +246,12 @@ def cmd_audit(args) -> int:
         "epsilon": args.epsilon,
         "seeds": {"cli": args.seed},
         "metrics": metrics,
-        "disparate_impact": di.to_json_dict(),
+        "disparate_impact": asdict(di),
     }
     if args.ci != "none":
-        report["interval"] = groupfair.impact_ci(
+        report["interval"] = asdict(groupfair.impact_ci(
             d, pred, method=args.ci, level=args.ci_level, n_boot=args.boot, seed=args.seed
-        ).to_json_dict()
+        ))
 
     prob = pred.prob.astype(float)
     s = d.s.astype(float)
@@ -294,14 +277,14 @@ def cmd_audit(args) -> int:
         indiv = {}
         have_features = d.features is not None and not np.isnan(d.features).any()
         if have_features and d.score is not None:
-            indiv["lipschitz"] = indivfair.lipschitz_audit(
+            indiv["lipschitz"] = asdict(indivfair.lipschitz_audit(
                 d, dy="score", scale=args.lipschitz_scale, seed=args.seed
-            ).to_json_dict()
+            ))
         if have_features or (d.features is None and d.score is not None):
             try:
-                indiv["reconstruction"] = indivfair.reconstruction_audit(
+                indiv["reconstruction"] = asdict(indivfair.reconstruction_audit(
                     d, pred, folds=5, seed=args.seed
-                ).to_json_dict()
+                ))
             except DegenerateGroupError as exc:
                 indiv["reconstruction"] = {"undefined": str(exc)}
         if indiv:
@@ -325,8 +308,7 @@ def _label_rates(d: Dataset) -> dict:
     out = {}
     for g in (0, 1):
         mask = d.s == g
-        w = d.weight[mask]
-        out[str(g)] = float(np.sum(w * d.y[mask]) / np.sum(w)) if mask.any() else None
+        out[str(g)] = weighted_mean(d.y[mask], d.weight[mask]) if mask.any() else None
     if out["0"] is not None and out["1"] is not None:
         out["gap"] = abs(out["1"] - out["0"])
     return out
@@ -336,7 +318,7 @@ def _metric_block(d: Dataset, pred: PredictionSet | None, epsilon: float) -> dic
     if pred is None:
         return {}
     results = groupfair.group_metrics(groupfair.TABLE_METRICS, d, pred, epsilon=epsilon)
-    return {mid: r.to_json_dict() for mid, r in results.items()}
+    return {mid: asdict(r) for mid, r in results.items()}
 
 
 def cmd_mitigate(args) -> int:

@@ -22,6 +22,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from ._common import weighted_mean
+
 __all__ = [
     "DataError",
     "DegenerateGroupError",
@@ -537,8 +539,7 @@ def validate(d: Dataset) -> ValidationReport:
             rates[g] = None
             warnings.append(f"group {g} empty")
         else:
-            w = d.weight[mask]
-            rates[g] = float(np.sum(w * d.y[mask]) / np.sum(w))
+            rates[g] = weighted_mean(d.y[mask], d.weight[mask])
 
     missing = {}
     constant = []

@@ -89,18 +89,6 @@ class MetricResult:
     passed: bool | None
     details: dict = field(default_factory=dict)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "group0": self.group0,
-            "group1": self.group1,
-            "diff": self.diff,
-            "gap": self.gap,
-            "rel_diff": self.rel_diff,
-            "passed": self.passed,
-            "details": self.details,
-        }
-
 
 def _result(metric: str, v0, v1, epsilon: float, details=None) -> MetricResult:
     if v0 is None or v1 is None:
@@ -263,19 +251,6 @@ class DisparateImpactResult:
     epsilon: float
     epsilon_fair: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "ratio": self.ratio,
-            "threshold": self.threshold,
-            "flagged": self.flagged,
-            "spd": self.spd,
-            "nspd": self.nspd,
-            "eod": self.eod,
-            "positive_rates": list(self.positive_rates),
-            "epsilon": self.epsilon,
-            "epsilon_fair": self.epsilon_fair,
-        }
-
 
 def disparate_impact(
     d: Dataset,
@@ -357,17 +332,6 @@ class ImpactInterval:
     level: float
     n_boot: int | None
     seed: int | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "point": self.point,
-            "lo": self.lo,
-            "hi": self.hi,
-            "method": self.method,
-            "level": self.level,
-            "n_boot": self.n_boot,
-            "seed": self.seed,
-        }
 
 
 def impact_ci(
@@ -532,15 +496,6 @@ class CalibrationResult:
     good_calibration_deviation: float | None
     merged_bins: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "edges": self.edges.tolist(),
-            "rows": self.rows,
-            "parity_gap": self.parity_gap,
-            "good_calibration_deviation": self.good_calibration_deviation,
-            "merged_bins": self.merged_bins,
-        }
-
 
 def calibration(d: Dataset, bins: int = 10) -> CalibrationResult:
     """Reliability table over quantile bins of the pooled scores.
@@ -570,7 +525,7 @@ def calibration(d: Dataset, bins: int = 10) -> CalibrationResult:
             if not mask.any():
                 continue
             w = d.weight[mask]
-            obs = float(np.sum(w * d.y[mask]) / np.sum(w))
+            obs = weighted_mean(d.y[mask], w)
             mean_score = weighted_mean(score[mask], w)
             rows.append(
                 {
@@ -627,8 +582,7 @@ def conditional_dp(
             if not gm.any():
                 sub_rates = None
                 break
-            w = d.weight[gm]
-            sub_rates.append(float(np.sum(w * pred.prob[gm]) / np.sum(w)))
+            sub_rates.append(weighted_mean(pred.prob[gm], d.weight[gm]))
         entry = {"stratum": list(level), "weight": float(d.weight[mask].sum())}
         if sub_rates is None:
             entry.update({"group0": None, "group1": None, "gap": None})

@@ -38,17 +38,6 @@ class LipschitzAuditResult:
     mode: str = "score"
     scale: float = 1.0
 
-    def to_json_dict(self) -> dict:
-        return {
-            "violations": self.violations,
-            "checked_pairs": self.checked_pairs,
-            "worst_ratio": self.worst_ratio,
-            "top_pairs": self.top_pairs,
-            "exact": self.exact,
-            "mode": self.mode,
-            "scale": self.scale,
-        }
-
     def pairs_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -58,17 +47,23 @@ class LipschitzAuditResult:
         return buf.getvalue()
 
 
-def _mahalanobis_factor(features: np.ndarray) -> np.ndarray:
+def _mahalanobis_factor(features: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
     """Whitening matrix W with d(x, x') = ||W (x - x')||.
 
     The covariance gets a ridge of 1e-8 * trace/dim, which keeps it
     invertible and preserves exact invariance under common rescaling of all
-    features.
+    features.  A covariance that overflows raises ``DataError`` naming the
+    first feature whose row of it is not finite.
     """
     n, p = features.shape
-    cov = np.cov(features, rowvar=False, bias=True).reshape(p, p)
-    ridge = 1e-8 * max(np.trace(cov), 1e-300) / p
-    cov = cov + ridge * np.eye(p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = np.cov(features, rowvar=False, bias=True).reshape(p, p)
+        ridge = 1e-8 * max(np.trace(cov), 1e-300) / p
+        cov = cov + ridge * np.eye(p)
+    finite = np.isfinite(cov).all(axis=1)
+    if not finite.all():
+        name = names[int(np.argmin(finite))]
+        raise DataError(f"feature {name!r} is too large for the Mahalanobis distance")
     vals, vecs = np.linalg.eigh(cov)
     vals = np.maximum(vals, 1e-300)
     return vecs @ np.diag(vals**-0.5) @ vecs.T
@@ -107,7 +102,7 @@ def lipschitz_audit(
     else:
         raise ValueError(f"unknown output metric {dy!r}")
 
-    white = d.features @ _mahalanobis_factor(d.features).T
+    white = d.features @ _mahalanobis_factor(d.features, d.feature_names).T
 
     exact = n <= EXACT_PAIR_LIMIT
     if exact:
@@ -161,15 +156,6 @@ class ReconstructionAuditResult:
     fold_aucs: tuple[float, ...]
     seed: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "auc": self.auc,
-            "features_used": list(self.features_used),
-            "folds": self.folds,
-            "fold_aucs": list(self.fold_aucs),
-            "seed": self.seed,
-        }
-
 
 def reconstruction_audit(
     d: Dataset,
@@ -220,6 +206,7 @@ def reconstruction_audit(
             y=d.s[train],  # attacker target: the protected attribute
             features=X[train],
             weight=d.weight[train],
+            feature_names=names,
         )
         model = mitigate.train_logistic(train_data)
         attack_score = model.predict_score(X[test])

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr
 
-from ._common import _midranks
+from ._common import _dump_json, _midranks, weighted_mean
 from .data import (
     DataError,
     Dataset,
@@ -132,20 +133,6 @@ class LinearModel:
             return _sigmoid(z)
         return ndtr(z)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "coef": self.coef.tolist(),
-            "intercept": self.intercept,
-            "link": self.link,
-            "converged": self.converged,
-            "diverged": self.diverged,
-            "n_iter": self.n_iter,
-            "standardization": {
-                k: (v.tolist() if isinstance(v, np.ndarray) else v)
-                for k, v in self.standardization.items()
-            },
-        }
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "LinearModel":
         return cls(
@@ -159,9 +146,7 @@ class LinearModel:
         )
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _dump_json(asdict(self), Path(path))
 
     @classmethod
     def load(cls, path) -> "LinearModel":
@@ -327,8 +312,13 @@ def train_logistic(
 
     X = d.features
     wn = d.weight / d.weight.sum()
-    mu = np.sum(wn[:, None] * X, axis=0)
-    sd = np.sqrt(np.sum(wn[:, None] * (X - mu) ** 2, axis=0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = np.sum(wn[:, None] * X, axis=0)
+        sd = np.sqrt(np.sum(wn[:, None] * (X - mu) ** 2, axis=0))
+    # sd is finite only when mu and every X - mu are
+    if not np.isfinite(sd).all():
+        name = d.feature_names[int(np.argmin(np.isfinite(sd)))]
+        raise DataError(f"feature {name!r} is too large to standardize")
     sd = np.where(sd > 0, sd, 1.0)
     Xs = (X - mu) / sd
     y = d.y.astype(float)
@@ -448,7 +438,7 @@ def massage_labels(
 
     def rate(g: int) -> float:
         mask = d.s == g
-        return float(np.sum(w[mask] * y[mask]) / np.sum(w[mask]))
+        return weighted_mean(y[mask], w[mask])
 
     swaps: list[tuple[int, int]] = []
     gap = abs(rate(0) - rate(1))

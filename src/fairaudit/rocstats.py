@@ -138,7 +138,6 @@ class RocCurve:
     pos_above: np.ndarray
     neg_total: float
     pos_total: float
-    envelope: bool = False
 
     def __post_init__(self):
         for name in ("fpr", "tpr", "thresholds", "neg_above", "pos_above"):
@@ -281,7 +280,6 @@ def convex_envelope(r: RocCurve) -> RocCurve:
         pos_above=r.pos_above[idx],
         neg_total=r.neg_total,
         pos_total=r.pos_total,
-        envelope=True,
     )
 
 

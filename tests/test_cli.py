@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import fairaudit
 from fairaudit.cli import _dump_json, main
 from fairaudit.data import TOY_CSV, dataset_to_csv, load_csv, load_toy
+from fairaudit.mitigate import LinearModel
 
 from test_load_csv_reference import csv_files
 
@@ -586,6 +587,33 @@ def test_infinite_feature_exit_2_names_row(tmp_path, capsys, argv, cell):
     assert not list(tmp_path.glob("m*"))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mitigate", "{csv}", "--method", "train", "--out", "{out}"],
+        ["audit", "{csv}", "--threshold", "0.5", "--ci", "asymptotic"],
+    ],
+    ids=["train", "audit"],
+)
+def test_overflowing_feature_exit_2_names_it(tmp_path, capsys, argv):
+    # finite features whose squares overflow float64
+    rows = [
+        "s,y,score,x1", "0,0,0.1,1e300", "0,1,0.7,-1e300", "1,0,0.2,5e299",
+        "1,1,0.9,-5e299", "0,1,0.4,1e299", "1,0,0.6,-2e299",
+    ]
+    path = tmp_path / "big.csv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    argv = [a.replace("{csv}", str(path)).replace("{out}", str(tmp_path / "m")) for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith("error: feature 'x1' is too large")
+    assert "RuntimeWarning" not in err
+    assert out == ""
+    assert not list(tmp_path.glob("m*"))
+
+
 def test_cli_import_leaves_out_scipy_stats():
     code = "import sys, fairaudit.cli; print('scipy.stats' in sys.modules)"
     src = Path(fairaudit.__file__).resolve().parent.parent
@@ -664,9 +692,13 @@ def test_field_beyond_csv_limit_exit_2_names_line(tmp_path, capsys, lines, line)
     assert err.startswith(f"error: line {line}: field larger than field limit")
 
 
-def test_reports_are_strict_json():
+def test_reports_are_strict_json(tmp_path):
     with pytest.raises(ValueError):
         _dump_json({"ratio": float("nan")}, None)
+    path = tmp_path / "m.model.json"
+    with pytest.raises(ValueError):
+        LinearModel(coef=[float("nan")], intercept=0.0).save(path)
+    assert not path.exists()
 
 
 class TestValidateCommand:

@@ -17,7 +17,9 @@ reads through its row loop instead of ``np.loadtxt``.
   ``MAX_LISTED`` numbers pin their count and five sums instead of the list.
 
 The pins live in ``golden/expected.json``.  After a deliberate output
-change, rewrite them with ``PYTHONPATH=src python tests/test_golden.py``.
+change, or to pin a new case, run ``PYTHONPATH=src python tests/test_golden.py``.
+It keeps every pin that the fresh outputs still pass, writes only missing or
+failing cases and inputs, and prints their keys.
 """
 
 from __future__ import annotations
@@ -236,10 +238,7 @@ def expected():
     return json.loads(EXPECTED.read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("case,csv,argv", CASES, ids=[c[0] for c in CASES])
-def test_golden(workdir, expected, case, csv, argv):
-    outputs = run_case(workdir, case, csv, argv)
-    pins = expected[case]
+def check_case(case: str, outputs: dict[str, str], pins: dict) -> None:
     assert sorted(outputs) == sorted(pins), f"{case}: output files changed"
     for name, text in outputs.items():
         label = f"{case}:{name}"
@@ -252,14 +251,21 @@ def test_golden(workdir, expected, case, csv, argv):
             _check_value(label, pins[name]["value"], text)
 
 
+@pytest.mark.parametrize("case,csv,argv", CASES, ids=[c[0] for c in CASES])
+def test_golden(workdir, expected, case, csv, argv):
+    check_case(case, run_case(workdir, case, csv, argv), expected[case])
+
+
 def test_inputs_are_as_pinned(workdir, expected):
     for name in INPUTS:
         assert _sha((workdir / name).read_text(encoding="utf-8")) == expected["inputs"][name]
 
 
 def _regenerate() -> None:
+    """Pin missing or failing cases and inputs; keep every pin that passes."""
     import tempfile
 
+    old = json.loads(EXPECTED.read_text(encoding="utf-8")) if EXPECTED.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         (root / "out").mkdir()
@@ -267,8 +273,17 @@ def _regenerate() -> None:
         pins = {
             "inputs": {name: _sha((root / name).read_text(encoding="utf-8")) for name in INPUTS}
         }
+        for name, sha in pins["inputs"].items():
+            if old.get("inputs", {}).get(name) != sha:
+                print(f"inputs:{name}")
         for case, csv, argv in CASES:
-            pins[case] = pins_for(case, run_case(root, case, csv, argv))
+            outputs = run_case(root, case, csv, argv)
+            try:
+                check_case(case, outputs, old[case])
+                pins[case] = old[case]
+            except (KeyError, AssertionError):
+                pins[case] = pins_for(case, outputs)
+                print(case)
     EXPECTED.parent.mkdir(exist_ok=True)
     EXPECTED.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 

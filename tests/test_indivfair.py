@@ -25,7 +25,7 @@ def ref_lipschitz_audit(d, scale, top_k=10, seed=0):
     """Score-mode Lipschitz audit with the white[bi] row gather it had before
     np.take; the pair stream and block loop are unchanged."""
     n = len(d)
-    white = d.features @ indivfair._mahalanobis_factor(d.features).T
+    white = d.features @ indivfair._mahalanobis_factor(d.features, d.feature_names).T
     exact = n <= indivfair.EXACT_PAIR_LIMIT
     if exact:
         ii, jj = np.triu_indices(n, k=1)
