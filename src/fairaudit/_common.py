@@ -1,8 +1,9 @@
-"""Small shared numeric helpers and the strict JSON writer."""
+"""Small shared numeric helpers, the normal quantile and the strict JSON writer."""
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,62 @@ def _midranks(values: np.ndarray) -> np.ndarray:
     ranks = np.empty(len(values))
     ranks[order] = mid[np.cumsum(first) - 1]
     return ranks
+
+
+# Cephes ``ndtri`` (S. L. Moshier) coefficients: a rational function of
+# y - 1/2 for exp(-2) < y < 1 - exp(-2), and of 1/sqrt(-2 log y) in the tails,
+# split at sqrt(-2 log y) = 8
+_EXP_M2 = 0.13533528323661269189
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+             1.39312609387279679503e1, -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0,
+             8.63602421390890590575e1, -2.25462687854119370527e2, 2.00260212380060660359e2,
+             -8.20372256168333339912e1, 1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1,
+             4.13172038254672030440e1, 1.50425385692907503408e1, 2.50464946208309415979e0,
+             -1.42182922854787788574e-1, -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_NDTRI_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0,
+             1.37702099489081330271e0, 2.16236993594496635890e-1, 1.34204006088543189037e-2,
+             3.28014464682127739104e-4, 2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _horner(x: float, coef: tuple) -> float:
+    """Cephes ``polevl``; with a leading 1.0, ``p1evl`` (1.0 * x is exact)."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(p: float) -> float:
+    """Standard normal quantile of a scalar p in [0, 1].
+
+    The Cephes algorithm in the same operation order as
+    ``scipy.special.ndtri``, so the result is the same double; kept here so
+    the CLI does not import scipy for one quantile.
+    """
+    if p == 0.0:
+        return -math.inf
+    if p == 1.0:
+        return math.inf
+    upper = p > 1.0 - _EXP_M2
+    y = 1.0 - p if upper else p
+    if y > _EXP_M2:
+        y -= 0.5
+        y2 = y * y
+        x = y + y * (y2 * _horner(y2, _NDTRI_P0) / _horner(y2, _NDTRI_Q0))
+        return x * 2.50662827463100050242  # sqrt(2 pi)
+    x = math.sqrt(-2.0 * math.log(y))
+    z = 1.0 / x
+    P, Q = (_NDTRI_P1, _NDTRI_Q1) if x < 8.0 else (_NDTRI_P2, _NDTRI_Q2)
+    x0, x1 = x - math.log(x) / x, z * _horner(z, P) / _horner(z, Q)
+    return x0 - x1 if upper else x1 - x0
 
 
 def ks_distance(a, b, wa=None, wb=None) -> float:

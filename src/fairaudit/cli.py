@@ -215,6 +215,13 @@ def render_markdown(report: dict) -> str:
     return "\n".join(lines)
 
 
+def _defined(measure):
+    try:
+        return measure()
+    except depmeasure.ConstantInputError:
+        return None
+
+
 def cmd_audit(args) -> int:
     d, pred, policy_desc = _load_with_pred(args)
     if pred is None:
@@ -254,24 +261,19 @@ def cmd_audit(args) -> int:
         ))
 
     prob = pred.prob.astype(float)
-    s = d.s.astype(float)
-    ind: dict[str, float | None] = {}
-    try:
-        ind["pearson_yhat_s"] = depmeasure.pearson(prob, s, d.weight)
-    except depmeasure.ConstantInputError:
-        ind["pearson_yhat_s"] = None
-    try:
-        ind["maxcor_yhat_s"] = depmeasure.maximal_correlation(prob, s, d.weight).value
-    except depmeasure.ConstantInputError:
-        ind["maxcor_yhat_s"] = None
-    try:
-        cond = depmeasure.conditional_maximal_correlation(prob, s, d.y, d.weight)
-        ind["maxcor_yhat_s_given_y"] = cond.max_value
-    except depmeasure.ConstantInputError:
-        ind["maxcor_yhat_s_given_y"] = None
-    ind["mutual_information_yhat_s_nats"] = depmeasure.mutual_information(prob, s, d.weight)
-    ind["mutual_information_y_s_nats"] = depmeasure.mutual_information(d.y, d.s, d.weight)
-    report["independence"] = ind
+    s, w = d.s.astype(float), d.weight
+    # a measure undefined on this data (a constant input, or weights so small
+    # that a variance or margin product underflows) is reported as null
+    measures = {
+        "pearson_yhat_s": lambda: depmeasure.pearson(prob, s, w),
+        "maxcor_yhat_s": lambda: depmeasure.maximal_correlation(prob, s, w).value,
+        "maxcor_yhat_s_given_y": lambda: depmeasure.conditional_maximal_correlation(
+            prob, s, d.y, w
+        ).max_value,
+        "mutual_information_yhat_s_nats": lambda: depmeasure.mutual_information(prob, s, w),
+        "mutual_information_y_s_nats": lambda: depmeasure.mutual_information(d.y, d.s, w),
+    }
+    report["independence"] = {k: _defined(f) for k, f in measures.items()}
 
     if args.individual:
         indiv = {}
@@ -374,8 +376,6 @@ def cmd_mitigate(args) -> int:
         if model.diverged or not model.converged:
             failure = "diverged (separable data)" if model.diverged else "did not converge"
             print(f"warning: training {failure} after {model.n_iter} iterations", file=sys.stderr)
-        artifacts["model"] = str(out_prefix) + ".model.json"
-        model.save(artifacts["model"])
         written = d.with_(score=model.predict_score(d.features))
         suffix = "scored"
         result_info.update(
@@ -384,11 +384,14 @@ def cmd_mitigate(args) -> int:
                 "converged": model.converged,
                 "diverged": model.diverged,
                 "n_iter": model.n_iter,
-                "score_s_correlation": depmeasure.pearson(
+                # null for a constant fitted score
+                "score_s_correlation": _defined(lambda: depmeasure.pearson(
                     written.score, written.s.astype(float), written.weight
-                ),
+                )),
             }
         )
+        artifacts["model"] = str(out_prefix) + ".model.json"
+        model.save(artifacts["model"])
         after_pred = (
             apply_policy(written, ThresholdPolicy.shared(args.threshold))
             if args.threshold is not None

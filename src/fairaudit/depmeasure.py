@@ -95,6 +95,8 @@ def pearson(x, y, w=None) -> float:
     cov = np.sum(w * (x - mx) * (y - my))
     vx = np.sum(w * (x - mx) ** 2)
     vy = np.sum(w * (y - my) ** 2)
+    if vx * vy == 0:  # variances that underflow, as with weights near 1e-300
+        raise ConstantInputError("the variance product underflows to 0")
     return float(cov / math.sqrt(vx * vy))
 
 
@@ -116,7 +118,10 @@ def maximal_correlation_joint(joint) -> float:
     r, c = r[r > 0], c[c > 0]
     if P.shape[0] < 2 or P.shape[1] < 2:
         raise ConstantInputError("a margin of the joint is constant")
-    M = (P - np.outer(r, c)) / np.sqrt(np.outer(r, c))
+    rc = np.outer(r, c)
+    if not rc.all():  # margins whose product underflows
+        raise ConstantInputError("a product of the joint's margins underflows to 0")
+    M = (P - rc) / np.sqrt(rc)
     s = np.linalg.svd(M, compute_uv=False)
     return float(min(max(s[0], 0.0), 1.0))
 
@@ -290,4 +295,7 @@ def mutual_information(x, y, w=None) -> float:
     r = P.sum(axis=1, keepdims=True)
     c = P.sum(axis=0, keepdims=True)
     mask = P > 0
-    return float(np.sum(P[mask] * np.log(P[mask] / (r @ c)[mask])))
+    rc = (r @ c)[mask]
+    if not rc.all():  # margins whose product underflows
+        raise ConstantInputError("a product of the joint's margins underflows to 0")
+    return float(np.sum(P[mask] * np.log(P[mask] / rc)))

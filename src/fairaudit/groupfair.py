@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
-from ._common import ks_distance, weighted_mean
+from ._common import _ndtri, ks_distance, weighted_mean
 from .data import Dataset, DegenerateGroupError, PredictionSet
 from . import rocstats
 from .rocstats import _ratio
@@ -405,7 +404,7 @@ def impact_ci(
             var = point**2 * ((1 - p0) / (w0 * p0) + (1 - p1) / (w1 * p1))
         except OverflowError:  # a ratio beyond about 1e154
             var = math.inf
-        z = float(ndtri((1 + level) / 2))
+        z = _ndtri((1 + level) / 2)
         half = z * math.sqrt(var)
         if not math.isfinite(point + half):
             raise DegenerateGroupError(

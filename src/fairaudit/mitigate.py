@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
 
 from ._common import _dump_json, _midranks, weighted_mean
 from .data import (
@@ -131,6 +130,8 @@ class LinearModel:
         z = self.linear(X)
         if self.link == "logistic":
             return _sigmoid(z)
+        from scipy.special import ndtr  # the probit link is the only user of scipy here
+
         return ndtr(z)
 
     @classmethod
@@ -171,6 +172,8 @@ def _loss_and_dz(z: np.ndarray, y: np.ndarray, link: str):
         dz = _sigmoid(z) - y
         return loss, dz
     # probit
+    from scipy.special import log_ndtr
+
     log_p = log_ndtr(z)
     log_q = log_ndtr(-z)
     loss = -(y * log_p + (1 - y) * log_q)
@@ -272,6 +275,8 @@ def objective_value_and_grad(
             m = _sigmoid(z)
             dmdz = m * (1.0 - m)
         else:
+            from scipy.special import ndtr
+
             m = ndtr(z)
             dmdz = np.exp(-0.5 * z**2) / math.sqrt(2 * math.pi)
         pval, pgrad_m = penalty_value_and_grad(m, s, y, wn, spec)

@@ -7,7 +7,9 @@ published, splittable, language-portable algorithm) keyed by the 64-bit
 seed.  On top of its uniform stream the samplers are explicit:
 
 * uniforms: 64-bit doubles in [0, 1), drawn in stream order;
-* normals: inverse-CDF transform of one uniform each;
+* normals: inverse-CDF transform of one uniform each, by
+  ``scipy.special.ndtri`` (bit-identical datasets depend on that function,
+  so it is the one scipy import in the package outside the probit link);
 * Gamma(a >= 1): the Marsaglia-Tsang squeeze (d = a - 1/3, c = 1/sqrt(9d));
   every candidate consumes one normal and one uniform, in stream order, and
   rejected candidates' draws are discarded;
@@ -29,7 +31,6 @@ from importlib import resources
 from typing import Mapping
 
 import numpy as np
-from scipy.special import ndtri
 
 from ._common import ks_distance
 from .data import Dataset
@@ -59,6 +60,8 @@ class _Stream:
 
 def _gamma_at_least_one(stream: _Stream, alpha: float, n: int) -> np.ndarray:
     """Marsaglia-Tsang rejection sampler for shape alpha >= 1."""
+    from scipy.special import ndtri  # the normal transform of the module docstring
+
     d = alpha - 1.0 / 3.0
     c = 1.0 / np.sqrt(9.0 * d)
     out = np.empty(n)

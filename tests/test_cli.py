@@ -247,6 +247,32 @@ class TestAuditCommand:
         assert out == ""
         assert "of 1000 replicates had an infinite ratio" in err
 
+    @pytest.mark.parametrize(
+        "weights,args",
+        [
+            (["1e-300", "1.0", "1e-300"], ["--pred-col", "yhat", "--ci", "asymptotic"]),
+            (["1e-300", "1e-300", "1e-300", "1.0"],
+             ["--threshold", "0.5", "--ci", "none", "--features", "x2"]),
+        ],
+        ids=["pred-col", "threshold"],
+    )
+    def test_weights_near_the_float_minimum_report_null_dependence(
+        self, tmp_path, capsys, weights, args
+    ):
+        # the weighted variances and margin products underflow to 0
+        rows = ["0,0,0.0,0,{},0.0", "0,0,0.0,1,{},0.0", "1,0,0.0,1,{},0.0", "1,1,0.5,0,{},1.0"]
+        path = tmp_path / "tiny.csv"
+        body = [row.format(w) for row, w in zip(rows, weights)]
+        path.write_text("\n".join(["s,y,score,yhat,w,x2", *body]) + "\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(["audit", path, "--weight-col", "w", *args], capsys)
+        assert (code, err) == (0, "")
+        ind = json.loads(out, parse_constant=_reject_constant)["independence"]
+        assert ind["pearson_yhat_s"] is None and ind["maxcor_yhat_s"] is None
+        if len(weights) == 4:
+            assert ind["mutual_information_y_s_nats"] is None
+
     def test_non_finite_asymptotic_interval_exit_3(self, tmp_path, capsys):
         # group 1's weight sum is near 1e154, so the squared ratio overflows
         path = tmp_path / "huge_weight.csv"
@@ -403,6 +429,26 @@ class TestMitigateCommand:
         code, _, err = run(["mitigate", src, "--method", "train", "--out", tmp_path / "tr"], capsys)
         assert code == 0
         assert err == ""
+
+    def test_train_with_a_constant_fitted_score_reports_null_correlation(
+        self, tmp_path, capsys
+    ):
+        # the only feature is constant, so every fitted score is the same
+        rows = ["s,y,score,x1", "0,0,0.1,1", "0,1,0.7,1", "1,0,0.2,1", "1,1,0.9,1",
+                "0,1,0.4,1", "1,0,0.6,1"]
+        src = tmp_path / "c.csv"
+        src.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                ["mitigate", src, "--method", "train", "--out", tmp_path / "o" / "c"], capsys
+            )
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["method"]["score_s_correlation"] is None
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == [
+            "c.model.json", "c.report.json", "c.scored.csv"
+        ]
 
     @pytest.mark.parametrize("flat_group", [0, 1])
     def test_equalize_odds_single_point_roc(self, tmp_path, capsys, flat_group):
@@ -635,18 +681,80 @@ def test_cli_import_loads_no_new_modules():
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     loaded = json.loads(res.stdout)
-    assert "scipy.optimize" not in loaded
-    # the packages and scipy subpackages the import loaded before the BFGS
-    # trainer; scipy's array-API layer loads numpy.f2py, which loads
-    # charset_normalizer
-    assert {m for m in loaded if m.startswith("scipy.") and m.count(".") == 1} <= {
-        "scipy.__config__", "scipy._cyutility", "scipy._distributor_init", "scipy._lib",
-        "scipy.special", "scipy.version",
-    }
+    # scipy is imported only where a probit fit or synth sampling needs it
     packages = {m.split(".")[0] for m in loaded}
     assert {p for p in packages if p.isidentifier() and not p.startswith("_")} - set(
         sys.stdlib_module_names
-    ) <= {"fairaudit", "numpy", "scipy", "charset_normalizer", "cython_runtime"}
+    ) <= {"fairaudit", "numpy"}
+
+
+_COMMANDS_THEN_SCIPY_SPECIAL = """
+import contextlib, io, json, sys
+from fairaudit.cli import main
+
+result = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --version
+            code = exc.code
+    special = sorted(m for m in sys.modules if m.split(".")[:2] == ["scipy", "special"])
+    result.append([code, special])
+print(json.dumps(result))
+"""
+
+
+def test_commands_leave_scipy_special_unimported(tmp_path):
+    rng = np.random.default_rng(4)
+    n = 60
+    s, y = rng.integers(0, 2, n), rng.integers(0, 2, n)
+    score = np.clip(0.3 * y + 0.2 * s + 0.5 * rng.random(n), 0.01, 0.99)
+    x = rng.normal(size=(n, 2)) + y[:, None]
+    csv = tmp_path / "in.csv"
+    csv.write_text(
+        "s,y,score,x1,x2,yhat\n" + "".join(
+            f"{a},{b},{c!r},{d!r},{e!r},{int(c > 0.5)}\n"
+            for a, b, c, (d, e) in zip(s, y, score.tolist(), x.tolist())
+        ),
+        encoding="utf-8",
+    )
+    audits = [
+        ["audit", csv, *policy, "--ci", ci, "--boot", "100"]
+        for policy in (["--threshold", "0.5"], ["--pred-col", "yhat"])
+        for ci in ("bootstrap", "asymptotic", "none")
+    ]
+    # the six mitigate commands of the benchmark
+    mitigations = [
+        ["mitigate", csv, *method, "--threshold", "0.5", "--features", "x1,x2",
+         "--out", tmp_path / name]
+        for name, method in [
+            ("th", ["--method", "thresholds"]),
+            ("eo", ["--method", "equalize-odds", "--criterion", "full"]),
+            ("ms", ["--method", "massage"]),
+            ("rw", ["--method", "reweigh"]),
+            ("rp", ["--method", "repair"]),
+            ("tr", ["--method", "train", "--penalty", "dp_correlation", "--lam", "1000"]),
+        ]
+    ]
+    commands = [["--version"], ["validate", csv], *audits, *mitigations]
+    # the two paths that do need scipy, last, so the check can see an import
+    needing = [
+        ["mitigate", csv, "--method", "train", "--link", "probit", "--features", "x1,x2",
+         "--out", tmp_path / "pr"],
+        ["synth", "--n", "20", "--out", tmp_path / "sy"],
+    ]
+    argv = json.dumps([[str(a) for a in c] for c in commands + needing])
+    src = Path(fairaudit.__file__).resolve().parent.parent
+    res = subprocess.run(
+        [sys.executable, "-c", _COMMANDS_THEN_SCIPY_SPECIAL, argv], capture_output=True,
+        text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    result = json.loads(res.stdout)
+    for command, (code, special) in zip(commands, result):
+        assert (code, special) == (0, []), (command, res.stderr)
+    assert [code for code, _ in result[len(commands):]] == [0, 0]
+    assert "scipy.special" in result[len(commands)][1]
 
 
 def _reject_constant(name):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -246,6 +247,25 @@ class TestMutualInformation:
         y = rng.integers(0, 3, size=n)
         assert mutual_information(x, y) >= -1e-15
         assert mutual_information(x, y) == pytest.approx(mutual_information(y, x), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [
+        lambda x, y, w: pearson(x, y, w),
+        lambda x, y, w: maximal_correlation(x, y, w),
+        lambda x, y, w: maximal_correlation_joint([[w[0], w[1]], [0.0, w[2]]]),
+        lambda x, y, w: mutual_information(x, y, w),
+    ],
+    ids=["pearson", "maximal_correlation", "maximal_correlation_joint", "mutual_information"],
+)
+def test_underflowing_weights_are_constant_input(measure):
+    # the variance product and the margin products underflow to 0
+    x, y, w = np.array([0.0, 1.0, 1.0]), np.array([0.0, 0.0, 1.0]), np.array([1e-300, 1e-300, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConstantInputError, match="underflows to 0"):
+            measure(x, y, w)
 
 
 def reference_poly_features(v, degree):

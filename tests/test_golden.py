@@ -73,6 +73,10 @@ _PER_DATASET = [
     ("repair", ["mitigate", "{csv}", "--method", "repair", "--threshold", T, "--out", "{out}"]),
     ("train", ["mitigate", "{csv}", "--method", "train", "--penalty", "dp_correlation",
                "--lam", "10", "--threshold", T, "--out", "{out}"]),
+    # every probit branch of the trainer: loss, penalty and scoring
+    ("train-probit", ["mitigate", "{csv}", "--method", "train", "--link", "probit",
+                      "--penalty", "dp_correlation", "--lam", "10", "--threshold", T,
+                      "--out", "{out}"]),
     ("plot-roc", ["plot", "{csv}", "--kind", "roc", "--out", "{out}"]),
     ("plot-roc-by-group", ["plot", "{csv}", "--kind", "roc-by-group", "--out", "{out}"]),
 ]

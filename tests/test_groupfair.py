@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairaudit._common import _EXP_M2, _ndtri
 from fairaudit.data import (
     Dataset,
     DegenerateGroupError,
@@ -267,6 +268,34 @@ class TestImpactCI:
         pred = PredictionSet.from_labels([i % 3 == 0 for i in range(n)] + [1] + [0] * (n - 1))
         with pytest.raises(DegenerateGroupError, match="of 200 replicates had an infinite"):
             impact_ci(d, pred, n_boot=200, seed=0)
+
+
+def _steps_around(x, k=64):
+    """x and its k nearest doubles on each side."""
+    below, above = [x], [x]
+    for _ in range(k):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return np.array(below[:0:-1] + above)
+
+
+def test_ndtri_matches_scipy_bit_for_bit():
+    from scipy.special import ndtri
+
+    levels = np.concatenate(
+        [np.linspace(1e-6, 1 - 1e-9, 20_001), [0.5, 0.8, 0.9, 0.95, 0.99, 0.999]]
+    )
+    p = np.concatenate([
+        levels,
+        (1 + levels) / 2,  # what the asymptotic interval asks for
+        np.geomspace(1e-300, 0.5, 3001),  # both tails' rational functions
+        _steps_around(1 - _EXP_M2),  # the upper tail begins
+        _steps_around(_EXP_M2),  # the lower tail begins
+        _steps_around(math.exp(-32)),  # the tail's rational function switches
+        [0.0, 5e-324, 1e-300, 1e-20, 1 - 2**-53, 1.0],
+    ])
+    got = np.array([_ndtri(float(v)) for v in p])
+    assert np.array_equal(got.view(np.int64), ndtri(p).view(np.int64))
 
 
 def reference_bootstrap(d, pred, level, n_boot, seed):
