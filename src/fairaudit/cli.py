@@ -43,6 +43,10 @@ def _schema_from_args(args) -> ColumnSchema:
     feature_cols = None
     if getattr(args, "features", None):
         feature_cols = [c for c in args.features.split(",") if c]
+        # the prediction column is read as a feature; _load_with_pred splits it off
+        pred_col = getattr(args, "pred_col", None)
+        if pred_col and pred_col not in feature_cols:
+            feature_cols.append(pred_col)
     return ColumnSchema(
         s_col=args.s_col,
         y_col=args.y_col,
@@ -266,7 +270,7 @@ def cmd_audit(args) -> int:
     # that a variance or margin product underflows) is reported as null
     measures = {
         "pearson_yhat_s": lambda: depmeasure.pearson(prob, s, w),
-        "maxcor_yhat_s": lambda: depmeasure.maximal_correlation(prob, s, w).value,
+        "maxcor_yhat_s": lambda: depmeasure.maximal_correlation(prob, s, w),
         "maxcor_yhat_s_given_y": lambda: depmeasure.conditional_maximal_correlation(
             prob, s, d.y, w
         ).max_value,
@@ -340,9 +344,7 @@ def cmd_mitigate(args) -> int:
         res = mitigate.reweigh(d)
         written = res.dataset
         result_info["factors"] = {f"{sv},{yv}": w for (sv, yv), w in sorted(res.factors.items())}
-        after_pred = apply_policy(written, ThresholdPolicy.shared(args.threshold)) if (
-            args.threshold is not None and written.score is not None
-        ) else pred
+        after_pred = pred
     elif args.method == "massage":
         res = mitigate.massage_labels(d, eps=args.eps)
         written = res.dataset

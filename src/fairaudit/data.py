@@ -76,9 +76,10 @@ class Dataset:
             raise DataError("no records")
         if len(self.y) != n:
             raise DataError("s and y must have equal length")
-        if not np.isin(self.s, (0, 1)).all():
+        # checked as given: the int64 cast truncates 0.5 to 0
+        if not np.isin(s, (0, 1)).all():
             raise DataError("s values must be 0 or 1")
-        if not np.isin(self.y, (0, 1)).all():
+        if not np.isin(y, (0, 1)).all():
             raise DataError("y values must be 0 or 1")
 
         self.score = None if score is None else np.asarray(score, dtype=float)

@@ -4,10 +4,11 @@ Pearson correlation, Renyi maximal correlation (exact for discrete pairs,
 basis-approximated otherwise, plain and conditional) and mutual information.
 
 The maximal correlation of a discrete pair is the second singular value of
-the normalized joint table; the basis estimator reduces the general case to
-that one (indicator bins) or to alternating least squares over a polynomial
-basis of rank-transformed data.  Both are deterministic: no learned
-components, no random restarts.
+the normalized joint table.  The basis estimators reduce the general case to
+that one (indicator bins of rank-transformed data) or to the top canonical
+correlation of two polynomial bases of the ranks.  Both are exact singular
+values of the reduced problem: no iteration, no tolerance, no learned
+components.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from ._common import _midranks
 __all__ = [
     "ConstantInputError",
     "BasisSpec",
-    "MaxCorResult",
     "pearson",
     "maximal_correlation",
     "maximal_correlation_joint",
@@ -40,34 +40,20 @@ class ConstantInputError(ValueError):
 class BasisSpec:
     """Function basis for the maximal-correlation estimator.
 
-    family="indicator": equal-count bins over rank-transformed data (the
-    estimate is then the exact solution of the binned problem).
-    family="polynomial": polynomials of rank-transformed data, solved by
-    alternating least squares.
+    family="indicator": equal-count bins over rank-transformed data; the
+    estimate is the exact maximal correlation of the binned joint table.
+    family="polynomial": polynomials of rank-transformed data; the estimate
+    is the exact top canonical correlation of the two spans.
     """
 
     family: str = "indicator"
     size: int = 16
-    tol: float = 1e-8
-    max_iter: int = 500
 
     def __post_init__(self):
         if self.family not in ("indicator", "polynomial"):
             raise ValueError(f"unknown basis family {self.family!r}")
         if self.size < 1:
             raise ValueError("basis size must be >= 1")
-        if not self.tol > 0:
-            raise ValueError("tolerance must be positive")
-
-
-@dataclass(frozen=True)
-class MaxCorResult:
-    value: float
-    converged: bool
-    iterations: int
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def _check_pair(x, y, w):
@@ -142,46 +128,12 @@ def _rank_bins(v: np.ndarray, n_bins: int) -> np.ndarray:
     the value), which makes the downstream estimate invariant under strictly
     monotone transforms.
     """
-    distinct = np.unique(v)
+    distinct, rank = np.unique(v, return_inverse=True)
     if len(distinct) <= n_bins:
-        return np.searchsorted(distinct, v)
-    # quantile cuts over the distinct values keep bins populated
-    edges = np.quantile(distinct, np.linspace(0, 1, n_bins + 1)[1:-1])
-    return np.searchsorted(edges, v, side="right")
-
-
-def _alternating_binned(bx, by, w, spec: BasisSpec) -> MaxCorResult:
-    """Power iteration for the top non-trivial correlation of a binned pair.
-
-    Alternates f <- standardized E[g(Y)|X-bin], g <- standardized E[f(X)|Y-bin]
-    until the objective E[f g] moves less than the tolerance.
-    """
-    P = np.zeros((bx.max() + 1, by.max() + 1))
-    np.add.at(P, (bx, by), w)
-    P = P / P.sum()
-    r, c = P.sum(axis=1), P.sum(axis=0)
-    keep_r, keep_c = r > 0, c > 0
-    P, r, c = P[keep_r][:, keep_c], r[keep_r], c[keep_c]
-    if len(r) < 2 or len(c) < 2:
-        raise ConstantInputError("binned variable is constant")
-
-    def standardize(vec, marg):
-        vec = vec - np.sum(marg * vec)
-        norm = math.sqrt(np.sum(marg * vec**2))
-        if norm == 0:
-            raise ConstantInputError("degenerate conditional expectation")
-        return vec / norm
-
-    g = standardize(np.arange(len(c), dtype=float), c)
-    obj_prev = -1.0
-    for it in range(1, spec.max_iter + 1):
-        f = standardize(P @ g / r, r)
-        g = standardize(P.T @ f / c, c)
-        obj = float(f @ P @ g)
-        if abs(obj - obj_prev) < spec.tol * max(1.0, abs(obj)):
-            return MaxCorResult(value=min(max(obj, 0.0), 1.0), converged=True, iterations=it)
-        obj_prev = obj
-    return MaxCorResult(value=min(max(obj_prev, 0.0), 1.0), converged=False, iterations=spec.max_iter)
+        return rank
+    # the bins of interpolated quantile cuts over the distinct values, in
+    # integers: float cuts can round onto a value and move it by one bin
+    return np.minimum(rank * n_bins // (len(distinct) - 1), n_bins - 1)
 
 
 def _poly_features(v: np.ndarray, degree: int) -> np.ndarray:
@@ -191,68 +143,48 @@ def _poly_features(v: np.ndarray, degree: int) -> np.ndarray:
     return np.column_stack([u**k for k in range(1, degree + 1)])
 
 
-def _alternating_poly(x, y, w, spec: BasisSpec) -> MaxCorResult:
-    """Alternating least squares over polynomial bases of the rank transforms."""
-    Fx = _poly_features(x, spec.size)
-    Fy = _poly_features(y, spec.size)
+def _poly_maxcor(x, y, w, degree: int) -> float:
+    """Top canonical correlation of polynomial bases of the rank transforms.
+
+    Each centred, weighted span is orthonormalized by an SVD with lstsq's rank
+    cutoff; the estimate is the top singular value of Qx^T Qy.
+    """
     w = w / w.sum()
-
-    def center(F):
-        F = F - np.sum(w[:, None] * F, axis=0)
-        keep = np.sum(w[:, None] * F**2, axis=0) > 1e-14
-        return F[:, keep]
-
-    Fx, Fy = center(Fx), center(Fy)
-    if Fx.shape[1] == 0 or Fy.shape[1] == 0:
-        raise ConstantInputError("basis collapsed to constants")
-
     sw = np.sqrt(w)
-    Ax, Ay = sw[:, None] * Fx, sw[:, None] * Fy
 
-    def fit(A, target):
-        coef, *_ = np.linalg.lstsq(A, target, rcond=None)
-        fitted = A @ coef
-        norm = float(np.linalg.norm(fitted))
-        if norm == 0:
-            raise ConstantInputError("degenerate projection")
-        return fitted / norm
+    def orthonormal_span(v):
+        F = _poly_features(v, degree)
+        F = F - np.sum(w[:, None] * F, axis=0)
+        F = F[:, np.sum(w[:, None] * F**2, axis=0) > 1e-14]
+        if F.shape[1] == 0:
+            raise ConstantInputError("basis collapsed to constants")
+        U, s, _ = np.linalg.svd(sw[:, None] * F, full_matrices=False)
+        return U[:, s > s[0] * np.finfo(float).eps * max(F.shape)]
 
-    g = Ay[:, 0] / np.linalg.norm(Ay[:, 0])
-    obj_prev = -1.0
-    for it in range(1, spec.max_iter + 1):
-        f = fit(Ax, g)
-        g = fit(Ay, f)
-        obj = float(f @ g)
-        if abs(obj - obj_prev) < spec.tol * max(1.0, abs(obj)):
-            return MaxCorResult(value=min(max(obj, 0.0), 1.0), converged=True, iterations=it)
-        obj_prev = obj
-    return MaxCorResult(value=min(max(obj_prev, 0.0), 1.0), converged=False, iterations=spec.max_iter)
+    s = np.linalg.svd(orthonormal_span(x).T @ orthonormal_span(y), compute_uv=False)
+    return float(min(max(s[0], 0.0), 1.0))
 
 
-def maximal_correlation(x, y, w=None, basis: BasisSpec | None = None) -> MaxCorResult:
+def maximal_correlation(x, y, w=None, basis: BasisSpec | None = None) -> float:
     """Renyi maximal correlation of two samples.
 
     Without a basis the inputs are treated as discrete levels and the exact
     closed form is used.  With one, the problem is reduced to the basis and
-    solved by deterministic alternating updates.
+    the estimate is the exact top singular value of the reduced problem.
     """
     x, y, w = _check_pair(x, y, w)
     if basis is None:
-        return MaxCorResult(
-            value=maximal_correlation_joint(_joint_from_samples(x, y, w)),
-            converged=True,
-            iterations=0,
-        )
+        return maximal_correlation_joint(_joint_from_samples(x, y, w))
     if basis.family == "indicator":
-        return _alternating_binned(
-            _rank_bins(x, basis.size), _rank_bins(y, basis.size), w, basis
+        return maximal_correlation_joint(
+            _joint_from_samples(_rank_bins(x, basis.size), _rank_bins(y, basis.size), w)
         )
-    return _alternating_poly(x, y, w, basis)
+    return _poly_maxcor(x, y, w, basis.size)
 
 
 @dataclass(frozen=True)
 class CondMaxCorResult:
-    per_stratum: Mapping
+    per_stratum: Mapping  # level -> float, or None where undefined
     max_value: float | None
 
 
@@ -269,16 +201,14 @@ def conditional_maximal_correlation(
     z = np.asarray(z)
     w = np.ones(len(x)) if w is None else np.asarray(w, dtype=float)
     per: dict = {}
-    values = []
     for level in np.unique(z):
         mask = z == level
+        key = level.item() if hasattr(level, "item") else level
         try:
-            res = maximal_correlation(x[mask], y[mask], w[mask], basis)
+            per[key] = maximal_correlation(x[mask], y[mask], w[mask], basis)
         except (ConstantInputError, ValueError):
-            per[level.item() if hasattr(level, "item") else level] = None
-            continue
-        per[level.item() if hasattr(level, "item") else level] = res
-        values.append(res.value)
+            per[key] = None
+    values = [v for v in per.values() if v is not None]
     if not values:
         raise ConstantInputError("every stratum is degenerate")
     return CondMaxCorResult(per_stratum=per, max_value=max(values))

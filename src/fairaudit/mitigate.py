@@ -504,7 +504,8 @@ def reweigh(d: Dataset) -> ReweighResult:
             p_s = d.weight[d.s == sv].sum() / W
             p_y = d.weight[d.y == yv].sum() / W
             factors[(sv, yv)] = float(p_s * p_y / p_cell)
-    new_w = d.weight * np.array([factors[(sv, yv)] for sv, yv in zip(d.s, d.y)])
+    table = np.array([[factors[(sv, yv)] for yv in (0, 1)] for sv in (0, 1)])
+    new_w = d.weight * table[d.s, d.y]
     return ReweighResult(dataset=d.with_(weight=new_w), factors=factors)
 
 

@@ -212,6 +212,36 @@ class TestAuditCommand:
         # two confusions for the catalog and two for the disparate-impact block
         assert calls == {"confusion": 4, "roc_curve": 2, "calibration": 1}
 
+    def test_pred_col_with_features_matches_threshold_audit(self, tmp_path, capsys):
+        # yhat is score > 0.55, so the threshold audit of the same rows
+        # without the column gets the same decisions
+        rows = [
+            ("0,0,0.2,0.1,1.0,5", "0"), ("0,1,0.6,0.4,0.5,3", "1"),
+            ("0,1,0.5,0.3,0.2,1", "0"), ("0,0,0.7,0.6,0.9,2", "1"),
+            ("1,0,0.8,0.9,0.1,4", "1"), ("1,1,0.9,0.7,0.3,6", "1"),
+            ("1,0,0.3,0.2,0.8,7", "0"), ("1,1,0.4,0.5,0.6,8", "0"),
+        ]
+        with_col = tmp_path / "with.csv"
+        with_col.write_text(
+            "s,y,score,x1,x2,x3,yhat\n" + "".join(f"{r},{p}\n" for r, p in rows),
+            encoding="utf-8",
+        )
+        without = tmp_path / "without.csv"
+        without.write_text("s,y,score,x1,x2,x3\n" + "".join(f"{r}\n" for r, _ in rows),
+                           encoding="utf-8")
+        flags = ["--features", "x1,x2", "--ci", "none"]
+        code, out, err = run(["audit", with_col, "--pred-col", "yhat", *flags], capsys)
+        assert code == 0, err
+        got = json.loads(out)
+        code, out, err = run(["audit", without, "--threshold", "0.55", *flags], capsys)
+        assert code == 0, err
+        want = json.loads(out)
+        assert got["policy"] == {"kind": "column", "column": "yhat"}
+        assert "lipschitz" in got["individual"]
+        for report in (got, want):
+            del report["dataset"], report["policy"]
+        assert got == want
+
     def test_missing_pred_col_exit_2(self, toy_csv, capsys):
         code, _, err = run(["audit", toy_csv, "--pred-col", "yhat"], capsys)
         assert code == 2
@@ -313,6 +343,60 @@ class TestMitigateCommand:
         assert abs(report["after"]["label_rates"]["gap"]) <= 1e-12
         corrected = load_csv(tmp_path / "rw.corrected.csv")
         assert not np.allclose(corrected.weight, 1.0)
+
+    PRED_ROWS = [
+        "0,0,0.2,0.1,1.0,1", "0,1,0.6,0.4,0.5,1", "0,1,0.5,0.3,0.2,0",
+        "1,0,0.8,0.9,0.1,0", "1,1,0.9,0.7,0.3,1", "1,0,0.3,0.2,0.8,1",
+    ]
+
+    def test_pred_col_with_features(self, tmp_path, capsys):
+        # yhat is score > 0.45 on these rows
+        rows = ["0,0,0.2,0.1,1.0", "0,1,0.6,0.4,0.5", "0,1,0.5,0.3,0.2",
+                "1,0,0.8,0.9,0.1", "1,1,0.9,0.7,0.3", "1,0,0.3,0.2,0.8"]
+        yhat = ["0", "1", "1", "1", "1", "0"]
+        with_col = tmp_path / "with.csv"
+        with_col.write_text(
+            "s,y,score,x1,x2,yhat\n" + "".join(f"{r},{p}\n" for r, p in zip(rows, yhat)),
+            encoding="utf-8",
+        )
+        without = tmp_path / "without.csv"
+        without.write_text("s,y,score,x1,x2\n" + "".join(f"{r}\n" for r in rows),
+                           encoding="utf-8")
+        flags = ["--method", "reweigh", "--features", "x1,x2"]
+        code, _, err = run(["mitigate", with_col, "--pred-col", "yhat", *flags,
+                            "--out", tmp_path / "a"], capsys)
+        assert code == 0, err
+        code, _, err = run(["mitigate", without, "--threshold", "0.45", *flags,
+                            "--out", tmp_path / "b"], capsys)
+        assert code == 0, err
+        got = json.loads((tmp_path / "a.report.json").read_text())
+        want = json.loads((tmp_path / "b.report.json").read_text())
+        header = (tmp_path / "a.corrected.csv").read_text().splitlines()[0]
+        assert header.split(",")[-2:] == ["x1", "x2"] and "yhat" not in header
+        assert ((tmp_path / "a.corrected.csv").read_bytes()
+                == (tmp_path / "b.corrected.csv").read_bytes())
+        for report in (got, want):
+            del report["dataset"], report["policy"], report["artifacts"]
+        assert got == want
+
+    def test_reweigh_after_block_keeps_pred_col_decisions(self, tmp_path, capsys):
+        from fairaudit.cli import _metric_block
+        from fairaudit.data import PredictionSet
+
+        src = tmp_path / "preds.csv"
+        src.write_text("s,y,score,x1,x2,yhat\n" + "\n".join(self.PRED_ROWS) + "\n",
+                       encoding="utf-8")
+        code, _, err = run(["mitigate", src, "--method", "reweigh", "--pred-col", "yhat",
+                            "--threshold", "0.75", "--out", tmp_path / "rw"], capsys)
+        assert code == 0, err
+        report = json.loads((tmp_path / "rw.report.json").read_text())
+        # a threshold at 0.75 gives group 0 no positive decisions; yhat gives it two of three
+        assert report["before"]["metrics"]["statistical_parity"]["group0"] == pytest.approx(2 / 3)
+        assert report["after"]["metrics"]["statistical_parity"]["group0"] > 0.5
+        corrected = load_csv(tmp_path / "rw.corrected.csv")
+        pred = PredictionSet.from_labels(np.array([int(r[-1]) for r in self.PRED_ROWS]))
+        expected = json.loads(_dump_json(_metric_block(corrected, pred, 0.05), None))
+        assert report["after"]["metrics"] == expected
 
     def test_repair_amount_zero_round_trips_bytes(self, tmp_path, capsys):
         rng = np.random.default_rng(12)

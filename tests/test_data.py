@@ -116,6 +116,14 @@ class TestRecordValidation:
         with pytest.raises(DataError):
             Dataset(s=[2], y=[0])
 
+    @pytest.mark.parametrize(
+        "s,y,column", [([0.5, 1.0], [0, 1], "s"), ([0, 1], [0, 1.7], "y")], ids=["s", "y"]
+    )
+    def test_fractional_labels_rejected(self, s, y, column):
+        # an int64 cast would truncate them to valid labels
+        with pytest.raises(DataError, match=f"{column} values must be 0 or 1"):
+            Dataset(s=s, y=y)
+
     def test_bad_weight(self):
         with pytest.raises(DataError, match="row 1"):
             Dataset(s=[0], y=[0], weight=[0.0])

@@ -259,6 +259,19 @@ class TestReweigh:
             assert self.joint_factorization_error(reweigh(d).dataset) <= 1e-12
             done += 1
 
+    def test_weights_match_per_record_loop(self):
+        rng = np.random.default_rng(56)
+        n = 500
+        d = Dataset(
+            s=rng.integers(0, 2, size=n),
+            y=rng.integers(0, 2, size=n),
+            weight=rng.random(n) + 0.5,
+            score=rng.random(n),
+        )
+        res = reweigh(d)
+        loop = d.weight * np.array([res.factors[(sv, yv)] for sv, yv in zip(d.s, d.y)])
+        assert np.array_equal(res.dataset.weight, loop)
+
     def test_independent_joint_keeps_unit_weights(self):
         d = Dataset(
             s=[0, 0, 1, 1] * 5,
