@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -564,6 +565,17 @@ def cmd_validate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for a float option that NaN or infinity would corrupt."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _add_schema_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--s-col", default="s", help="group column name")
     p.add_argument("--y-col", default="y", help="outcome column name")
@@ -595,15 +607,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_schema_flags(pa)
     _add_policy_flags(pa)
     pa.add_argument("--metrics", default=None, help="comma-separated metric ids")
-    pa.add_argument("--epsilon", type=float, default=0.05)
+    pa.add_argument("--epsilon", type=_finite_float, default=0.05)
     pa.add_argument("--bins", type=int, default=10)
     pa.add_argument("--legit", default=None, help="legitimate columns for conditional parity")
-    pa.add_argument("--di-threshold", type=float, default=0.8)
+    pa.add_argument("--di-threshold", type=_finite_float, default=0.8)
     pa.add_argument("--ci", choices=["bootstrap", "asymptotic", "none"], default="bootstrap")
     pa.add_argument("--ci-level", type=float, default=0.95)
     pa.add_argument("--boot", type=int, default=1000)
     pa.add_argument("--individual", action=argparse.BooleanOptionalAction, default=True)
-    pa.add_argument("--lipschitz-scale", type=float, default=1.0)
+    pa.add_argument("--lipschitz-scale", type=_finite_float, default=1.0)
     pa.add_argument("--seed", type=int, default=0)
     pa.add_argument("--format", choices=["json", "md"], default="json")
     pa.add_argument("--out", default=None, help="output path prefix")
@@ -619,17 +631,17 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["massage", "reweigh", "repair", "train", "thresholds", "equalize-odds"],
     )
     pm.add_argument("--out", required=True, help="output path prefix")
-    pm.add_argument("--eps", type=float, default=0.0, help="massage: target label-rate gap")
+    pm.add_argument("--eps", type=_finite_float, default=0.0, help="massage: target label-rate gap")
     pm.add_argument("--amount", type=float, default=1.0, help="repair: amount in [0, 1]")
     pm.add_argument("--penalty", default="none", help="train: penalty kind")
-    pm.add_argument("--lam", type=float, default=0.0)
-    pm.add_argument("--lam0", type=float, default=0.0)
-    pm.add_argument("--lam1", type=float, default=0.0)
+    pm.add_argument("--lam", type=_finite_float, default=0.0)
+    pm.add_argument("--lam0", type=_finite_float, default=0.0)
+    pm.add_argument("--lam1", type=_finite_float, default=0.0)
     pm.add_argument("--degree", type=int, default=3)
     pm.add_argument("--link", choices=["logistic", "probit"], default="logistic")
     pm.add_argument("--objective", choices=["dp", "eo_tpr"], default="dp")
     pm.add_argument("--criterion", choices=["full", "opportunity"], default="full")
-    pm.add_argument("--epsilon", type=float, default=0.05)
+    pm.add_argument("--epsilon", type=_finite_float, default=0.05)
     pm.add_argument("--seed", type=int, default=0)
     pm.set_defaults(func=cmd_mitigate)
 

@@ -422,9 +422,39 @@ def massage_labels(
 
     Each step demotes the higher-rate group's positive closest to the
     boundary and promotes the lower-rate group's negative closest to it, so
-    the overall number of positive labels never changes.  When the target is
-    infeasible the best achieved dataset is returned with
+    the overall number of positive labels never changes.  Ties go to the
+    lower index, and a NaN distance counts as closest, as ``np.argmin`` has
+    it.  The steps stop once the gap is at most eps, when a pool is empty,
+    or before the first swap that would not shrink the gap.  When the target
+    is infeasible the best achieved dataset is returned with
     ``reached_target=False``.
+
+    Cost O(n log n).  While the first higher-rate group stays higher, no
+    swapped record re-enters a pool, so the swaps take each pool, listed by
+    index, in the order of one stable sort by distance.  After k swaps the
+    signed gap is d_k = (P_hi - D_k) / W_hi - (P_lo + U_k) / W_lo, with P_g
+    and W_g group g's positive and total weight and D_k, U_k cumulative sums
+    of the demoted and promoted weights.  The longest prefix in which each
+    step k holds d_k > eps + B, d_k > B, d_{k+1} > B and d_k - d_{k+1} > 2B
+    (the gap exceeds eps, the higher group stays higher and the swap shrinks
+    the gap) is applied at once; the step loop runs on from there, where a
+    decision is too close to call, the gap crosses eps or zero, or a pool
+    runs out.
+
+    The bound B = 32 n u, with u = 2**-53 and n records, for n u <= 0.01.
+    The weights are positive and the labels 0/1, so every sum is of at most
+    n non-negative terms; in any order it is within gamma = n u / (1 - n u)
+    <= 1.0102 n u of its value, relative to that value (Higham 2002,
+    section 4.2).  Each rate is in [0, 1].  The loop's rate
+    fl(sum(w y) / sum(w)) is within 2 gamma / (1 - gamma) + 1.03 u of the
+    exact rate, so its gap is within 8 gamma of |d_k|.  The prefix's rate
+    has one more rounded sum or difference in its numerator; it is within
+    5.2 gamma, and its d_k within 11.5 gamma.  So a condition that holds
+    with 20 gamma (<= 20.3 n u) in place of B holds in the loop's own
+    arithmetic, and B leaves room for the rounding of eps + B and of
+    d_k - d_{k+1}.  A step is too close to call only when d_k is within B
+    of eps or zero, or when its two weights are below about B times their
+    group totals; with unit or integer weights the loop runs a few steps.
     """
     for g in (0, 1):
         d.require_group(g)
@@ -445,7 +475,30 @@ def massage_labels(
         mask = d.s == g
         return weighted_mean(y[mask], w[mask])
 
-    swaps: list[tuple[int, int]] = []
+    hi = 0 if rate(0) > rate(1) else 1
+    lo = 1 - hi
+    # distances are >= 0, so -1 sorts NaN first, where argmin finds it
+    key = np.where(np.isnan(boundary_dist), -1.0, boundary_dist)
+
+    def sorted_pool(g: int, label: int) -> np.ndarray:
+        pool = np.flatnonzero((d.s == g) & (y == label))
+        return pool[np.argsort(key[pool], kind="stable")]
+
+    def rates_after(g: int, moved: np.ndarray, sign: int) -> np.ndarray:
+        mask = d.s == g
+        moved_weight = np.r_[0.0, np.cumsum(w[moved])]
+        return (np.sum(w[mask] * y[mask]) + sign * moved_weight) / np.sum(w[mask])
+
+    demote_order, promote_order = sorted_pool(hi, 1), sorted_pool(lo, 0)
+    m = min(len(demote_order), len(promote_order))
+    diff = rates_after(hi, demote_order[:m], -1) - rates_after(lo, promote_order[:m], 1)
+    bound = 32 * len(y) * 2.0**-53
+    above = diff > bound
+    safe = (diff[:-1] > eps + bound) & above[:-1] & above[1:] & (diff[:-1] - diff[1:] > 2 * bound)
+    k = int(np.argmin(np.r_[safe, False]))
+    y[demote_order[:k]], y[promote_order[:k]] = 0, 1
+
+    swaps: list[tuple[int, int]] = list(zip(demote_order[:k].tolist(), promote_order[:k].tolist()))
     gap = abs(rate(0) - rate(1))
     reached = gap <= eps
     max_swaps = int(np.sum(d.y))

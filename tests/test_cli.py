@@ -744,6 +744,41 @@ def test_overflowing_feature_exit_2_names_it(tmp_path, capsys, argv):
     assert not list(tmp_path.glob("m*"))
 
 
+TRAIN_ARGS = ["mitigate", "{csv}", "--method", "train", "--out", "{out}", "--penalty"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["audit", "{csv}", "--threshold", "0.5", "--epsilon", "nan"], "--epsilon"),
+        (["audit", "{csv}", "--threshold", "0.5", "--di-threshold", "nan"], "--di-threshold"),
+        (["audit", "{csv}", "--threshold", "0.5", "--lipschitz-scale", "nan"], "--lipschitz-scale"),
+        (["mitigate", "{csv}", "--method", "massage", "--out", "{out}", "--eps", "nan"], "--eps"),
+        (["mitigate", "{csv}", "--method", "thresholds", "--out", "{out}", "--epsilon", "inf"],
+         "--epsilon"),
+        (TRAIN_ARGS + ["dp_correlation", "--lam", "nan"], "--lam"),
+        (TRAIN_ARGS + ["eo_correlation", "--lam0", "inf"], "--lam0"),
+        (TRAIN_ARGS + ["eo_correlation", "--lam1", "1e999"], "--lam1"),
+    ],
+    ids=["epsilon", "di-threshold", "lipschitz-scale", "eps", "mitigate-epsilon", "lam", "lam0",
+         "lam1"],
+)
+def test_non_finite_option_exit_2_names_flag(toy_csv, tmp_path, capsys, argv, flag):
+    argv = [a.replace("{csv}", str(toy_csv)).replace("{out}", str(tmp_path / "m")) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be a finite number, got '{argv[-1]}'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("m*"))
+
+
+def test_non_numeric_option_message_unchanged(toy_csv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", str(toy_csv), "--epsilon", "abc"])
+    assert exc.value.code == 2
+    assert "argument --epsilon: invalid float value: 'abc'" in capsys.readouterr().err
+
+
 def test_cli_import_leaves_out_scipy_stats():
     code = "import sys, fairaudit.cli; print('scipy.stats' in sys.modules)"
     src = Path(fairaudit.__file__).resolve().parent.parent

@@ -1,0 +1,193 @@
+"""Label massaging in one sorted pass against the step loop it replaced.
+
+``ref_massage_labels`` is the earlier ``mitigate.massage_labels``: each step
+rescanned both pools with ``argmin`` and recomputed both group rates over all
+records.  It is kept here as the reference.  ``massage_labels`` must give the
+same swaps, gap, ``reached_target``, threshold and labels, bit for bit.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fairaudit.mitigate
+from fairaudit import rocstats, synth
+from fairaudit._common import weighted_mean
+from fairaudit.data import Dataset
+from fairaudit.mitigate import MassageResult, massage_labels, train_logistic
+
+
+def ref_massage_labels(d, scores=None, eps=0.0, threshold=None):
+    """``massage_labels`` as it was before the sorted pass."""
+    for g in (0, 1):
+        d.require_group(g)
+    if scores is None:
+        scores = d.score if d.score is not None else train_logistic(d).predict_score(d.features)
+    scores = np.asarray(scores, dtype=float)
+    if threshold is None:
+        curve = rocstats.roc_curve(d.with_(score=scores))
+        threshold, _ = rocstats.best_accuracy_threshold(
+            curve, n_weight=curve.neg_total, p_weight=curve.pos_total
+        )
+
+    y = d.y.copy()
+    w = d.weight
+    boundary_dist = np.abs(scores - threshold)
+
+    def rate(g):
+        mask = d.s == g
+        return weighted_mean(y[mask], w[mask])
+
+    swaps = []
+    gap = abs(rate(0) - rate(1))
+    reached = gap <= eps
+    max_swaps = int(np.sum(d.y))
+    while gap > eps and len(swaps) < max_swaps:
+        hi = 0 if rate(0) > rate(1) else 1
+        lo = 1 - hi
+        demote_pool = np.flatnonzero((d.s == hi) & (y == 1))
+        promote_pool = np.flatnonzero((d.s == lo) & (y == 0))
+        if len(demote_pool) == 0 or len(promote_pool) == 0:
+            break
+        demote = demote_pool[np.argmin(boundary_dist[demote_pool])]
+        promote = promote_pool[np.argmin(boundary_dist[promote_pool])]
+        y[demote], y[promote] = 0, 1
+        new_gap = abs(rate(0) - rate(1))
+        if new_gap >= gap:
+            y[demote], y[promote] = 1, 0
+            break
+        swaps.append((int(demote), int(promote)))
+        gap = new_gap
+        if gap <= eps:
+            reached = True
+    return MassageResult(
+        dataset=d.with_(y=y), swaps=swaps, gap=gap, reached_target=reached,
+        threshold=float(threshold),
+    )
+
+
+def assert_same(got, want):
+    assert got.swaps == want.swaps
+    assert all(type(i) is int for pair in got.swaps for i in pair)
+    assert got.gap.hex() == want.gap.hex()
+    assert got.reached_target is want.reached_target
+    assert got.threshold.hex() == want.threshold.hex()
+    assert np.array_equal(got.dataset.y, want.dataset.y)
+
+
+def weights(kind, n, rng):
+    if kind == "unit":
+        return None
+    if kind == "integer":
+        return rng.integers(1, 5, size=n).astype(float)
+    if kind == "uniform":
+        return rng.uniform(0.25, 3.0, size=n)
+    return rng.lognormal(0.0, 3.0, size=n)
+
+
+def generated(seed, n, weight_kind, levels):
+    """Two groups with different label rates; scores on ``levels`` + 1 grid
+    points, so that boundary distances tie."""
+    rng = np.random.default_rng(seed)
+    s = rng.integers(0, 2, size=n)
+    p = rng.uniform(0.05, 0.95, size=2)
+    y = (rng.random(n) < p[s]).astype(int)
+    s[:2], y[2:4] = (0, 1), (1, 0)
+    score = rng.integers(0, levels + 1, size=n) / levels
+    return Dataset(s=s, y=y, score=score, weight=weights(weight_kind, n, rng))
+
+
+def initial_gap(d):
+    return abs(weighted_mean(d.y[d.s == 0], d.weight[d.s == 0])
+               - weighted_mean(d.y[d.s == 1], d.weight[d.s == 1]))
+
+
+@st.composite
+def massage_inputs(draw):
+    d = generated(
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.integers(4, 200)),
+        draw(st.sampled_from(["unit", "integer", "uniform", "lognormal"])),
+        draw(st.sampled_from([2, 5, 10, 1000])),
+    )
+    threshold = draw(st.sampled_from([None, None, 0.0, 0.3, 0.5, 0.6, 1.0]))
+    swaps = ref_massage_labels(d, eps=0.0, threshold=threshold).swaps
+    if swaps and draw(st.booleans()):  # a gap the loop reaches: a stop falls exactly on eps
+        y = d.y.copy()
+        for demoted, promoted in swaps[:draw(st.integers(1, len(swaps)))]:
+            y[demoted], y[promoted] = 0, 1
+        return d, initial_gap(d.with_(y=y)), threshold
+    gap = initial_gap(d)
+    return d, draw(st.sampled_from([0.0, 1e-3, 0.01, 0.1, gap, gap + 0.05, -0.01, -1.0])), threshold
+
+
+@settings(max_examples=400, deadline=None)
+@given(massage_inputs())
+def test_matches_reference(case):
+    d, eps, threshold = case
+    assert_same(massage_labels(d, eps=eps, threshold=threshold),
+                ref_massage_labels(d, eps=eps, threshold=threshold))
+
+
+def rates(d):
+    return [weighted_mean(d.y[d.s == g], d.weight[d.s == g]) for g in (0, 1)]
+
+
+def test_hi_flip_unit_weights():
+    # gap 0.75 shrinks by 1/40 + 1/50 a swap; the 17th swap crosses zero to
+    # a smaller gap and is kept, and the first swap back is undone
+    n0, n1 = 40, 50
+    s = [0] * n0 + [1] * n1
+    y = [1] * 30 + [0] * 10 + [0] * n1
+    score = np.linspace(0.01, 0.99, n0 + n1)
+    d = Dataset(s=s, y=y, score=score)
+    want = ref_massage_labels(d, eps=0.0, threshold=0.5)
+    assert len(want.swaps) == 17
+    r0, r1 = rates(want.dataset)
+    assert r1 > r0
+    assert_same(massage_labels(d, eps=0.0, threshold=0.5), want)
+
+
+def test_hi_flip_fractional_weights():
+    # after the higher-rate group flips, swaps in the other direction are kept
+    d = generated(52, 82, "uniform", 10)
+    want = ref_massage_labels(d, eps=0.0)
+    first_hi = d.s[want.swaps[0][0]]
+    assert any(d.s[demoted] != first_hi for demoted, _ in want.swaps)
+    assert_same(massage_labels(d, eps=0.0), want)
+
+
+@pytest.mark.parametrize("label", [0, 1])
+def test_pool_runs_out_before_target(label):
+    # A pool is empty only when a group has no positives or no negatives, so
+    # both rates are equal there; only a negative eps keeps stepping.  Swaps
+    # keep the number of positives, so this state is the starting one.
+    d = Dataset(s=[0, 0, 1, 1, 1], y=[label] * 5, score=[0.1, 0.4, 0.5, 0.6, 0.9])
+    want = ref_massage_labels(d, eps=-0.01, threshold=0.5)
+    assert want.swaps == [] and not want.reached_target
+    assert_same(massage_labels(d, eps=-0.01, threshold=0.5), want)
+
+
+def test_nan_distances_come_first_as_with_argmin():
+    d = generated(7, 60, "unit", 10)
+    scores = np.array(d.score)
+    scores[[3, 11, 40, 41]] = np.nan
+    assert_same(massage_labels(d, scores=scores, eps=0.0, threshold=0.5),
+                ref_massage_labels(d, scores=scores, eps=0.0, threshold=0.5))
+    assert_same(massage_labels(d, eps=0.0, threshold=np.nan),
+                ref_massage_labels(d, eps=0.0, threshold=np.nan))
+
+
+def test_rates_are_computed_a_constant_number_of_times(monkeypatch):
+    d = synth.sample_scores(synth.operating_point_spec(), 20_000, 3)
+    calls = []
+
+    def counted(x, w):
+        calls.append(1)
+        return weighted_mean(x, w)
+
+    monkeypatch.setattr(fairaudit.mitigate, "weighted_mean", counted)
+    res = massage_labels(d, eps=0.0)
+    assert len(res.swaps) > 500
+    assert len(calls) <= 16
