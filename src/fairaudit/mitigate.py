@@ -484,14 +484,13 @@ def massage_labels(
         pool = np.flatnonzero((d.s == g) & (y == label))
         return pool[np.argsort(key[pool], kind="stable")]
 
-    def rates_after(g: int, moved: np.ndarray, sign: int) -> np.ndarray:
+    def rates_after(g: int, label_change: np.ndarray) -> np.ndarray:
         mask = d.s == g
-        moved_weight = np.r_[0.0, np.cumsum(w[moved])]
-        return (np.sum(w[mask] * y[mask]) + sign * moved_weight) / np.sum(w[mask])
+        return (np.sum(w[mask] * y[mask]) + np.r_[0.0, np.cumsum(label_change)]) / np.sum(w[mask])
 
     demote_order, promote_order = sorted_pool(hi, 1), sorted_pool(lo, 0)
     m = min(len(demote_order), len(promote_order))
-    diff = rates_after(hi, demote_order[:m], -1) - rates_after(lo, promote_order[:m], 1)
+    diff = rates_after(hi, -w[demote_order[:m]]) - rates_after(lo, w[promote_order[:m]])
     bound = 32 * len(y) * 2.0**-53
     above = diff > bound
     safe = (diff[:-1] > eps + bound) & above[:-1] & above[1:] & (diff[:-1] - diff[1:] > 2 * bound)
