@@ -233,6 +233,11 @@ def cmd_audit(args) -> int:
         raise DataError("audit needs --threshold, --threshold-by-group or --pred-col")
     legit = tuple(args.legit.split(",")) if args.legit else d.legit_names
 
+    limit = groupfair.max_calibration_bins(len(d))
+    if d.score is not None and not 1 <= args.bins <= limit:
+        raise DataError(
+            f"--bins must be between 1 and {limit} for {len(d)} scored records, got {args.bins}"
+        )
     if args.metrics:
         wanted = [m for m in args.metrics.split(",") if m]
     else:
@@ -576,6 +581,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _non_negative_float(text: str) -> float:
+    """argparse type for a finite float option that must be at least 0."""
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text!r}")
+    return value
+
+
 def _add_schema_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--s-col", default="s", help="group column name")
     p.add_argument("--y-col", default="y", help="outcome column name")
@@ -615,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--ci-level", type=float, default=0.95)
     pa.add_argument("--boot", type=int, default=1000)
     pa.add_argument("--individual", action=argparse.BooleanOptionalAction, default=True)
-    pa.add_argument("--lipschitz-scale", type=_finite_float, default=1.0)
+    pa.add_argument("--lipschitz-scale", type=_non_negative_float, default=1.0)
     pa.add_argument("--seed", type=int, default=0)
     pa.add_argument("--format", choices=["json", "md"], default="json")
     pa.add_argument("--out", default=None, help="output path prefix")

@@ -496,16 +496,26 @@ class CalibrationResult:
     merged_bins: bool
 
 
+def max_calibration_bins(n: int) -> int:
+    """Most bins ``calibration`` takes for n scored records: one per record,
+    or the default 10 on smaller samples.  More bins only add empty ones,
+    and the grid and the per-bin loop grow with the bin count."""
+    return max(n, 10)
+
+
 def calibration(d: Dataset, bins: int = 10) -> CalibrationResult:
     """Reliability table over quantile bins of the pooled scores.
 
     parity gap: max over bins (with both groups present) of the inter-group
     difference in observed P[Y=1].  good-calibration deviation: max over
-    (group, bin) of |observed P[Y=1] - mean score in the cell|.
+    (group, bin) of |observed P[Y=1] - mean score in the cell|.  ``bins``
+    runs from 1 to ``max_calibration_bins(n)``.
     """
     if bins < 1:
         raise ValueError("need at least one bin")
     score = d.require_scores()
+    if bins > max_calibration_bins(len(score)):
+        raise ValueError(f"{bins} calibration bins exceed the {len(score)} scored records")
     edges = np.unique(np.quantile(score, np.linspace(0.0, 1.0, bins + 1)))
     merged = len(edges) - 1 < bins
     if len(edges) == 1:  # constant score

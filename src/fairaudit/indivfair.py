@@ -69,6 +69,50 @@ def _mahalanobis_factor(features: np.ndarray, names: tuple[str, ...]) -> np.ndar
     return vecs @ np.diag(vals**-0.5) @ vecs.T
 
 
+def _pair_distances(white: np.ndarray, cols: np.ndarray, bi, bj) -> np.ndarray:
+    """Rows of ``np.linalg.norm(white[bi] - white[bj], axis=1)``, bit for bit.
+
+    ``cols`` is white's feature-major copy.  numpy's ``add.reduce`` sums a
+    row of fewer than 8 terms in column order, so below 8 features the
+    squared differences are gathered and added one column at a time and no
+    (m, p) block is built.  It sums longer rows pairwise, so from 8 features
+    on the norm call stays.
+    """
+    if len(cols) >= 8:
+        return np.linalg.norm(np.take(white, bi, axis=0) - np.take(white, bj, axis=0), axis=1)
+    acc = np.zeros(len(bi))
+    for col in cols:
+        sq = np.take(col, bi)
+        sq -= np.take(col, bj)
+        sq *= sq
+        acc += sq
+    return np.sqrt(acc, out=acc)
+
+
+def _check_block(white, cols, out, bi, bj, scale, top_k):
+    """Violation count, largest ratio and the top_k violating pairs
+    (ratio, i, j, d_y, d_x) of the pairs (bi, bj), worst first.
+
+    A function of its own, so one block's arrays are freed before the next
+    block allocates.
+    """
+    dx = _pair_distances(white, cols, bi, bj)
+    dyv = np.take(out, bi)
+    dyv -= np.take(out, bj)
+    np.abs(dyv, out=dyv)
+    bad = np.flatnonzero(dyv > scale * dx)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = dyv / dx
+    # d_x = 0 (or NaN): inf for a positive d_y, 0 for 0/0
+    degenerate = np.flatnonzero(~(dx > 0))
+    ratio[degenerate] = np.where(dyv[degenerate] > 0, np.inf, 0.0)
+    top = [
+        (float(ratio[k]), int(bi[k]), int(bj[k]), float(dyv[k]), float(dx[k]))
+        for k in bad[np.argsort(-ratio[bad], kind="stable")][:top_k]
+    ]
+    return len(bad), float(np.max(ratio)), top
+
+
 def lipschitz_audit(
     d: Dataset,
     dy: str = "score",
@@ -82,10 +126,18 @@ def lipschitz_audit(
     d_y compares scores (|m_i - m_j|, mode "score") or decisions
     (|yhat_i - yhat_j|, mode "decision"); d_x is the Mahalanobis distance
     over the feature columns.  The pure similarity inequality has no free
-    constant, so ``scale`` makes it non-vacuous and is reported back.
-    Exact enumeration up to n = 2000; beyond that a seeded sample of
-    2e6 pairs is audited and flagged as non-exact.
+    constant, so ``scale`` makes it non-vacuous and is reported back; it
+    must be at least 0.  Exact enumeration up to n = 2000; beyond that a
+    seeded sample of 2e6 pairs is audited and flagged as non-exact.
+
+    d_x sums the squared whitened differences in column order below 8
+    features and as ``np.linalg.norm`` does (pairwise) from 8 on, which is
+    numpy's own order in both cases, so every distance equals
+    ``np.linalg.norm(white[i] - white[j])``.  The ratio d_y / d_x is inf
+    where d_x = 0 < d_y and 0 where both are 0.
     """
+    if not scale >= 0:
+        raise ValueError(f"Lipschitz scale must be at least 0, got {scale!r}")
     if d.features is None:
         raise DataError("lipschitz audit requires feature columns")
     if np.isnan(d.features).any():
@@ -103,6 +155,7 @@ def lipschitz_audit(
         raise ValueError(f"unknown output metric {dy!r}")
 
     white = d.features @ _mahalanobis_factor(d.features, d.feature_names).T
+    cols = np.ascontiguousarray(white.T)
 
     exact = n <= EXACT_PAIR_LIMIT
     if exact:
@@ -112,7 +165,8 @@ def lipschitz_audit(
         ii = rng.integers(0, n, size=SAMPLED_PAIRS)
         jj = rng.integers(0, n, size=SAMPLED_PAIRS)
         keep = ii != jj
-        ii, jj = ii[keep], jj[keep]
+        ii = ii[keep]  # one at a time: a single 2e6-index copy is live
+        jj = jj[keep]
 
     violations = 0
     worst = 0.0
@@ -120,18 +174,10 @@ def lipschitz_audit(
     block = 500_000
     for start in range(0, len(ii), block):
         bi, bj = ii[start : start + block], jj[start : start + block]
-        # np.take gathers whole rows several times faster than white[bi]
-        dx = np.linalg.norm(np.take(white, bi, axis=0) - np.take(white, bj, axis=0), axis=1)
-        dyv = np.abs(out[bi] - out[bj])
-        bad = dyv > scale * dx
-        violations += int(bad.sum())
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(dx > 0, dyv / dx, np.where(dyv > 0, np.inf, 0.0))
-        if len(ratio):
-            worst = max(worst, float(np.max(ratio)))
-        bad_idx = np.flatnonzero(bad)
-        for k in bad_idx[np.argsort(-ratio[bad_idx], kind="stable")][:top_k]:
-            top.append((float(ratio[k]), int(bi[k]), int(bj[k]), float(dyv[k]), float(dx[k])))
+        v, w, t = _check_block(white, cols, out, bi, bj, scale, top_k)
+        violations += v
+        worst = max(worst, w)
+        top.extend(t)
     top.sort(key=lambda t: -t[0])
     top_pairs = [
         {"i": i, "j": j, "d_y": dy_, "d_x": dx_, "ratio": r}

@@ -156,21 +156,22 @@ class LinearModel:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, without
+    # masks: exp(-|z|) is exp(-z) or exp(z), so each element gets the same
+    # exp and division, and exp never overflows
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _loss_and_dz(z: np.ndarray, y: np.ndarray, link: str):
-    """Per-record negative log-likelihood and its derivative in z."""
+    """Per-record negative log-likelihood, its derivative in z and, for the
+    logistic link, the score sigmoid(z) that derivative is built from (None
+    for probit)."""
     if link == "logistic":
+        m = _sigmoid(z)
         # softplus(z) - y z, stable for large |z|
         loss = np.logaddexp(0.0, z) - y * z
-        dz = _sigmoid(z) - y
-        return loss, dz
+        return loss, m - y, m
     # probit
     from scipy.special import log_ndtr
 
@@ -179,7 +180,7 @@ def _loss_and_dz(z: np.ndarray, y: np.ndarray, link: str):
     loss = -(y * log_p + (1 - y) * log_q)
     log_phi = -0.5 * z**2 - 0.5 * math.log(2 * math.pi)
     dz = (1 - y) * np.exp(log_phi - log_q) - y * np.exp(log_phi - log_p)
-    return loss, dz
+    return loss, dz, None
 
 
 def _corr_sq_and_grad(m: np.ndarray, target: np.ndarray, wn: np.ndarray):
@@ -267,12 +268,11 @@ def objective_value_and_grad(
 ):
     """Mean log-loss plus penalty; gradient over (coefficients, intercept)."""
     z = Xs @ theta[:-1] + theta[-1]
-    loss, dz = _loss_and_dz(z, y, link)
+    loss, dz, m = _loss_and_dz(z, y, link)
     value = float(np.sum(wn * loss))
     grad_z = wn * dz
     if spec.kind != "none":
         if link == "logistic":
-            m = _sigmoid(z)
             dmdz = m * (1.0 - m)
         else:
             from scipy.special import ndtr

@@ -772,6 +772,28 @@ def test_non_finite_option_exit_2_names_flag(toy_csv, tmp_path, capsys, argv, fl
     assert not list(tmp_path.glob("m*"))
 
 
+@pytest.mark.parametrize("value", ["-1", "-0.5"])
+def test_negative_lipschitz_scale_exit_2_names_flag(toy_csv, capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", str(toy_csv), "--threshold", "0.5", "--lipschitz-scale", value])
+    assert exc.value.code == 2
+    assert f"argument --lipschitz-scale: must be at least 0, got '{value}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bins", [0, 25])
+def test_bins_outside_record_count_exit_2_names_flag(toy_csv, capsys, bins):
+    code, out, err = run(["audit", toy_csv, "--threshold", "0.5", "--bins", bins], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: --bins must be between 1 and 24 for 24 scored records, got {bins}\n"
+
+
+def test_bins_at_record_count_and_zero_scale_accepted(toy_csv, capsys):
+    code, out, _ = run(["audit", toy_csv, "--threshold", "0.5", "--bins", "24",
+                        "--lipschitz-scale", "0", "--ci", "none"], capsys)
+    assert code == 0
+    assert json.loads(out)["metrics"]["calibration_parity"]["details"]["bins"] <= 24
+
+
 def test_non_numeric_option_message_unchanged(toy_csv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["audit", str(toy_csv), "--epsilon", "abc"])

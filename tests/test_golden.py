@@ -1,11 +1,13 @@
 """Golden CLI outputs: every report and artifact of a fixed command list.
 
-The commands run in process through ``fairaudit.cli.main`` on four inputs:
+The commands run in process through ``fairaudit.cli.main`` on five inputs:
 the 24-row toy CSV, a seeded operating-point sample (n=2000) with four
 seeded Gaussian feature columns and a 0/1 ``yhat`` column, a copy of that
-sample with a non-integer weight column ``w``, and a copy with an empty
+sample with a non-integer weight column ``w``, a copy with an empty
 feature cell, a ``1_0`` cell and a whitespace-only line, which ``load_csv``
-reads through its row loop instead of ``np.loadtxt``.
+reads through its row loop instead of ``np.loadtxt``, and a larger sample
+(n=2500) from the same generator, above the Lipschitz audit's exact-pair
+limit, so its audit checks sampled pairs.
 
 * Outputs from the unit-weight inputs are pinned by SHA-256.
 * Outputs from the weighted copy, and the ``after.metrics`` blocks of
@@ -46,6 +48,7 @@ MAX_LISTED = 2000
 NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
 N = 2000
+N_SAMPLED = 2500  # above indivfair.EXACT_PAIR_LIMIT
 SEED = 11
 T = "0.6"
 
@@ -109,24 +112,30 @@ _FALLBACK = [
     ("thresholds-dp", ["mitigate", "{csv}", "--method", "thresholds", "--out", "{out}"]),
 ]
 
+# n > EXACT_PAIR_LIMIT: the Lipschitz audit checks a seeded sample of pairs
+_SAMPLED = [
+    ("audit-pred-col-asym", ["audit", "{csv}", "--pred-col", "yhat", "--ci", "asymptotic"]),
+]
+
 CASES = (
     [(f"toy/{name}", "toy.csv", argv) for name, argv in _TOY]
     + [(f"synth/{name}", "synth.csv", argv) for name, argv in _PER_DATASET]
     + [(f"weighted/{name}", "weighted.csv", argv) for name, argv in _PER_DATASET]
     + [(f"fallback/{name}", "fallback.csv", argv) for name, argv in _FALLBACK]
+    + [(f"sampled/{name}", "sampled.csv", argv) for name, argv in _SAMPLED]
 )
-INPUTS = ("toy.csv", "synth.csv", "weighted.csv", "fallback.csv")
+INPUTS = ("toy.csv", "synth.csv", "weighted.csv", "fallback.csv", "sampled.csv")
 
 
-def write_inputs(root: Path) -> None:
-    """The three input CSVs, from fixed seeds."""
-    (root / "toy.csv").write_text(TOY_CSV, encoding="utf-8")
-    d = synth.sample_scores(synth.operating_point_spec(), N, SEED)
+def _synth_columns(n: int) -> tuple[dict, np.ndarray]:
+    """CSV columns of a seeded n-row sample with features and ``yhat``, and
+    a seeded weight per row."""
+    d = synth.sample_scores(synth.operating_point_spec(), n, SEED)
     rng = np.random.default_rng(SEED)
-    feats = rng.standard_normal((N, 4)) + np.outer(d.s, [0.8, 0.0, 0.4, -0.3]) + np.outer(
+    feats = rng.standard_normal((n, 4)) + np.outer(d.s, [0.8, 0.0, 0.4, -0.3]) + np.outer(
         d.y, [0.5, 1.0, 0.0, 0.3]
     )
-    w = rng.uniform(0.25, 3.0, N)
+    w = rng.uniform(0.25, 3.0, n)
     cols = {
         "s": [str(int(v)) for v in d.s],
         "y": [str(int(v)) for v in d.y],
@@ -134,6 +143,13 @@ def write_inputs(root: Path) -> None:
         **{f"x{k + 1}": [repr(float(v)) for v in feats[:, k]] for k in range(4)},
         "yhat": [str(int(v > 0.6)) for v in d.score],
     }
+    return cols, w
+
+
+def write_inputs(root: Path) -> None:
+    """The input CSVs, from fixed seeds."""
+    (root / "toy.csv").write_text(TOY_CSV, encoding="utf-8")
+    cols, w = _synth_columns(N)
 
     def write(name: str, columns: dict, extra_lines=()) -> None:
         lines = [",".join(columns)] + [",".join(row) for row in zip(*columns.values())]
@@ -147,6 +163,7 @@ def write_inputs(root: Path) -> None:
     quirks["x1"][4] = "1_0"
     quirks["x2"][2] = ""
     write("fallback.csv", {**cols, **quirks}, [(11, "   ")])
+    write("sampled.csv", _synth_columns(N_SAMPLED)[0])
 
 
 def run_case(root: Path, case: str, csv: str, argv: list[str]) -> dict[str, str]:

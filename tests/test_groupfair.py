@@ -491,6 +491,14 @@ class TestCalibration:
         res = calibration(Dataset(s=s, y=y, score=m), bins=10)
         assert res.parity_gap > 0.05
 
+    def test_bins_above_record_count_rejected(self):
+        rng = np.random.default_rng(8)
+        n = 40
+        d = Dataset(s=rng.integers(0, 2, n), y=rng.integers(0, 2, n), score=rng.random(n))
+        assert len(calibration(d, bins=n).edges) == n + 1
+        with pytest.raises(ValueError, match="41 calibration bins exceed the 40 scored records"):
+            calibration(d, bins=n + 1)
+
     def test_more_bins_than_scores_merges(self):
         d = Dataset(s=[0, 1, 0, 1], y=[0, 1, 0, 1], score=[0.2, 0.2, 0.8, 0.8])
         res = calibration(d, bins=10)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,10 +23,12 @@ def smooth_score_dataset(rng, n=200, lipschitz=0.25):
     return Dataset(s=rng.integers(0, 2, size=n), y=rng.integers(0, 2, size=n), score=score, features=X)
 
 
-def ref_lipschitz_audit(d, scale, top_k=10, seed=0):
-    """Score-mode Lipschitz audit with the white[bi] row gather it had before
-    np.take; the pair stream and block loop are unchanged."""
+def ref_lipschitz_audit(d, scale, top_k=10, seed=0, dy="score", pred=None):
+    """The Lipschitz audit before the feature-major kernel: white[bi] row
+    gathers, np.linalg.norm over each (m, p) block and the ratio from
+    np.where; the pair stream and block loop are unchanged."""
     n = len(d)
+    out = d.score if dy == "score" else pred.prob
     white = d.features @ indivfair._mahalanobis_factor(d.features, d.feature_names).T
     exact = n <= indivfair.EXACT_PAIR_LIMIT
     if exact:
@@ -39,7 +43,7 @@ def ref_lipschitz_audit(d, scale, top_k=10, seed=0):
     for start in range(0, len(ii), 500_000):
         bi, bj = ii[start : start + 500_000], jj[start : start + 500_000]
         dx = np.linalg.norm(white[bi] - white[bj], axis=1)
-        dyv = np.abs(d.score[bi] - d.score[bj])
+        dyv = np.abs(out[bi] - out[bj])
         bad = dyv > scale * dx
         violations += int(bad.sum())
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -73,6 +77,77 @@ class TestLipschitzAudit:
         assert got == ref_lipschitz_audit(d, scale=0.5)
         assert res.exact == exact and res.violations > 0
 
+    @pytest.mark.parametrize("case", ["dup-equal", "dup-differ", "decision"])
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "sampled"])
+    @pytest.mark.parametrize("p", range(1, 10))
+    def test_duplicate_rows_match_fancy_index_gather(self, monkeypatch, p, exact, case):
+        """Duplicated feature rows give d_x = 0: with equal outputs (0/0,
+        ratio 0) or with different ones (ratio inf), in score and in
+        decision mode."""
+        if not exact:
+            monkeypatch.setattr(indivfair, "EXACT_PAIR_LIMIT", 40)
+            monkeypatch.setattr(indivfair, "SAMPLED_PAIRS", 20_000)
+        rng = np.random.default_rng(p)
+        n = 120
+        X = rng.normal(size=(n, p)) * rng.uniform(0.1, 10.0, size=p)
+        X[n // 2 :] = X[: n // 2]
+        score = rng.random(n)
+        if case == "dup-equal":
+            score[n // 2 :] = score[: n // 2]
+        d = Dataset(s=rng.integers(0, 2, n), y=rng.integers(0, 2, n), score=score, features=X)
+        kw = {}
+        if case == "decision":
+            kw = {"dy": "decision", "pred": PredictionSet.from_labels(rng.integers(0, 2, n))}
+        res = lipschitz_audit(d, scale=0.5, **kw)
+        got = (res.violations, res.checked_pairs, res.worst_ratio, res.top_pairs, res.exact)
+        assert got == ref_lipschitz_audit(d, scale=0.5, **kw)
+        assert res.exact == exact
+        if case == "dup-equal":
+            assert 0 < res.worst_ratio < np.inf
+        else:
+            assert res.worst_ratio == np.inf
+
+    @pytest.mark.parametrize("p", range(1, 13))
+    def test_pair_distances_are_norms_bit_for_bit(self, p):
+        """Summed by column below 8 features, by np.linalg.norm from 8 on:
+        both give norm's bits, where a column sum from 8 on would not."""
+        rng = np.random.default_rng(p)
+        white = rng.normal(size=(300, p)) * rng.uniform(0.1, 10.0, size=p)
+        bi, bj = rng.integers(0, 300, 20_000), rng.integers(0, 300, 20_000)
+        got = indivfair._pair_distances(white, np.ascontiguousarray(white.T), bi, bj)
+        want = np.linalg.norm(white[bi] - white[bj], axis=1)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_block_allocates_no_pair_by_feature_block(self, monkeypatch):
+        """One block of 500k sampled pairs at p = 4 peaks below two
+        (500k, 4) float64 blocks, the pair indices included (about 21 MB);
+        gathering whole rows held two such gathers at once and peaked at
+        about 49 MB."""
+        monkeypatch.setattr(indivfair, "SAMPLED_PAIRS", 500_000)
+        rng = np.random.default_rng(4)
+        n = 2500
+        d = Dataset(s=rng.integers(0, 2, n), y=rng.integers(0, 2, n), score=rng.random(n),
+                    features=rng.normal(size=(n, 4)))
+        tracemalloc.start()
+        try:
+            res = lipschitz_audit(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not res.exact and res.checked_pairs > 499_000
+        assert peak < 2 * 500_000 * 4 * 8
+
+    @pytest.mark.parametrize("scale", [-1.0, -1e-300, float("nan")])
+    def test_negative_scale_rejected(self, scale):
+        d = smooth_score_dataset(np.random.default_rng(2), n=10)
+        with pytest.raises(ValueError, match="scale"):
+            lipschitz_audit(d, scale=scale)
+
+    def test_zero_scale_flags_every_pair_with_different_scores(self):
+        d = smooth_score_dataset(np.random.default_rng(2), n=30)
+        res = lipschitz_audit(d, scale=0.0)
+        ii, jj = np.triu_indices(30, k=1)
+        assert res.violations == int(np.count_nonzero(d.score[ii] != d.score[jj]))
 
     def test_identical_outputs_no_violations(self):
         rng = np.random.default_rng(1)

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import rankdata
+
+from fairaudit import mitigate
 
 from fairaudit.data import Dataset, DegenerateGroupError, Deterministic, apply_policy
 from fairaudit.depmeasure import pearson
@@ -173,6 +177,72 @@ class TestTrainLogistic:
         assert loaded.predict_score(d.features[:5]).tolist() == model.predict_score(
             d.features[:5]
         ).tolist()
+
+
+def ref_sigmoid(z):
+    """The logistic function as it was before the branch-free form: one
+    masked scatter per sign."""
+    out = np.empty_like(z, dtype=float)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def assert_same_bits(got, want):
+    """Equal doubles bit for bit, NaN where ``want`` is NaN (its sign bit,
+    which no output shows, is not compared)."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+# exp(-|z|) turns subnormal past |z| = 708.4 and 0 past 745.13; exp(|z|)
+# would overflow past 709.78
+_SIGMOID_EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+                  708.39, -708.4, 709.78, -709.78, 709.79, -709.79, 745.13, -745.13,
+                  745.14, -745.14, 36.7, -36.7, 1e308, -1e308]
+
+
+class TestSigmoid:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(
+        st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+            st.sampled_from(_SIGMOID_EDGES),
+            st.floats(700.0, 750.0).flatmap(lambda v: st.sampled_from([v, -v])),
+            st.floats(-1e-300, 1e-300),
+            st.floats(-40.0, 40.0),
+        ),
+        max_size=80,
+    ))
+    @example([])
+    @example(_SIGMOID_EDGES)
+    def test_matches_masked_form(self, values):
+        z = np.array(values, dtype=float)
+        assert_same_bits(mitigate._sigmoid(z), ref_sigmoid(z))
+
+    def test_matches_masked_form_on_random_bits(self):
+        # long enough for numpy's vectorized exp to run full SIMD lanes
+        z = np.random.default_rng(0).integers(0, 2**64, 1 << 16, dtype=np.uint64).view(float)
+        z = np.concatenate([z, np.random.default_rng(1).normal(size=1 << 16) * 300.0])
+        assert_same_bits(mitigate._sigmoid(z), ref_sigmoid(z))
+
+    def test_one_sigmoid_per_penalized_evaluation(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        d, _, _ = make_logistic_data(rng, n=500, s_feature=True)
+        calls = []
+        sigmoid = mitigate._sigmoid
+        monkeypatch.setattr(mitigate, "_sigmoid", lambda z: calls.append(1) or sigmoid(z))
+        wn = d.weight / d.weight.sum()
+        theta = rng.normal(size=d.features.shape[1] + 1)
+        value, grad = objective_value_and_grad(
+            theta, d.features, d.y.astype(float), d.s, wn, PenaltySpec.dp_correlation(3.0),
+            "logistic",
+        )
+        assert len(calls) == 1 and np.isfinite(value) and np.isfinite(grad).all()
 
 
 class TestMassageLabels:
