@@ -14,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -340,36 +340,9 @@ def cmd_mitigate(args) -> int:
 
     before = {"label_rates": _label_rates(d), "metrics": _metric_block(d, pred, args.epsilon)}
     artifacts: dict[str, str] = {}
-    result_info: dict = {"method": args.method}
-
-    # each method yields the predictions the after-block is evaluated with
-    # and, unless it only changes the decision policy, a dataset to write
-    written: Dataset | None = None
-    suffix = "corrected"
-    if args.method == "reweigh":
-        res = mitigate.reweigh(d)
-        written = res.dataset
-        result_info["factors"] = {f"{sv},{yv}": w for (sv, yv), w in sorted(res.factors.items())}
-        after_pred = pred
-    elif args.method == "massage":
-        res = mitigate.massage_labels(d, eps=args.eps)
-        written = res.dataset
-        result_info.update(
-            {
-                "swaps": res.swaps,
-                "gap": res.gap,
-                "reached_target": res.reached_target,
-                "boundary_threshold": res.threshold,
-            }
-        )
-        after_pred = pred
-    elif args.method == "repair":
-        features = [c for c in args.features.split(",") if c] if args.features else None
-        res = mitigate.di_remove(d, features=features, amount=args.amount)
-        written = res.dataset
-        result_info["amount"] = args.amount
-        after_pred = pred
-    elif args.method == "train":
+    # the after-block is evaluated on the written dataset with these decisions
+    after_d, after_pred = d, pred
+    if args.method == "train":
         if args.penalty == "none":
             spec = mitigate.PenaltySpec.none()
         elif args.penalty == "dp_correlation":
@@ -384,64 +357,53 @@ def cmd_mitigate(args) -> int:
         if model.diverged or not model.converged:
             failure = "diverged (separable data)" if model.diverged else "did not converge"
             print(f"warning: training {failure} after {model.n_iter} iterations", file=sys.stderr)
-        written = d.with_(score=model.predict_score(d.features))
-        suffix = "scored"
-        result_info.update(
-            {
-                "penalty": args.penalty,
-                "converged": model.converged,
-                "diverged": model.diverged,
-                "n_iter": model.n_iter,
-                # null for a constant fitted score
-                "score_s_correlation": _defined(lambda: depmeasure.pearson(
-                    written.score, written.s.astype(float), written.weight
-                )),
-            }
-        )
+        after_d = d.with_(score=model.predict_score(d.features))
+        block = {
+            "penalty": args.penalty,
+            "converged": model.converged,
+            "diverged": model.diverged,
+            "n_iter": model.n_iter,
+            # null for a constant fitted score
+            "score_s_correlation": _defined(lambda: depmeasure.pearson(
+                after_d.score, after_d.s.astype(float), after_d.weight
+            )),
+        }
         artifacts["model"] = str(out_prefix) + ".model.json"
         model.save(artifacts["model"])
+        artifacts["dataset"] = str(out_prefix) + ".scored.csv"
         after_pred = (
-            apply_policy(written, ThresholdPolicy.shared(args.threshold))
+            apply_policy(after_d, ThresholdPolicy.shared(args.threshold))
             if args.threshold is not None
             else None
         )
-    elif args.method in ("thresholds", "equalize-odds"):
-        if args.method == "thresholds":
-            res = mitigate.per_group_thresholds(d, objective=args.objective)
-            result_info.update(
-                {
-                    "objective": args.objective,
-                    "values": list(res.values),
-                    "gap": res.gap,
-                    "accuracy": res.accuracy,
-                    "granular": res.granular,
-                    "degenerate": res.degenerate,
-                }
-            )
-        else:
-            res = mitigate.equalize_odds(d, criterion=args.criterion)
-            result_info.update(
-                {
-                    "criterion": args.criterion,
-                    "target": list(res.target),
-                    "tpr_gap": res.tpr_gap,
-                    "fpr_gap": res.fpr_gap,
-                    "accuracy": res.accuracy,
-                    "degenerate": res.degenerate,
-                    "mixed": res.mixed,
-                }
-            )
-        artifacts["policy"] = str(out_prefix) + ".policy.json"
-        _dump_json(res.policy.to_json_dict(), Path(artifacts["policy"]))
-        after_pred = apply_policy(d, res.policy)
     else:
-        raise DataError(f"unknown method {args.method!r}")
-
-    after_d = d
-    if written is not None:
-        artifacts["dataset"] = f"{out_prefix}.{suffix}.csv"
-        Path(artifacts["dataset"]).write_text(dataset_to_csv(written), encoding="utf-8")
-        after_d = written
+        features = [c for c in args.features.split(",") if c] if args.features else None
+        res = {
+            "reweigh": lambda: mitigate.reweigh(d),
+            "massage": lambda: mitigate.massage_labels(d, eps=args.eps),
+            "repair": lambda: mitigate.di_remove(d, features=features, amount=args.amount),
+            "thresholds": lambda: mitigate.per_group_thresholds(d, objective=args.objective),
+            "equalize-odds": lambda: mitigate.equalize_odds(d, criterion=args.criterion),
+        }[args.method]()
+        # the method block is the result's fields less its artifact (a
+        # corrected dataset or a decision policy) and the per-group rates
+        # that equalize-odds realizes
+        block = {
+            f.name: getattr(res, f.name)
+            for f in fields(res)
+            if f.name not in ("dataset", "policy", "realized")
+        }
+        if args.method == "reweigh":
+            block["factors"] = {f"{sv},{yv}": w for (sv, yv), w in sorted(res.factors.items())}
+        if hasattr(res, "policy"):
+            artifacts["policy"] = str(out_prefix) + ".policy.json"
+            _dump_json(res.policy.to_json_dict(), Path(artifacts["policy"]))
+            after_pred = apply_policy(d, res.policy)
+        else:
+            after_d = res.dataset
+            artifacts["dataset"] = str(out_prefix) + ".corrected.csv"
+    if "dataset" in artifacts:
+        Path(artifacts["dataset"]).write_text(dataset_to_csv(after_d), encoding="utf-8")
     after = {
         "label_rates": _label_rates(after_d),
         "metrics": _metric_block(after_d, after_pred, args.epsilon),
@@ -452,7 +414,7 @@ def cmd_mitigate(args) -> int:
         "tool_version": __version__,
         "dataset": {"path": str(args.data), "sha256": sha256_of_file(args.data), "n": len(d)},
         "policy": policy_desc,
-        "method": result_info,
+        "method": {"method": args.method, **block},
         "artifacts": artifacts,
         "before": before,
         "after": after,
@@ -469,8 +431,13 @@ def cmd_mitigate(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    schema = _schema_from_args(args)
-    d = load_csv(args.data, schema)
+    d = load_csv(args.data, _schema_from_args(args))
+    # one CSV row and one SVG bar per bin; the limit admits the default 20
+    limit = max(len(d), 20)
+    if args.kind == "score-hist" and not 1 <= args.bins <= limit:
+        raise DataError(
+            f"--bins must be between 1 and {limit} for {len(d)} records, got {args.bins}"
+        )
     out_prefix = Path(args.out)
     out_prefix.parent.mkdir(parents=True, exist_ok=True)
     written = []
@@ -519,8 +486,6 @@ def cmd_plot(args) -> int:
         )
         out_prefix.with_suffix(".svg").write_text(svg, encoding="utf-8")
         written = [str(out_prefix.with_suffix(".csv")), str(out_prefix.with_suffix(".svg"))]
-    else:
-        raise DataError(f"unknown plot kind {args.kind!r}")
 
     sys.stdout.write("\n".join(written) + "\n")
     return 0
@@ -558,10 +523,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    schema = _schema_from_args(args)
-    d = load_csv(args.data, schema)
-    report = validate(d)
-    sys.stdout.write(_dump_json(report.to_json_dict(), None))
+    d = load_csv(args.data, _schema_from_args(args))
+    sys.stdout.write(_dump_json(asdict(validate(d)), None))
     return 0
 
 

@@ -518,16 +518,6 @@ class ValidationReport:
     constant_columns: list[str] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "group_sizes": {str(k): v for k, v in sorted(self.group_sizes.items())},
-            "base_rates": {str(k): v for k, v in sorted(self.base_rates.items())},
-            "missing_feature_counts": dict(sorted(self.missing_feature_counts.items())),
-            "constant_columns": sorted(self.constant_columns),
-            "warnings": list(self.warnings),
-        }
-
 
 def validate(d: Dataset) -> ValidationReport:
     """Report-only sanity summary: group sizes, base rates, degenerate columns."""
@@ -563,7 +553,7 @@ def validate(d: Dataset) -> ValidationReport:
         group_sizes=sizes,
         base_rates=rates,
         missing_feature_counts=missing,
-        constant_columns=constant,
+        constant_columns=sorted(constant),
         warnings=warnings,
     )
 

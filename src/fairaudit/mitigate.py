@@ -40,7 +40,6 @@ __all__ = [
     "massage_labels",
     "ReweighResult",
     "reweigh",
-    "RepairPlan",
     "RepairResult",
     "di_remove",
     "ThresholdSearchResult",
@@ -408,7 +407,7 @@ class MassageResult:
     swaps: list[tuple[int, int]]  # (demoted index, promoted index)
     gap: float
     reached_target: bool
-    threshold: float
+    boundary_threshold: float
 
 
 def massage_labels(
@@ -524,7 +523,7 @@ def massage_labels(
         swaps=swaps,
         gap=gap,
         reached_target=reached,
-        threshold=float(threshold),
+        boundary_threshold=float(threshold),
     )
 
 
@@ -567,17 +566,9 @@ def reweigh(d: Dataset) -> ReweighResult:
 
 
 @dataclass
-class RepairPlan:
-    """Per-feature per-group quantile maps toward the quantile average."""
-
-    amount: float
-    maps: dict[str, dict[int, tuple[np.ndarray, np.ndarray]]]  # name -> g -> (levels, values)
-
-
-@dataclass
 class RepairResult:
     dataset: Dataset
-    plan: RepairPlan
+    amount: float
 
 
 def _quantile_grid(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -609,7 +600,6 @@ def di_remove(
             raise DataError(f"no feature column named {name!r}")
 
     new_feats = d.features.copy()
-    maps: dict[str, dict[int, tuple[np.ndarray, np.ndarray]]] = {}
     masks = {g: d.s == g for g in (0, 1)}
     for name in names:
         j = d.feature_names.index(name)
@@ -617,7 +607,6 @@ def di_remove(
         if np.isnan(col).any():
             raise DataError(f"feature {name!r} has missing values")
         grids = {g: _quantile_grid(col[masks[g]]) for g in (0, 1)}
-        maps[name] = grids
         for g in (0, 1):
             vals = col[masks[g]]
             # own midrank level of every record (ties share their mean rank)
@@ -627,10 +616,7 @@ def di_remove(
             )
             new_feats[masks[g], j] = (1.0 - amount) * vals + amount * target
 
-    return RepairResult(
-        dataset=d.with_(features=new_feats),
-        plan=RepairPlan(amount=amount, maps=maps),
-    )
+    return RepairResult(dataset=d.with_(features=new_feats), amount=amount)
 
 
 # ---------------------------------------------------------------------------
@@ -641,6 +627,7 @@ def di_remove(
 @dataclass
 class ThresholdSearchResult:
     policy: ThresholdPolicy
+    objective: str
     values: tuple[float, float]  # equalized quantity per group
     gap: float
     accuracy: float
@@ -709,6 +696,7 @@ def per_group_thresholds(d: Dataset, objective: str = "dp") -> ThresholdSearchRe
     policy = ThresholdPolicy.per_group(float(t0[i]), float(t1[j]))
     return ThresholdSearchResult(
         policy=policy,
+        objective=objective,
         values=(float(v0[i]), float(v1[j])),
         gap=gap,
         accuracy=float((c0[i] + c1[j]) / total_w),
@@ -725,6 +713,7 @@ def per_group_thresholds(d: Dataset, objective: str = "dp") -> ThresholdSearchRe
 @dataclass
 class EqualizedOddsResult:
     policy: ThresholdPolicy
+    criterion: str
     target: tuple[float, float]  # (fpr, tpr) the policy realizes
     realized: dict[int, tuple[float, float]]
     tpr_gap: float
@@ -970,6 +959,7 @@ def equalize_odds(d: Dataset, criterion: str = "full") -> EqualizedOddsResult:
         acc = accuracy(*target)
     return EqualizedOddsResult(
         policy=ThresholdPolicy(rules=rules),
+        criterion=criterion,
         target=target,
         realized=realized,
         tpr_gap=abs(realized[0][1] - realized[1][1]),

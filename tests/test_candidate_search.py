@@ -158,6 +158,7 @@ def ref_per_group_thresholds(d, objective):
     gap = float(abs(v0[i] - v1[j]))
     return mitigate.ThresholdSearchResult(
         policy=ThresholdPolicy.per_group(float(t0[i]), float(t1[j])),
+        objective=objective,
         values=(float(v0[i]), float(v1[j])),
         gap=gap,
         accuracy=float((c0[i] + c1[j]) / float(d.weight.sum())),

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fairaudit
+from fairaudit import mitigate
 from fairaudit.cli import _dump_json, main
 from fairaudit.data import TOY_CSV, dataset_to_csv, load_csv, load_toy
 from fairaudit.mitigate import LinearModel
@@ -398,6 +400,34 @@ class TestMitigateCommand:
         expected = json.loads(_dump_json(_metric_block(corrected, pred, 0.05), None))
         assert report["after"]["metrics"] == expected
 
+    @pytest.mark.parametrize(
+        "method,result",
+        [
+            ("reweigh", mitigate.ReweighResult),
+            ("massage", mitigate.MassageResult),
+            ("repair", mitigate.RepairResult),
+            ("thresholds", mitigate.ThresholdSearchResult),
+            ("equalize-odds", mitigate.EqualizedOddsResult),
+            ("train", None),
+        ],
+    )
+    def test_method_block_is_the_result_fields(self, tmp_path, capsys, method, result):
+        # every result field reaches the report except the artifact written
+        # beside it and the per-group rates equalize-odds realizes; train
+        # reports its fit, not the model's coefficients
+        rng = np.random.default_rng(12)
+        src = tmp_path / "in.csv"
+        src.write_text(dataset_to_csv(load_toy().with_(features=rng.normal(size=(24, 2)))),
+                       encoding="utf-8")
+        code, out, err = run(["mitigate", src, "--method", method, "--threshold",
+                              TOY_THRESHOLD_ARG, "--out", tmp_path / "m"], capsys)
+        assert code == 0, err
+        if result is None:
+            want = {"penalty", "converged", "diverged", "n_iter", "score_s_correlation"}
+        else:
+            want = {f.name for f in fields(result)} - {"dataset", "policy", "realized"}
+        assert set(json.loads(out)["method"]) == {"method"} | want
+
     def test_repair_amount_zero_round_trips_bytes(self, tmp_path, capsys):
         rng = np.random.default_rng(12)
         d = load_toy().with_(features=rng.normal(size=(24, 2)))
@@ -632,6 +662,25 @@ class TestPlotCommand:
         counts = [float(line.split(",")[2]) for line in lines]
         assert len(counts) == 20
         assert max(counts) / min(counts) <= 1.2
+
+    @pytest.mark.parametrize("bins", [0, -1, 25])
+    def test_score_hist_bins_outside_limit_exit_2_names_flag(self, toy_csv, tmp_path, capsys,
+                                                             bins):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code, out, err = run(["plot", toy_csv, "--kind", "score-hist", "--bins", bins,
+                              "--out", out_dir / "h"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: --bins must be between 1 and 24 for 24 records, got {bins}\n"
+        assert not list(out_dir.iterdir())
+
+    def test_score_hist_default_bins_on_fewer_records(self, tmp_path, capsys):
+        src = tmp_path / "four.csv"
+        src.write_text("s,y,score\n0,0,0.1\n0,1,0.6\n1,0,0.4\n1,1,0.9\n", encoding="utf-8")
+        code, _, err = run(["plot", src, "--kind", "score-hist", "--out", tmp_path / "h"],
+                           capsys)
+        assert code == 0, err
+        assert len((tmp_path / "h.csv").read_text().splitlines()) == 21
 
     def test_single_class_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "one.csv"

@@ -213,6 +213,11 @@ class TestValidate:
         rep = validate(d)
         assert "constant score" in rep.warnings
 
+    def test_constant_columns_sorted(self):
+        d = Dataset(s=[0, 1], y=[0, 1], score=[0.4, 0.4], features=np.ones((2, 1)),
+                    feature_names=["zz"])
+        assert validate(d).constant_columns == ["score", "zz"]
+
     def test_missing_feature_counts(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("s,y,score,x1\n0,0,0.1,\n1,1,0.9,2.0\n", encoding="utf-8")

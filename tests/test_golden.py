@@ -1,13 +1,14 @@
 """Golden CLI outputs: every report and artifact of a fixed command list.
 
-The commands run in process through ``fairaudit.cli.main`` on five inputs:
+The commands run in process through ``fairaudit.cli.main`` on six inputs:
 the 24-row toy CSV, a seeded operating-point sample (n=2000) with four
 seeded Gaussian feature columns and a 0/1 ``yhat`` column, a copy of that
 sample with a non-integer weight column ``w``, a copy with an empty
 feature cell, a ``1_0`` cell and a whitespace-only line, which ``load_csv``
 reads through its row loop instead of ``np.loadtxt``, and a larger sample
 (n=2500) from the same generator, above the Lipschitz audit's exact-pair
-limit, so its audit checks sampled pairs.
+limit, so its audit checks sampled pairs, and the toy rows with a constant
+score and a constant feature ``zz``.
 
 * Outputs from the unit-weight inputs are pinned by SHA-256.
 * Outputs from the weighted copy, and the ``after.metrics`` blocks of
@@ -80,6 +81,19 @@ _PER_DATASET = [
     ("train-probit", ["mitigate", "{csv}", "--method", "train", "--link", "probit",
                       "--penalty", "dp_correlation", "--lam", "10", "--threshold", T,
                       "--out", "{out}"]),
+    ("train-none", ["mitigate", "{csv}", "--method", "train", "--penalty", "none",
+                    "--threshold", T, "--out", "{out}"]),
+    ("train-eo", ["mitigate", "{csv}", "--method", "train", "--penalty", "eo_correlation",
+                  "--lam0", "5", "--lam1", "5", "--threshold", T, "--out", "{out}"]),
+    ("train-maxcor", ["mitigate", "{csv}", "--method", "train", "--penalty", "dp_maxcor",
+                      "--lam", "10", "--threshold", T, "--out", "{out}"]),
+    # no decision policy: the after-block has no metrics
+    ("train-no-threshold", ["mitigate", "{csv}", "--method", "train", "--penalty",
+                            "dp_correlation", "--lam", "10", "--out", "{out}"]),
+    ("massage-pred-col", ["mitigate", "{csv}", "--method", "massage", "--pred-col", "yhat",
+                          "--eps", "0.02", "--out", "{out}"]),
+    ("repair-features", ["mitigate", "{csv}", "--method", "repair", "--features", "x1,x2",
+                         "--threshold", T, "--out", "{out}"]),
     ("plot-roc", ["plot", "{csv}", "--kind", "roc", "--out", "{out}"]),
     ("plot-roc-by-group", ["plot", "{csv}", "--kind", "roc-by-group", "--out", "{out}"]),
 ]
@@ -112,6 +126,11 @@ _FALLBACK = [
     ("thresholds-dp", ["mitigate", "{csv}", "--method", "thresholds", "--out", "{out}"]),
 ]
 
+# a constant score and a constant feature that sorts after "score"
+_CONSTANT = [
+    ("validate", ["validate", "{csv}"]),
+]
+
 # n > EXACT_PAIR_LIMIT: the Lipschitz audit checks a seeded sample of pairs
 _SAMPLED = [
     ("audit-pred-col-asym", ["audit", "{csv}", "--pred-col", "yhat", "--ci", "asymptotic"]),
@@ -123,8 +142,9 @@ CASES = (
     + [(f"weighted/{name}", "weighted.csv", argv) for name, argv in _PER_DATASET]
     + [(f"fallback/{name}", "fallback.csv", argv) for name, argv in _FALLBACK]
     + [(f"sampled/{name}", "sampled.csv", argv) for name, argv in _SAMPLED]
+    + [(f"constant/{name}", "constant.csv", argv) for name, argv in _CONSTANT]
 )
-INPUTS = ("toy.csv", "synth.csv", "weighted.csv", "fallback.csv", "sampled.csv")
+INPUTS = ("toy.csv", "synth.csv", "weighted.csv", "fallback.csv", "sampled.csv", "constant.csv")
 
 
 def _synth_columns(n: int) -> tuple[dict, np.ndarray]:
@@ -164,6 +184,14 @@ def write_inputs(root: Path) -> None:
     quirks["x2"][2] = ""
     write("fallback.csv", {**cols, **quirks}, [(11, "   ")])
     write("sampled.csv", _synth_columns(N_SAMPLED)[0])
+    toy = [line.split(",") for line in TOY_CSV.splitlines()[1:]]
+    write("constant.csv", {
+        "s": [s for s, _, _ in toy],
+        "y": [y for _, y, _ in toy],
+        "score": ["0.5"] * len(toy),
+        "x1": [score for _, _, score in toy],
+        "zz": ["1.0"] * len(toy),
+    })
 
 
 def run_case(root: Path, case: str, csv: str, argv: list[str]) -> dict[str, str]:

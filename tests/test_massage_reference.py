@@ -3,7 +3,8 @@
 ``ref_massage_labels`` is the earlier ``mitigate.massage_labels``: each step
 rescanned both pools with ``argmin`` and recomputed both group rates over all
 records.  It is kept here as the reference.  ``massage_labels`` must give the
-same swaps, gap, ``reached_target``, threshold and labels, bit for bit.
+same swaps, gap, ``reached_target``, boundary threshold and labels, bit for
+bit.
 """
 
 import numpy as np
@@ -63,7 +64,7 @@ def ref_massage_labels(d, scores=None, eps=0.0, threshold=None):
             reached = True
     return MassageResult(
         dataset=d.with_(y=y), swaps=swaps, gap=gap, reached_target=reached,
-        threshold=float(threshold),
+        boundary_threshold=float(threshold),
     )
 
 
@@ -72,7 +73,7 @@ def assert_same(got, want):
     assert all(type(i) is int for pair in got.swaps for i in pair)
     assert got.gap.hex() == want.gap.hex()
     assert got.reached_target is want.reached_target
-    assert got.threshold.hex() == want.threshold.hex()
+    assert got.boundary_threshold.hex() == want.boundary_threshold.hex()
     assert np.array_equal(got.dataset.y, want.dataset.y)
 
 
