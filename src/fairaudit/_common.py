@@ -34,6 +34,30 @@ def weighted_mean(x: np.ndarray, w: np.ndarray) -> float:
     return float(np.sum(w * x) / np.sum(w))
 
 
+def cell_sums(key: np.ndarray, n_cells: int, *cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's sum over each cell's records, and each cell's record count.
+
+    ``key`` holds every record's cell, an integer in [0, n_cells).  Entry
+    [j, c] of the sums is ``np.sum(cols[j][key == c])`` bit for bit (0.0 for
+    an empty cell), and count c is ``(key == c).sum()``.  A stable argsort
+    keeps each cell's records in record order, so each cell is one contiguous
+    run of the order, and gathering a column at that run gives the values the
+    mask would pick, in the same order; numpy's pairwise ``np.sum`` of a
+    contiguous float64 array depends only on its values and their order.
+    ``np.add.reduceat`` would add each run sequentially and round differently.
+    """
+    # the smallest dtype: numpy sorts keys of 16 bits or less stably by radix
+    order = np.argsort(key.astype(np.min_scalar_type(n_cells)), kind="stable")
+    counts = np.bincount(key, minlength=n_cells)
+    cells = np.flatnonzero(counts)
+    ends = np.cumsum(counts)[cells]
+    runs = list(zip((ends - counts[cells]).tolist(), ends.tolist()))
+    sums = np.zeros((len(cols), n_cells))
+    for j, col in enumerate(cols):
+        sums[j, cells] = [col[order[a:b]].sum() for a, b in runs]
+    return sums, counts
+
+
 def _midranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks in which tied values share their mean rank (the
     "average" ranks of ``scipy.stats.rankdata``)."""

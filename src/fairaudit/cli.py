@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, depmeasure, groupfair, indivfair, mitigate, rocstats, synth
-from ._common import _dump_json, weighted_mean
+from ._common import _dump_json, cell_sums
 from .data import (
     ColumnSchema,
     DataError,
@@ -317,10 +317,8 @@ def cmd_audit(args) -> int:
 
 
 def _label_rates(d: Dataset) -> dict:
-    out = {}
-    for g in (0, 1):
-        mask = d.s == g
-        out[str(g)] = weighted_mean(d.y[mask], d.weight[mask]) if mask.any() else None
+    (wy, w), counts = cell_sums(d.s, 2, d.weight * d.y, d.weight)
+    out = {str(g): float(wy[g] / w[g]) if counts[g] else None for g in (0, 1)}
     if out["0"] is not None and out["1"] is not None:
         out["gap"] = abs(out["1"] - out["0"])
     return out

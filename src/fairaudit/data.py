@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._common import weighted_mean
+from ._common import cell_sums
 
 __all__ = [
     "DataError",
@@ -69,18 +69,18 @@ class Dataset:
         feature_names: Sequence[str] = (),
         legit_names: Sequence[str] = (),
     ):
-        self.s = np.asarray(s, dtype=np.int64)
-        self.y = np.asarray(y, dtype=np.int64)
-        n = len(self.s)
+        n = len(s)
         if n == 0:
             raise DataError("no records")
-        if len(self.y) != n:
+        if len(y) != n:
             raise DataError("s and y must have equal length")
-        # checked as given: the int64 cast truncates 0.5 to 0
+        # checked as given: the int64 cast truncates 0.5 to 0 and warns on NaN
         if not np.isin(s, (0, 1)).all():
             raise DataError("s values must be 0 or 1")
         if not np.isin(y, (0, 1)).all():
             raise DataError("y values must be 0 or 1")
+        self.s = np.asarray(s, dtype=np.int64)
+        self.y = np.asarray(y, dtype=np.int64)
 
         self.score = None if score is None else np.asarray(score, dtype=float)
         if self.score is not None:
@@ -271,29 +271,20 @@ def _dataset_from_table(
     score_col, weight_col, feat_names = _resolve_columns(header, schema)
     # contiguous copies: strided columns can change reductions in the last bits
     column = dict(zip(header, np.ascontiguousarray(table.T)))
-    s, y = column[schema.s_col], column[schema.y_col]
-    score, weight = column.get(score_col), column.get(weight_col)
-    features = np.column_stack([column[c] for c in feat_names]) if feat_names else None
-    valid = (
-        np.isin(s, (0, 1)).all()
-        and np.isin(y, (0, 1)).all()
-        and (score is None or ((score >= 0) & (score <= 1)).all())
-        and (weight is None or ((weight > 0) & (weight < math.inf)).all())
-        and (features is None or not np.isinf(features).any())
-    )
-    if not valid:
+    try:
+        d = Dataset(
+            s=column[schema.s_col],
+            y=column[schema.y_col],
+            score=column.get(score_col),
+            features=np.column_stack([column[c] for c in feat_names]) if feat_names else None,
+            weight=column.get(weight_col),
+            feature_names=feat_names,
+            legit_names=schema.legit_cols,
+        )
+    except DataError:
         return None
-    if score is not None and schema.flip_score:
-        score = 1.0 - score
-    return Dataset(
-        s=s.astype(np.int64),
-        y=y.astype(np.int64),
-        score=score,
-        features=features,
-        weight=weight,
-        feature_names=feat_names,
-        legit_names=schema.legit_cols,
-    )
+    # flipped after the range check, which 1 - score can pass for a score below 0
+    return d.with_(score=1.0 - d.score) if schema.flip_score and d.score is not None else d
 
 
 def _dataset_from_rows(
@@ -521,16 +512,10 @@ class ValidationReport:
 
 def validate(d: Dataset) -> ValidationReport:
     """Report-only sanity summary: group sizes, base rates, degenerate columns."""
-    sizes, rates = {}, {}
-    warnings = []
-    for g in (0, 1):
-        mask = d.group_mask(g)
-        sizes[g] = int(mask.sum())
-        if sizes[g] == 0:
-            rates[g] = None
-            warnings.append(f"group {g} empty")
-        else:
-            rates[g] = weighted_mean(d.y[mask], d.weight[mask])
+    (wy, w), counts = cell_sums(d.s, 2, d.weight * d.y, d.weight)
+    sizes = {g: int(counts[g]) for g in (0, 1)}
+    rates = {g: float(wy[g] / w[g]) if counts[g] else None for g in (0, 1)}
+    warnings = [f"group {g} empty" for g in (0, 1) if not counts[g]]
 
     missing = {}
     constant = []

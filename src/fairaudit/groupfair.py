@@ -21,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._common import _ndtri, ks_distance, weighted_mean
-from .data import Dataset, DegenerateGroupError, PredictionSet
+from ._common import _ndtri, cell_sums, ks_distance, weighted_mean
+from .data import DataError, Dataset, DegenerateGroupError, PredictionSet
 from . import rocstats
 from .rocstats import _ratio
 
@@ -313,13 +313,12 @@ def impact_point_estimate(d: Dataset, pred: PredictionSet) -> float:
 
 def _impact_sums(d: Dataset, pred: PredictionSet) -> tuple[float, float, float, float]:
     """Per-group sums of w*p (group 0, group 1), then of w, behind the impact ratio."""
-    w = d.weight
-    m0, m1 = d.require_group(0), d.require_group(1)
-    wp0 = float(np.sum(w[m0] * pred.prob[m0]))
-    wp1 = float(np.sum(w[m1] * pred.prob[m1]))
+    for g in (0, 1):
+        d.require_group(g)
+    (wp0, wp1), (w0, w1) = cell_sums(d.s, 2, d.weight * pred.prob, d.weight)[0].tolist()
     if wp1 == 0:
         raise DegenerateGroupError("no positive predictions in group 1")
-    return wp0, wp1, float(w[m0].sum()), float(w[m1].sum())
+    return wp0, wp1, w0, w1
 
 
 @dataclass
@@ -490,7 +489,6 @@ def class_balance(d: Dataset, mode: str = "weak") -> dict[int, float | None]:
 @dataclass
 class CalibrationResult:
     edges: np.ndarray
-    rows: list[dict]
     parity_gap: float | None
     good_calibration_deviation: float | None
     merged_bins: bool
@@ -499,7 +497,7 @@ class CalibrationResult:
 def max_calibration_bins(n: int) -> int:
     """Most bins ``calibration`` takes for n scored records: one per record,
     or the default 10 on smaller samples.  More bins only add empty ones,
-    and the grid and the per-bin loop grow with the bin count."""
+    and the grid and the per-cell sums grow with the bin count."""
     return max(n, 10)
 
 
@@ -520,44 +518,22 @@ def calibration(d: Dataset, bins: int = 10) -> CalibrationResult:
     merged = len(edges) - 1 < bins
     if len(edges) == 1:  # constant score
         edges = np.array([edges[0], edges[0]])
+    n_bins = len(edges) - 1
     # interior edges split the bins; the top bin includes the maximum
-    bin_idx = np.clip(
-        np.searchsorted(edges[1:-1], score, side="right"), 0, len(edges) - 2
+    bin_idx = np.clip(np.searchsorted(edges[1:-1], score, side="right"), 0, n_bins - 1)
+    (wy, wscore, w), counts = cell_sums(
+        bin_idx * 2 + d.s, 2 * n_bins, d.weight * d.y, d.weight * score, d.weight
     )
-
-    rows = []
-    per_bin: dict[int, dict[int, float]] = {}
-    deviations = []
-    for b in range(len(edges) - 1):
-        for g in (0, 1):
-            mask = (bin_idx == b) & (d.s == g)
-            if not mask.any():
-                continue
-            w = d.weight[mask]
-            obs = weighted_mean(d.y[mask], w)
-            mean_score = weighted_mean(score[mask], w)
-            rows.append(
-                {
-                    "bin": b,
-                    "lo": float(edges[b]),
-                    "hi": float(edges[b + 1]),
-                    "group": g,
-                    "weight": float(np.sum(w)),
-                    "mean_score": mean_score,
-                    "observed": obs,
-                }
-            )
-            per_bin.setdefault(b, {})[g] = obs
-            deviations.append(abs(obs - mean_score))
-
-    gaps = [
-        abs(vals[1] - vals[0]) for vals in per_bin.values() if 0 in vals and 1 in vals
-    ]
+    present = counts > 0
+    w = np.where(present, w, 1.0)  # an empty cell's sums are 0
+    obs = wy / w
+    deviations = np.abs(obs - wscore / w)[present]
+    both = present.reshape(n_bins, 2).all(axis=1)
+    gaps = np.abs(np.diff(obs.reshape(n_bins, 2), axis=1))[both]
     return CalibrationResult(
         edges=edges,
-        rows=rows,
-        parity_gap=max(gaps) if gaps else None,
-        good_calibration_deviation=max(deviations) if deviations else None,
+        parity_gap=float(gaps.max()) if gaps.size else None,
+        good_calibration_deviation=float(deviations.max()) if deviations.size else None,
         merged_bins=merged,
     )
 
@@ -573,33 +549,30 @@ def conditional_dp(
     """
     legit = tuple(legit)
     if not legit:
-        keys = np.zeros(len(d), dtype=int)
-        levels = [("all",)]
-        assignments = keys
+        assignments = np.zeros(len(d), dtype=np.int64)
+        levels = [["all"]]
     else:
         cols = np.column_stack([d.feature_column(name) for name in legit])
+        missing = np.isnan(cols).any(axis=0)
+        if missing.any():
+            name = legit[int(np.argmax(missing))]
+            raise DataError(f"legitimate column {name!r} has missing values")
         uniq, assignments = np.unique(cols, axis=0, return_inverse=True)
-        levels = [tuple(row.tolist()) for row in uniq]
+        levels = uniq.tolist()
 
+    (weight,), _ = cell_sums(assignments, len(levels), d.weight)
+    (wp, w), counts = cell_sums(
+        assignments * 2 + d.s, 2 * len(levels), d.weight * pred.prob, d.weight
+    )
+    both = (counts > 0).reshape(-1, 2).all(axis=1).tolist()
+    rates = (wp / np.where(counts > 0, w, 1.0)).reshape(-1, 2).tolist()
     strata = []
-    gaps = []
-    for k, level in enumerate(levels):
-        mask = assignments == k
-        sub_rates = []
-        for g in (0, 1):
-            gm = mask & (d.s == g)
-            if not gm.any():
-                sub_rates = None
-                break
-            sub_rates.append(weighted_mean(pred.prob[gm], d.weight[gm]))
-        entry = {"stratum": list(level), "weight": float(d.weight[mask].sum())}
-        if sub_rates is None:
-            entry.update({"group0": None, "group1": None, "gap": None})
-        else:
-            gap = abs(sub_rates[1] - sub_rates[0]) * 100.0
-            entry.update(
-                {"group0": sub_rates[0], "group1": sub_rates[1], "gap": gap}
-            )
-            gaps.append(gap)
-        strata.append(entry)
+    for level, weight_k, (r0, r1), defined in zip(levels, weight.tolist(), rates, both):
+        if not defined:
+            r0 = r1 = None
+        gap = abs(r1 - r0) * 100.0 if defined else None
+        strata.append(
+            {"stratum": level, "weight": weight_k, "group0": r0, "group1": r1, "gap": gap}
+        )
+    gaps = [e["gap"] for e in strata if e["gap"] is not None]
     return {"strata": strata, "max_gap": max(gaps) if gaps else None}

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._common import _dump_json, _midranks, weighted_mean
+from ._common import _dump_json, _midranks, cell_sums, weighted_mean
 from .data import (
     DataError,
     Dataset,
@@ -460,14 +460,16 @@ def massage_labels(
     if scores is None:
         scores = d.score if d.score is not None else train_logistic(d).predict_score(d.features)
     scores = np.asarray(scores, dtype=float)
-    if threshold is None:
-        curve = rocstats.roc_curve(d.with_(score=scores))
-        threshold, _ = rocstats.best_accuracy_threshold(
-            curve, n_weight=curve.neg_total, p_weight=curve.pos_total
-        )
-
     y = d.y.copy()
     w = d.weight
+    if threshold is None:  # the accuracy-best legal threshold; ties go to the larger
+        distinct, above, (neg_total, pos_total) = rocstats._sweep(
+            d.with_(score=scores).score, np.column_stack((w * (1 - y), w * y))
+        )
+        if neg_total == 0 or pos_total == 0:
+            raise DegenerateGroupError("ROC curve needs both outcome classes")
+        thr, above = rocstats._policy_candidates(distinct, above)
+        threshold = thr[np.argmax(above[:, 1] + (neg_total - above[:, 0]))]
     boundary_dist = np.abs(scores - threshold)
 
     def rate(g: int) -> float:
@@ -545,15 +547,15 @@ def reweigh(d: Dataset) -> ReweighResult:
     multiply any existing weights, so repeated corrections compose.
     """
     W = d.weight.sum()
+    (cell_w,), cell_n = cell_sums(d.s * 2 + d.y, 4, d.weight)
+    (s_w,), _ = cell_sums(d.s, 2, d.weight)
+    (y_w,), _ = cell_sums(d.y, 2, d.weight)
     factors: dict[tuple[int, int], float] = {}
     for sv in (0, 1):
         for yv in (0, 1):
-            cell = (d.s == sv) & (d.y == yv)
-            if not cell.any():
+            if not cell_n[sv * 2 + yv]:
                 raise DegenerateGroupError(f"cell (s={sv}, y={yv}) is empty")
-            p_cell = d.weight[cell].sum() / W
-            p_s = d.weight[d.s == sv].sum() / W
-            p_y = d.weight[d.y == yv].sum() / W
+            p_s, p_y, p_cell = s_w[sv] / W, y_w[yv] / W, cell_w[sv * 2 + yv] / W
             factors[(sv, yv)] = float(p_s * p_y / p_cell)
     table = np.array([[factors[(sv, yv)] for yv in (0, 1)] for sv in (0, 1)])
     new_w = d.weight * table[d.s, d.y]

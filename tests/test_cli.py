@@ -85,6 +85,18 @@ class TestAuditCommand:
         assert cells[2] == f"{sp['diff']:.1f}"
         assert cells[3] == f"{sp['rel_diff']:+.1f}%"
 
+    def test_legit_column_with_missing_value_exit_2_names_column(self, tmp_path, capsys):
+        src = tmp_path / "t.csv"
+        src.write_text("s,y,score,x1\n0,0,0.1,1.0\n0,1,0.7,\n1,0,0.4,2.0\n1,1,0.9,1.0\n",
+                       encoding="utf-8")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code, out, err = run(["audit", src, "--threshold", "0.5", "--legit", "x1", "--ci", "none",
+                              "--no-individual", "--out", out_dir / "rep"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: legitimate column 'x1' has missing values\n"
+        assert not list(out_dir.iterdir())
+
     def test_byte_identical_reruns(self, toy_csv, tmp_path, capsys):
         argv = [
             "audit", toy_csv,

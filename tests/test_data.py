@@ -1,10 +1,13 @@
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairaudit._common import _dump_json
 from fairaudit.data import (
     TOY_CSV,
     TOY_THRESHOLD,
@@ -207,6 +210,15 @@ class TestValidate:
         d = Dataset(s=[0, 0], y=[0, 1], score=[0.2, 0.8])
         rep = validate(d)
         assert "group 1 empty" in rep.warnings
+
+    def test_empty_group_has_size_zero_and_null_rate(self):
+        d = Dataset(s=[0, 0, 0], y=[0, 1, 1], weight=[1.0, 2.0, 0.5], score=[0.2, 0.8, 0.5])
+        rep = validate(d)
+        assert rep.group_sizes == {0: 3, 1: 0}
+        assert rep.base_rates == {0: 2.5 / 3.5, 1: None}
+        assert rep.warnings == ["group 1 empty"]
+        report = json.loads(_dump_json(asdict(rep), None))
+        assert report["group_sizes"]["1"] == 0 and report["base_rates"]["1"] is None
 
     def test_constant_score_warning(self):
         d = Dataset(s=[0, 1], y=[0, 1], score=[0.4, 0.4])

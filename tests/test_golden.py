@@ -66,6 +66,9 @@ _PER_DATASET = [
     ("audit-explicit", ["audit", "{csv}", "--threshold", T, "--metrics",
                         "equalized_odds,auc_fairness,roc_equality,calibration_parity,"
                         "good_calibration", "--ci", "none", "--no-individual"]),
+    # conditional parity within the two strata of a 0/1 legitimate column
+    ("audit-legit", ["audit", "{csv}", "--threshold", T, "--legit", "yhat", "--bins", "50",
+                     "--ci", "none", "--no-individual"]),
     ("thresholds-dp", ["mitigate", "{csv}", "--method", "thresholds", "--out", "{out}"]),
     ("thresholds-eo", ["mitigate", "{csv}", "--method", "thresholds",
                        "--objective", "eo_tpr", "--out", "{out}"]),
@@ -131,6 +134,14 @@ _CONSTANT = [
     ("validate", ["validate", "{csv}"]),
 ]
 
+# a continuous legitimate column: one stratum and one calibration bin per record
+_CONTINUOUS = [
+    ("audit-legit-continuous", ["audit", "{csv}", "--threshold", T, "--legit", "x1", "--metrics",
+                                "conditional_demographic_parity,calibration_parity,"
+                                "good_calibration", "--bins", "2000", "--ci", "none",
+                                "--no-individual"]),
+]
+
 # n > EXACT_PAIR_LIMIT: the Lipschitz audit checks a seeded sample of pairs
 _SAMPLED = [
     ("audit-pred-col-asym", ["audit", "{csv}", "--pred-col", "yhat", "--ci", "asymptotic"]),
@@ -140,6 +151,7 @@ CASES = (
     [(f"toy/{name}", "toy.csv", argv) for name, argv in _TOY]
     + [(f"synth/{name}", "synth.csv", argv) for name, argv in _PER_DATASET]
     + [(f"weighted/{name}", "weighted.csv", argv) for name, argv in _PER_DATASET]
+    + [(f"synth/{name}", "synth.csv", argv) for name, argv in _CONTINUOUS]
     + [(f"fallback/{name}", "fallback.csv", argv) for name, argv in _FALLBACK]
     + [(f"sampled/{name}", "sampled.csv", argv) for name, argv in _SAMPLED]
     + [(f"constant/{name}", "constant.csv", argv) for name, argv in _CONSTANT]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairaudit._common import _EXP_M2, _ndtri
+from fairaudit._common import _EXP_M2, _ndtri, cell_sums
 from fairaudit.data import (
     Dataset,
     DegenerateGroupError,
@@ -296,6 +296,57 @@ def test_ndtri_matches_scipy_bit_for_bit():
     ])
     got = np.array([_ndtri(float(v)) for v in p])
     assert np.array_equal(got.view(np.int64), ndtri(p).view(np.int64))
+
+
+@st.composite
+def keyed_columns(draw):
+    """Cell keys with empty cells and runs from 1 to hundreds of records, and
+    signed lognormal columns with some zeros of either sign."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_cells = draw(st.integers(1, 400))
+    used = draw(st.integers(1, n_cells))  # the cells above it stay empty
+    key = rng.integers(0, used, size=draw(st.integers(0, 3000)))
+    cols = rng.lognormal(0.0, 3.0, (draw(st.integers(1, 3)), len(key)))
+    cols *= rng.choice([-1.0, 1.0, 0.0, -0.0], size=cols.shape, p=[0.45, 0.45, 0.05, 0.05])
+    return key, n_cells, list(cols)
+
+
+def assert_cell_sums_match_masks(key, n_cells, cols):
+    sums, counts = cell_sums(key, n_cells, *cols)
+    assert sums.shape == (len(cols), n_cells) and counts.shape == (n_cells,)
+    empty = np.ones(n_cells, dtype=bool)
+    empty[key] = False
+    assert not counts[empty].any()
+    assert (sums[:, empty].view(np.int64) == 0).all()  # +0.0, as np.sum of nothing
+    for c in np.unique(key):
+        mask = key == c
+        assert counts[c] == mask.sum()
+        for j, col in enumerate(cols):
+            assert sums[j, c].tobytes() == np.sum(col[mask]).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(keyed_columns())
+def test_cell_sums_are_the_masked_sums_bit_for_bit(case):
+    assert_cell_sums_match_masks(*case)
+
+
+def test_cell_sums_on_keys_wider_than_16_bits():
+    # more than 2**16 cells: the keys are sorted by comparison, not by radix
+    rng = np.random.default_rng(5)
+    key = rng.integers(0, 70_000, size=5000)
+    key[:300] = 69_999  # one long run
+    cols = [rng.lognormal(0.0, 3.0, len(key)) * rng.choice([-1.0, 1.0], len(key))]
+    assert_cell_sums_match_masks(key, 70_000, cols)
+
+
+def test_cell_sums_on_runs_beyond_numpy_blocking():
+    # runs longer than the pairwise block (128) and the reduction buffer (8192)
+    rng = np.random.default_rng(3)
+    key = rng.integers(0, 3, size=40_000)
+    key[key == 2] = 3  # cell 2 stays empty
+    cols = [rng.lognormal(0.0, 3.0, len(key)) * rng.choice([-1.0, 1.0], len(key))]
+    assert_cell_sums_match_masks(key, 5, cols)
 
 
 def reference_bootstrap(d, pred, level, n_boot, seed):

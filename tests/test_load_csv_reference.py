@@ -8,6 +8,7 @@ bits, or raise the same :class:`DataError` message.
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -151,7 +152,7 @@ VALUES = {
 BAD_VALUES = {
     "s": ["2", "0.5", "nan"],
     "y": ["-1", "nan"],
-    "score": ["1.5", "-1e-9", "nan"],
+    "score": ["1.5", "-1e-9", "nan", "-1e-20"],  # 1 - (-1e-20) rounds to 1.0
     "w": ["0", "-1", "inf", "nan", "1e999"],
     "x1": ["inf", "-inf", "1e999"],
     "x2": ["-1e400", "Infinity"],
@@ -226,9 +227,21 @@ def test_bad_value_reported_like_row_loop(tmp_path, column, value):
     rows[1][header.index(column)] = value
     path = tmp_path / "in.csv"
     path.write_text("\n".join(",".join(r) for r in [header, *rows]) + "\n", encoding="utf-8")
-    got = outcome(load_csv, path, ColumnSchema())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # e.g. the int64 cast of a NaN label
+        got = outcome(load_csv, path, ColumnSchema())
     assert got[0] == "DataError" and "row 3" in got[1]
     assert got == outcome(ref_load_csv, path, ColumnSchema())
+
+
+def test_flipped_score_below_zero_reported_like_row_loop(tmp_path):
+    # the range check sees the score as given: its flip 1 - (-1e-20) is 1.0
+    path = tmp_path / "in.csv"
+    path.write_text("s,y,score\n0,1,0.25\n1,0,-1e-20\n", encoding="utf-8")
+    schema = ColumnSchema(flip_score=True)
+    got = outcome(load_csv, path, schema)
+    assert got == ("DataError", "row 3: column 'score' outside [0, 1]: -1e-20")
+    assert got == outcome(ref_load_csv, path, schema)
 
 
 @pytest.mark.parametrize(

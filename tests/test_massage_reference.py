@@ -2,7 +2,8 @@
 
 ``ref_massage_labels`` is the earlier ``mitigate.massage_labels``: each step
 rescanned both pools with ``argmin`` and recomputed both group rates over all
-records.  It is kept here as the reference.  ``massage_labels`` must give the
+records.  It is kept here as the reference, with the boundary threshold of the
+current code.  ``massage_labels`` must give the
 same swaps, gap, ``reached_target``, boundary threshold and labels, bit for
 bit.
 """
@@ -27,10 +28,14 @@ def ref_massage_labels(d, scores=None, eps=0.0, threshold=None):
         scores = d.score if d.score is not None else train_logistic(d).predict_score(d.features)
     scores = np.asarray(scores, dtype=float)
     if threshold is None:
+        # the accuracy-best curve point, larger threshold on ties; score > 0.0
+        # keeps zero-score records negative, so with one the all-positive
+        # point is out of reach
         curve = rocstats.roc_curve(d.with_(score=scores))
-        threshold, _ = rocstats.best_accuracy_threshold(
-            curve, n_weight=curve.neg_total, p_weight=curve.pos_total
-        )
+        correct = curve.pos_above + (curve.neg_total - curve.neg_above)
+        if scores.min() == 0.0:
+            correct = correct[:-1]
+        threshold = min(max(curve.thresholds[np.argmax(correct)], 0.0), 1.0)
 
     y = d.y.copy()
     w = d.weight
@@ -168,6 +173,16 @@ def test_pool_runs_out_before_target(label):
     want = ref_massage_labels(d, eps=-0.01, threshold=0.5)
     assert want.swaps == [] and not want.reached_target
     assert_same(massage_labels(d, eps=-0.01, threshold=0.5), want)
+
+
+def test_boundary_keeps_zero_scores_negative():
+    # score > 0.0 cannot make the zero-score record positive, so the
+    # all-positive point (accuracy 3/4) is out of reach; 0.65 realizes 2/4
+    # and is the largest of the best legal thresholds
+    d = Dataset(s=[0, 1, 0, 1], y=[1, 1, 0, 1], score=[0.0, 0.2, 0.5, 0.8])
+    got = massage_labels(d, eps=0.0)
+    assert got.boundary_threshold == 0.65
+    assert_same(got, ref_massage_labels(d, eps=0.0))
 
 
 def test_nan_distances_come_first_as_with_argmin():
