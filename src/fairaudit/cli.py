@@ -550,6 +550,17 @@ def _non_negative_float(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type for --seed: an integer every seeded generator accepts."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 0 <= value < 2**63:
+        raise argparse.ArgumentTypeError(f"must be between 0 and 2^63 - 1, got {text!r}")
+    return value
+
+
 def _add_schema_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--s-col", default="s", help="group column name")
     p.add_argument("--y-col", default="y", help="outcome column name")
@@ -590,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--boot", type=int, default=1000)
     pa.add_argument("--individual", action=argparse.BooleanOptionalAction, default=True)
     pa.add_argument("--lipschitz-scale", type=_non_negative_float, default=1.0)
-    pa.add_argument("--seed", type=int, default=0)
+    pa.add_argument("--seed", type=_seed, default=0)
     pa.add_argument("--format", choices=["json", "md"], default="json")
     pa.add_argument("--out", default=None, help="output path prefix")
     pa.set_defaults(func=cmd_audit)
@@ -616,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--objective", choices=["dp", "eo_tpr"], default="dp")
     pm.add_argument("--criterion", choices=["full", "opportunity"], default="full")
     pm.add_argument("--epsilon", type=_finite_float, default=0.05)
-    pm.add_argument("--seed", type=int, default=0)
+    pm.add_argument("--seed", type=_seed, default=0)
     pm.set_defaults(func=cmd_mitigate)
 
     pp = sub.add_parser("plot", help="emit plot data (CSV + SVG)")
@@ -631,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--spec", default=None, help="JSON file with Beta cell parameters")
     ps.add_argument("--preset", choices=["uniform", "operating-point"], default="uniform")
     ps.add_argument("--n", type=int, required=True)
-    ps.add_argument("--seed", type=int, default=0)
+    ps.add_argument("--seed", type=_seed, default=0)
     ps.add_argument("--out", required=True, help="output path prefix")
     ps.set_defaults(func=cmd_synth)
 

@@ -350,8 +350,13 @@ def impact_ci(
     Bootstrap stream contract: replicate b draws n uniform record indices
     from ``default_rng(SeedSequence(seed, spawn_key=(b,)))``, and its redraws
     come from the same generator.  A replicate needs only the per-group sums
-    of w*p and of w, so it counts how often each record was drawn and takes
-    those four sums as one product with a per-record contribution matrix.
+    of w*p and of w.  When every weight is 1 and every decision probability
+    is 0 or 1, these sums are counts: each record gets a cell key
+    2*s + decision, and a replicate gathers its records' keys and counts the
+    cells.  Otherwise it counts how often each record was drawn and takes the
+    four sums as one product with a per-record contribution matrix.  Both
+    routes give the same bits on the counting route's inputs: every partial
+    sum is an integer of at most n < 2^53, so it is exact in any order.
     """
     if not (math.isfinite(level) and 0.0 < level < 1.0):
         raise ValueError(
@@ -362,17 +367,27 @@ def impact_ci(
         if n_boot < 100:
             raise ValueError("bootstrap needs at least 100 replicates")
         n = len(d)
-        w = d.weight
-        wp = w * pred.prob
-        g0, g1 = d.s == 0, d.s == 1
-        cols = np.column_stack([wp * g0, wp * g1, w * g0, w * g1])
+        w, p = d.weight, pred.prob
+        if np.all(w == 1.0) and np.all((p == 0.0) | (p == 1.0)):
+            key = (2 * d.s + p).astype(np.uint8)
+
+            def replicate_sums(idx):
+                kb = key[idx]  # group-0 positives are cell 1, group-1 positives cell 3
+                n1 = np.count_nonzero(kb >= 2)
+                return np.count_nonzero(kb == 1), np.count_nonzero(kb == 3), n - n1, n1
+        else:
+            wp = w * p
+            g0, g1 = d.s == 0, d.s == 1
+            cols = np.column_stack([wp * g0, wp * g1, w * g0, w * g1])
+
+            def replicate_sums(idx):
+                return np.bincount(idx, minlength=n).astype(np.float64) @ cols
         stats = np.empty(n_boot)
         for b in range(n_boot):
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
             for attempt in range(100):
-                idx = rng.integers(0, n, size=n)
                 # weights are positive, so a group is present iff its weight sum is
-                num, den, n0, n1 = np.bincount(idx, minlength=n).astype(np.float64) @ cols
+                num, den, n0, n1 = replicate_sums(rng.integers(0, n, size=n))
                 if n0 > 0 and n1 > 0:
                     break
             else:

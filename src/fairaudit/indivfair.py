@@ -162,8 +162,11 @@ def lipschitz_audit(
         ii, jj = np.triu_indices(n, k=1)
     else:
         rng = np.random.default_rng(seed)
-        ii = rng.integers(0, n, size=SAMPLED_PAIRS)
-        jj = rng.integers(0, n, size=SAMPLED_PAIRS)
+        # below 2^31 both widths take numpy's buffered 32-bit bounded draw,
+        # so int32 pairs are the int64 stream's values in half the memory
+        dtype = np.int32 if n < 2**31 else np.int64
+        ii = rng.integers(0, n, size=SAMPLED_PAIRS, dtype=dtype)
+        jj = rng.integers(0, n, size=SAMPLED_PAIRS, dtype=dtype)
         keep = ii != jj
         ii = ii[keep]  # one at a time: a single 2e6-index copy is live
         jj = jj[keep]
@@ -173,7 +176,9 @@ def lipschitz_audit(
     top: list[tuple[float, int, int, float, float]] = []
     block = 500_000
     for start in range(0, len(ii), block):
-        bi, bj = ii[start : start + block], jj[start : start + block]
+        # np.take would convert int32 indices on every call
+        bi = ii[start : start + block].astype(np.intp, copy=False)
+        bj = jj[start : start + block].astype(np.intp, copy=False)
         v, w, t = _check_block(white, cols, out, bi, bj, scale, top_k)
         violations += v
         worst = max(worst, w)

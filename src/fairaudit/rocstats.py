@@ -283,38 +283,32 @@ def convex_envelope(r: RocCurve) -> RocCurve:
     )
 
 
-def _clamp_threshold(t: float) -> float:
-    """Map sentinel thresholds onto the [0, 1] policy domain.
-
-    +inf -> 1.0 is exact (scores never exceed 1).  -inf -> 0.0 is exact
-    unless some record scores exactly 0.
-    """
-    if t == math.inf:
-        return 1.0
-    if t == -math.inf:
-        return 0.0
-    return float(t)
-
-
 def best_accuracy_threshold(
-    r: RocCurve, n_weight: float, p_weight: float
+    d: Dataset, n_weight: float, p_weight: float
 ) -> tuple[float, float]:
-    """Accuracy-optimal curve point; ties broken toward the larger threshold.
+    """Accuracy-optimal shared threshold; ties broken toward the larger threshold.
 
-    Scans the iso-accuracy objective TPR*P + (1-FPR)*N over the curve points
-    (the optimum of a linear objective over the achievable set is attained
-    at a curve point).
+    Scans the iso-accuracy objective TPR*P + (1-FPR)*N over the policy
+    candidates of one sweep (the optimum of a linear objective over the
+    achievable set is attained at a curve point).  Every candidate is a
+    legal threshold that decides as its curve point does, so the returned
+    threshold realizes the accuracy it reports.
     """
     if n_weight <= 0 or p_weight <= 0:
         raise ValueError("class weights must be positive")
-    # counts rather than rates: exact when the weights are the curve totals
-    correct = r.pos_above * (p_weight / r.pos_total) + (r.neg_total - r.neg_above) * (
-        n_weight / r.neg_total
+    w = d.weight
+    distinct, above, (neg_total, pos_total) = _sweep(
+        d.require_scores(), np.column_stack((w * (1 - d.y), w * d.y))
+    )
+    if pos_total == 0 or neg_total == 0:
+        raise DegenerateGroupError("accuracy threshold needs both outcome classes")
+    thresholds, above = _policy_candidates(distinct, above)
+    # counts rather than rates: exact when the weights are the class totals
+    correct = above[:, 1] * (p_weight / pos_total) + (neg_total - above[:, 0]) * (
+        n_weight / neg_total
     )
     best = int(np.argmax(correct))  # first max = largest threshold
-    return _clamp_threshold(r.thresholds[best]), float(
-        correct[best] / (n_weight + p_weight)
-    )
+    return float(thresholds[best]), float(correct[best] / (n_weight + p_weight))
 
 
 def fairest_threshold(d: Dataset) -> tuple[float, float, float]:

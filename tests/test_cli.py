@@ -855,6 +855,36 @@ def test_bins_at_record_count_and_zero_scale_accepted(toy_csv, capsys):
     assert json.loads(out)["metrics"]["calibration_parity"]["details"]["bins"] <= 24
 
 
+SEED_COMMANDS = {
+    "audit": ["audit", "{csv}", "--threshold", "0.5"],
+    "mitigate": ["mitigate", "{csv}", "--method", "reweigh", "--out", "{out}"],
+    "synth": ["synth", "--n", "10", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("seed", ["-1", "9223372036854775808", "18446744073709551616"])
+@pytest.mark.parametrize("command", sorted(SEED_COMMANDS))
+def test_seed_outside_range_exit_2_names_flag(toy_csv, tmp_path, capsys, command, seed):
+    argv = [a.replace("{csv}", str(toy_csv)).replace("{out}", str(tmp_path / "m"))
+            for a in SEED_COMMANDS[command]]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [f"--seed={seed}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --seed: must be between 0 and 2^63 - 1, got '{seed}'" in err
+    assert not list(tmp_path.glob("m*"))
+
+
+@pytest.mark.parametrize("command", sorted(SEED_COMMANDS))
+def test_largest_seed_accepted(toy_csv, tmp_path, capsys, command):
+    argv = [a.replace("{csv}", str(toy_csv)).replace("{out}", str(tmp_path / "m"))
+            for a in SEED_COMMANDS[command]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, _ = run(argv + ["--seed", str(2**63 - 1)], capsys)
+    assert code == 0
+
+
 def test_non_numeric_option_message_unchanged(toy_csv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["audit", str(toy_csv), "--epsilon", "abc"])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -370,7 +371,8 @@ def reference_bootstrap(d, pred, level, n_boot, seed):
         den = np.sum(w_b[s_b == 1] * p_b[s_b == 1])
         n1 = w_b[s_b == 1].sum()
         n0 = w_b[s_b == 0].sum()
-        stats[b] = math.inf if den == 0 else (num / den) * (n1 / n0)
+        with np.errstate(all="ignore"):  # subnormal sums overflow like the code's
+            stats[b] = math.inf if den == 0 else (num / den) * (n1 / n0)
     alpha = 1.0 - level
     with np.errstate(invalid="ignore"):
         lo, hi = np.quantile(stats, [alpha / 2, 1 - alpha / 2])
@@ -380,31 +382,40 @@ def reference_bootstrap(d, pred, level, n_boot, seed):
 @st.composite
 def bootstrap_inputs(draw):
     """Small datasets, some with only one or two group-1 records (so that
-    replicates lose the group and are redrawn), with unit or fractional
-    weights and 0/1 or fractional decision probabilities."""
+    replicates lose the group and are redrawn).  Unit, integral non-unit or
+    fractional weights are crossed with 0/1 or fractional decision
+    probabilities; unit weights with 0/1 decisions take the counting route,
+    the rest the contribution-matrix product."""
     n1 = draw(st.sampled_from([1, 2, draw(st.integers(3, 30))]))
     n0 = draw(st.integers(1, 30))
     n = n0 + n1
     order = draw(st.permutations(range(n)))
     s = np.array([0] * n0 + [1] * n1)[list(order)]
-    fractional = draw(st.booleans())
-    if fractional:
-        prob = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
-        weight = draw(st.lists(st.floats(0.05, 20.0), min_size=n, max_size=n))
-    else:
-        prob = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n))
+    weights = draw(st.sampled_from(["unit", "integral", "fractional"]))
+    if weights == "unit":
         weight = None
+    elif weights == "integral":
+        weight = draw(st.lists(st.sampled_from([1.0, 2.0, 3.0]), min_size=n, max_size=n))
+    else:
+        weight = draw(st.lists(st.floats(0.05, 20.0), min_size=n, max_size=n))
+    binary = draw(st.booleans())
+    if binary:
+        prob = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n))
+    else:
+        prob = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
     d = Dataset(s=s, y=np.zeros(n, dtype=int), weight=weight)
-    pred = PredictionSet(prob=np.array(prob), deterministic=not fractional)
+    pred = PredictionSet(prob=np.array(prob), deterministic=binary)
+    # integral weights and 0/1 decisions make every sum an exact integer
+    exact = binary and weights != "fractional"
     seed = draw(st.integers(0, 2**32 - 1))
     level = draw(st.sampled_from([0.5, 0.9, 0.95, 0.99]))
-    return d, pred, fractional, seed, level
+    return d, pred, exact, seed, level
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(bootstrap_inputs())
 def test_bootstrap_matches_per_record_loop(inputs):
-    d, pred, fractional, seed, level = inputs
+    d, pred, exact, seed, level = inputs
     try:
         expected = reference_bootstrap(d, pred, level, 100, seed)
     except DegenerateGroupError:
@@ -416,11 +427,42 @@ def test_bootstrap_matches_per_record_loop(inputs):
             impact_ci(d, pred, level=level, n_boot=100, seed=seed)
         return
     ci = impact_ci(d, pred, level=level, n_boot=100, seed=seed)
-    if fractional:
+    if exact:
+        assert (ci.lo, ci.hi) == expected
+    else:
         assert ci.lo == pytest.approx(expected[0], rel=1e-12, abs=0.0)
         assert ci.hi == pytest.approx(expected[1], rel=1e-12, abs=0.0)
-    else:
-        assert (ci.lo, ci.hi) == expected
+
+
+def test_bootstrap_counts_match_per_record_loop_at_scale():
+    # 2e4 records, a rare positive decision in group 1: the counting route
+    # against the per-record oracle, bit for bit, at several levels
+    rng = np.random.default_rng(11)
+    n = 20_000
+    s = rng.integers(0, 2, n)
+    prob = (rng.random(n) < np.where(s == 0, 0.4, 0.05)).astype(float)
+    d = Dataset(s=s, y=np.zeros(n, dtype=int))
+    pred = PredictionSet(prob=prob, deterministic=True)
+    for level in (0.5, 0.9, 0.99):
+        ci = impact_ci(d, pred, level=level, n_boot=100, seed=7)
+        assert (ci.lo, ci.hi) == reference_bootstrap(d, pred, level, 100, 7)
+
+
+def test_bootstrap_counts_without_contribution_matrix():
+    """Unit weights and 0/1 decisions: the bootstrap holds per-record cell
+    keys and one replicate's draw, and peaks below one (n, 4) float64
+    contribution matrix (3.2 MB at n = 1e5), which the product route builds."""
+    rng = np.random.default_rng(2)
+    n = 100_000
+    d = Dataset(s=rng.integers(0, 2, n), y=np.zeros(n, dtype=int))
+    pred = PredictionSet(prob=rng.integers(0, 2, n).astype(float), deterministic=True)
+    tracemalloc.start()
+    try:
+        impact_ci(d, pred, n_boot=100, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * 4 * 8
 
 
 def test_bootstrap_redraws_from_the_replicate_generator():

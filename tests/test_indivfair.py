@@ -137,6 +137,34 @@ class TestLipschitzAudit:
         assert not res.exact and res.checked_pairs > 499_000
         assert peak < 2 * 500_000 * 4 * 8
 
+    @pytest.mark.parametrize("n", [2, 3, 2001, 2500, 50_000, 2**31 - 1])
+    def test_int32_pairs_are_the_int64_stream(self, n):
+        """The sampled pairs are drawn as int32: below 2^31 both widths take
+        the same buffered 32-bit draws, so the pairs and the generator state
+        after them are those of the int64 draws."""
+        wide, narrow = np.random.default_rng(7), np.random.default_rng(7)
+        for size in (1, 999, 500_000):
+            a = wide.integers(0, n, size=size)
+            b = narrow.integers(0, n, size=size, dtype=np.int32)
+            assert b.dtype == np.int32 and np.array_equal(a, b)
+
+    def test_sampled_pairs_peak_below_int64_pairs(self):
+        """2e6 sampled pairs on 2500 records: the int32 pairs (16 MB) and one
+        block's intp copies and temporaries peak near 39 MB; int64 pairs
+        peaked at 50.2 MB."""
+        rng = np.random.default_rng(4)
+        n = 2500
+        d = Dataset(s=rng.integers(0, 2, n), y=rng.integers(0, 2, n), score=rng.random(n),
+                    features=rng.normal(size=(n, 4)))
+        tracemalloc.start()
+        try:
+            res = lipschitz_audit(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.checked_pairs > 1_990_000
+        assert peak < 42e6
+
     @pytest.mark.parametrize("scale", [-1.0, -1e-300, float("nan")])
     def test_negative_scale_rejected(self, scale):
         d = smooth_score_dataset(np.random.default_rng(2), n=10)

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairaudit.data import Dataset, DegenerateGroupError, PredictionSet
+from fairaudit.data import (
+    Dataset,
+    DegenerateGroupError,
+    PredictionSet,
+    ThresholdPolicy,
+    apply_policy,
+)
 from fairaudit.rocstats import (
     ConfusionMatrix,
     auc,
@@ -264,22 +270,30 @@ class TestConvexEnvelope:
 
 class TestBestAccuracyThreshold:
     def test_toy_optimum(self, toy):
-        curve = roc_curve(toy)
-        t, acc = best_accuracy_threshold(curve, n_weight=10, p_weight=14)
+        t, acc = best_accuracy_threshold(toy, n_weight=10, p_weight=14)
         assert Fraction(15, 24) < Fraction(t) < Fraction(16, 24)
         assert acc == 17 / 24  # error 7/24 exactly
 
     def test_perfect_curve(self):
         d = Dataset(s=[0, 0], y=[0, 1], score=[0.2, 0.8])
-        t, acc = best_accuracy_threshold(roc_curve(d), 1, 1)
+        t, acc = best_accuracy_threshold(d, 1, 1)
         assert acc == 1.0
         assert 0.2 < t < 0.8
 
     def test_tie_breaks_to_larger_threshold(self):
         d = Dataset(s=[0, 0], y=[0, 1], score=[0.5, 0.5])
-        t, acc = best_accuracy_threshold(roc_curve(d), 1, 1)
+        t, acc = best_accuracy_threshold(d, 1, 1)
         assert acc == 0.5
         assert t == 1.0  # the (0,0) endpoint carries the largest threshold
+
+    def test_zero_score_threshold_realizes_its_accuracy(self):
+        # the all-positive point (accuracy 3/4) is no policy: t = 0.0 keeps
+        # the zero score negative and decides like t = 0.1 (accuracy 1/2)
+        d = Dataset(s=[0, 1, 0, 1], y=[1, 1, 0, 1], score=[0.0, 0.2, 0.5, 0.8])
+        t, acc = best_accuracy_threshold(d, n_weight=1, p_weight=3)
+        assert (t, acc) == (0.65, 0.5)
+        pred = apply_policy(d, ThresholdPolicy.shared(t))
+        assert float(np.mean(pred.prob == d.y)) == acc
 
 
 class TestFairestThreshold:
