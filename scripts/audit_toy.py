@@ -23,7 +23,7 @@ def main() -> None:
         rel = "    -" if r.rel_diff is None else f"{r.rel_diff:+.1f}"
         print(f"  {metric:24s} s=0 {fmt(r.group0)}  s=1 {fmt(r.group1)}  rel {rel}%")
 
-    t_opt, acc = rocstats.best_accuracy_threshold(d, n_weight=10, p_weight=14)
+    t_opt, acc = rocstats.best_accuracy_threshold(d)
     t_fair, ratio, err = rocstats.fairest_threshold(d)
     print("\n== threshold trade-off ==")
     print(f"  accuracy-optimal t = {t_opt:.4f}: error {1 - acc:.4f}, group-0 rate 0")

@@ -550,15 +550,24 @@ def _non_negative_float(text: str) -> float:
     return value
 
 
-def _seed(text: str) -> int:
-    """argparse type for --seed: an integer every seeded generator accepts."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if not 0 <= value < 2**63:
-        raise argparse.ArgumentTypeError(f"must be between 0 and 2^63 - 1, got {text!r}")
-    return value
+def _int_between(lo: int, hi: int, hi_text: str | None = None):
+    """argparse type for an integer option from lo to hi."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if not lo <= value <= hi:
+            shown = hi_text or hi
+            raise argparse.ArgumentTypeError(f"must be between {lo} and {shown}, got {text!r}")
+        return value
+
+    return parse
+
+
+# --seed: an integer every seeded generator accepts
+_seed = _int_between(0, 2**63 - 1, "2^63 - 1")
 
 
 def _add_schema_flags(p: argparse.ArgumentParser) -> None:
@@ -598,7 +607,8 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--di-threshold", type=_finite_float, default=0.8)
     pa.add_argument("--ci", choices=["bootstrap", "asymptotic", "none"], default="bootstrap")
     pa.add_argument("--ci-level", type=float, default=0.95)
-    pa.add_argument("--boot", type=int, default=1000)
+    # up to 1000 times the default; a far larger count fails allocating its replicates
+    pa.add_argument("--boot", type=_int_between(100, 10**6), default=1000)
     pa.add_argument("--individual", action=argparse.BooleanOptionalAction, default=True)
     pa.add_argument("--lipschitz-scale", type=_non_negative_float, default=1.0)
     pa.add_argument("--seed", type=_seed, default=0)

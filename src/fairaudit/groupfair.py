@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._common import _ndtri, cell_sums, ks_distance, weighted_mean
+from ._common import _ndtri, cell_sums, ks_distance
 from .data import DataError, Dataset, DegenerateGroupError, PredictionSet
 from . import rocstats
 from .rocstats import _ratio
@@ -304,8 +304,9 @@ def disparate_impact(
 def impact_point_estimate(d: Dataset, pred: PredictionSet) -> float:
     """Ratio estimate (sum yhat over s=0 / sum yhat over s=1) * (n1 / n0).
 
-    This is the empirical group-0-over-group-1 positive-rate ratio; weights
-    act as replication counts.
+    This is the empirical group-0-over-group-1 positive-rate ratio.  The
+    asymptotic interval treats weights as replication counts; the bootstrap
+    resamples records, each keeping its weight.
     """
     wp0, wp1, w0, w1 = _impact_sums(d, pred)
     return (wp0 / wp1) * (w1 / w0)
@@ -323,6 +324,9 @@ def _impact_sums(d: Dataset, pred: PredictionSet) -> tuple[float, float, float, 
 
 @dataclass
 class ImpactInterval:
+    """``point``, ``lo`` and ``hi`` are group 0's positive rate over group 1's;
+    ``DisparateImpactResult.ratio`` is the two-sided min(r, 1/r) instead."""
+
     point: float
     lo: float
     hi: float
@@ -479,25 +483,17 @@ def class_balance(d: Dataset, mode: str = "weak") -> dict[int, float | None]:
     if mode not in ("weak", "strong"):
         raise ValueError(f"mode must be 'weak' or 'strong', got {mode!r}")
     score = d.require_scores()
+    key = 2 * d.s + d.y  # cell (g, yv) is 2 g + yv
+    (wscore, w), counts = cell_sums(key, 4, d.weight * score, d.weight)
     out: dict[int, float | None] = {}
     for yv in (0, 1):
-        cells = []
-        for g in (0, 1):
-            mask = (d.y == yv) & (d.s == g)
-            if not mask.any():
-                cells = None
-                break
-            cells.append((score[mask], d.weight[mask]))
-        if cells is None:
+        if not (counts[yv] and counts[2 + yv]):
             out[yv] = None
-            continue
-        if mode == "weak":
-            out[yv] = abs(
-                weighted_mean(cells[0][0], cells[0][1])
-                - weighted_mean(cells[1][0], cells[1][1])
-            )
+        elif mode == "weak":
+            out[yv] = abs(float(wscore[yv] / w[yv]) - float(wscore[2 + yv] / w[2 + yv]))
         else:
-            out[yv] = ks_distance(cells[0][0], cells[1][0], cells[0][1], cells[1][1])
+            m0, m1 = key == yv, key == 2 + yv
+            out[yv] = ks_distance(score[m0], score[m1], d.weight[m0], d.weight[m1])
     return out
 
 

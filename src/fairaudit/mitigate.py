@@ -462,14 +462,8 @@ def massage_labels(
     scores = np.asarray(scores, dtype=float)
     y = d.y.copy()
     w = d.weight
-    if threshold is None:  # the accuracy-best legal threshold; ties go to the larger
-        distinct, above, (neg_total, pos_total) = rocstats._sweep(
-            d.with_(score=scores).score, np.column_stack((w * (1 - y), w * y))
-        )
-        if neg_total == 0 or pos_total == 0:
-            raise DegenerateGroupError("ROC curve needs both outcome classes")
-        thr, above = rocstats._policy_candidates(distinct, above)
-        threshold = thr[np.argmax(above[:, 1] + (neg_total - above[:, 0]))]
+    if threshold is None:
+        threshold, _ = rocstats.best_accuracy_threshold(d.with_(score=scores))
     boundary_dist = np.abs(scores - threshold)
 
     def rate(g: int) -> float:
@@ -637,31 +631,29 @@ class ThresholdSearchResult:
     degenerate: bool  # equalization only at an all-or-nothing rule
 
 
-def _group_threshold_table(d: Dataset, g: int, objective: str):
-    """Candidate thresholds for one group with the objective value (positive
+def _group_threshold_tables(d: Dataset, objective: str):
+    """Each group's candidate thresholds with the objective value (positive
     rate or TPR) and weighted correct count at each; per distinct objective
     value only the best-accuracy (then largest) threshold is kept."""
-    mask = d.s == g
-    y = d.y[mask]
-    w = d.weight[mask]
-    distinct, above, (total_w, pos_total) = rocstats._sweep(
-        d.require_scores()[mask], np.column_stack((w, w * y))
-    )
-    thr, above = rocstats._policy_candidates(distinct, above)
-    above_w, above_pos = above.T
-    correct = above_pos + ((total_w - pos_total) - (above_w - above_pos))
-    if objective == "dp":
-        value = above_w / total_w
-    else:  # eo_tpr
-        value = above_pos / pos_total
+    w = d.weight
+    tables = []
+    for distinct, above, (total_w, pos_total) in rocstats._group_sweeps(
+        d.require_scores(), d.s, np.column_stack((w, w * d.y))
+    ):
+        thr, above = rocstats._policy_candidates(distinct, above)
+        above_w, above_pos = above.T
+        correct = above_pos + ((total_w - pos_total) - (above_w - above_pos))
+        if objective == "dp":
+            value = above_w / total_w
+        else:  # eo_tpr
+            value = above_pos / pos_total
 
-    # keep the best (correct, threshold) representative per distinct value
-    order = np.lexsort((thr, correct, value))
-    v_sorted = value[order]
-    uniq, first = np.unique(v_sorted, return_index=True)
-    last = np.append(first[1:], len(v_sorted)) - 1
-    idx = order[last]
-    return value[idx], correct[idx], thr[idx]
+        # keep the best (correct, threshold) representative per distinct value
+        order = np.lexsort((thr, correct, value))
+        first = np.unique(value[order], return_index=True)[1]
+        idx = order[np.append(first[1:], len(order)) - 1]
+        tables.append((value[idx], correct[idx], thr[idx]))
+    return tables
 
 
 def per_group_thresholds(d: Dataset, objective: str = "dp") -> ThresholdSearchResult:
@@ -680,8 +672,7 @@ def per_group_thresholds(d: Dataset, objective: str = "dp") -> ThresholdSearchRe
             if not ((d.s == g) & (d.y == 1)).any():
                 raise DegenerateGroupError(f"group {g} has no positives")
 
-    v0, c0, t0 = _group_threshold_table(d, 0, objective)
-    v1, c1, t1 = _group_threshold_table(d, 1, objective)
+    (v0, c0, t0), (v1, c1, t1) = _group_threshold_tables(d, objective)
 
     # pair each group-0 value with its nearest group-1 values
     ii = np.repeat(np.arange(len(v0)), 3)
@@ -735,31 +726,27 @@ class _GroupGeometry:
     pos_w: float
 
 
-def _group_geometry(d: Dataset, g: int) -> _GroupGeometry:
-    """The group's ROC points at policy-legal thresholds and their upper hull."""
+def _group_geometries(d: Dataset) -> dict[int, _GroupGeometry]:
+    """Each group's ROC points at policy-legal thresholds and their upper hull."""
     score = d.require_scores()
-    mask = d.require_group(g)
-    y = d.y[mask]
-    w = d.weight[mask]
-    distinct, above, (neg_w, pos_w) = rocstats._sweep(
-        score[mask], np.column_stack((w * (1 - y), w * y))
-    )
-    if neg_w == 0 or pos_w == 0:
-        raise DegenerateGroupError(f"group {g} needs both outcome classes")
-    thr, above = rocstats._policy_candidates(distinct, above)
-    fpr = above[:, 0] / neg_w
-    tpr = above[:, 1] / pos_w
-    # drop consecutive duplicate points, keeping the largest threshold
-    keep = np.concatenate(([True], (np.diff(fpr) != 0) | (np.diff(tpr) != 0)))
-    thr, fpr, tpr = thr[keep], fpr[keep], tpr[keep]
-    return _GroupGeometry(
-        thresholds=thr,
-        fpr=fpr,
-        tpr=tpr,
-        hull=rocstats._upper_hull(fpr, tpr),
-        neg_w=float(neg_w),
-        pos_w=float(pos_w),
-    )
+    for g in (0, 1):
+        d.require_group(g)
+    w = d.weight
+    sweeps = rocstats._group_sweeps(score, d.s, np.column_stack((w * (1 - d.y), w * d.y)))
+    geo = {}
+    for g, (distinct, above, (neg_w, pos_w)) in enumerate(sweeps):
+        if neg_w == 0 or pos_w == 0:
+            raise DegenerateGroupError(f"group {g} needs both outcome classes")
+        thr, above = rocstats._policy_candidates(distinct, above)
+        fpr = above[:, 0] / neg_w
+        tpr = above[:, 1] / pos_w
+        # drop consecutive duplicate points, keeping the largest threshold
+        keep = np.concatenate(([True], (np.diff(fpr) != 0) | (np.diff(tpr) != 0)))
+        thr, fpr, tpr = thr[keep], fpr[keep], tpr[keep]
+        geo[g] = _GroupGeometry(
+            thr, fpr, tpr, rocstats._upper_hull(fpr, tpr), float(neg_w), float(pos_w)
+        )
+    return geo
 
 
 _MAX_CHORD_ANCHORS = 256
@@ -927,7 +914,7 @@ def equalize_odds(d: Dataset, criterion: str = "full") -> EqualizedOddsResult:
     """
     if criterion not in ("full", "opportunity"):
         raise ValueError(f"criterion must be 'full' or 'opportunity', got {criterion!r}")
-    geo = {g: _group_geometry(d, g) for g in (0, 1)}
+    geo = _group_geometries(d)
     pos_w = geo[0].pos_w + geo[1].pos_w
     neg_w = geo[0].neg_w + geo[1].neg_w
     total_w = pos_w + neg_w

@@ -7,8 +7,10 @@ Conventions
   plus two end candidates; a threshold equal to an observed score is never
   ambiguous.  ``_sweep`` is the one place this rule lives: every ROC point,
   shared or per-group threshold and equalized-odds vertex comes from its
-  sorted pass.  ROC curves use +/-inf as end candidates; decision policies
-  use the legal 1.0 and 0.0 (``_policy_candidates``).
+  sorted pass.  ``_group_sweeps`` is the one place a sweep is split by
+  group: one sort of all records serves both groups.  ROC curves use +/-inf
+  as end candidates; decision policies use the legal 1.0 and 0.0
+  (``_policy_candidates``).
 * All counts are weight sums; randomized predictions contribute fractionally
   by their decision probability.
 * Zero denominators yield explicit ``None`` ("undefined") rates, never NaN.
@@ -156,7 +158,7 @@ class RocCurve:
         return list(zip(self.fpr.tolist(), self.tpr.tolist(), self.thresholds.tolist()))
 
 
-def _sweep(score: np.ndarray, cols: np.ndarray):
+def _sweep(score: np.ndarray, cols: np.ndarray, order: np.ndarray | None = None):
     """One descending pass over the scores.
 
     ``cols`` holds per-record weights, one column per count the caller
@@ -164,14 +166,24 @@ def _sweep(score: np.ndarray, cols: np.ndarray):
     column over the records scoring strictly above each candidate (row 0 for
     the candidate above every score, row k for the midpoint below the k-th
     distinct score, the last row for the candidate below every score) and
-    the column totals, taken from the same running sums.
+    the column totals, taken from the same running sums.  ``order`` lists the
+    records to sweep by decreasing score, ties in record order (default: all).
     """
-    order = np.argsort(-score, kind="stable")
+    if order is None:
+        order = np.argsort(-score, kind="stable")
     distinct, first_idx = np.unique(-score[order], return_index=True)
-    cut = np.append(first_idx[1:], len(score))  # records with score >= distinct[j]
+    cut = np.append(first_idx[1:], len(order))  # records with score >= distinct[j]
     cum = np.cumsum(cols[order], axis=0)
     above = np.concatenate((np.zeros((1, cum.shape[1])), cum[cut - 1]))
     return -distinct, above, cum[-1]
+
+
+def _group_sweeps(score: np.ndarray, s: np.ndarray, cols: np.ndarray, groups=(0, 1)):
+    """``_sweep(score[s == g], cols[s == g])`` for each g in ``groups``, bit for
+    bit, from one sort: the stable descending order of all records, restricted
+    to one group, is that group's own stable order.  No group may be empty."""
+    order = np.argsort(-score, kind="stable")
+    return [_sweep(score, cols, order[s[order] == g]) for g in groups]
 
 
 def _policy_candidates(distinct: np.ndarray, above: np.ndarray):
@@ -194,14 +206,12 @@ def roc_curve(d: Dataset, group: int | None = None) -> RocCurve:
     filtered records (weighted).
     """
     score = d.require_scores()
-    mask = np.ones(len(d), dtype=bool) if group is None else d.s == group
-    if not mask.any():
+    w = d.weight
+    cols = np.column_stack((w * (1 - d.y), w * d.y))
+    if group is not None and not (d.s == group).any():
         raise DegenerateGroupError(f"filter selects no records (group={group})")
-    m = score[mask]
-    y = d.y[mask]
-    w = d.weight[mask]
-
-    distinct, above, (neg_total, pos_total) = _sweep(m, np.column_stack((w * (1 - y), w * y)))
+    sweep = _sweep(score, cols) if group is None else _group_sweeps(score, d.s, cols, [group])[0]
+    distinct, above, (neg_total, pos_total) = sweep
     # the totals are the running sums' last entries, so the final point is (1, 1)
     if pos_total == 0 or neg_total == 0:
         raise DegenerateGroupError("ROC curve needs both outcome classes")
@@ -283,19 +293,15 @@ def convex_envelope(r: RocCurve) -> RocCurve:
     )
 
 
-def best_accuracy_threshold(
-    d: Dataset, n_weight: float, p_weight: float
-) -> tuple[float, float]:
+def best_accuracy_threshold(d: Dataset) -> tuple[float, float]:
     """Accuracy-optimal shared threshold; ties broken toward the larger threshold.
 
-    Scans the iso-accuracy objective TPR*P + (1-FPR)*N over the policy
+    Scans the weighted correct count TPR*P + (1-FPR)*N over the policy
     candidates of one sweep (the optimum of a linear objective over the
     achievable set is attained at a curve point).  Every candidate is a
     legal threshold that decides as its curve point does, so the returned
     threshold realizes the accuracy it reports.
     """
-    if n_weight <= 0 or p_weight <= 0:
-        raise ValueError("class weights must be positive")
     w = d.weight
     distinct, above, (neg_total, pos_total) = _sweep(
         d.require_scores(), np.column_stack((w * (1 - d.y), w * d.y))
@@ -303,12 +309,10 @@ def best_accuracy_threshold(
     if pos_total == 0 or neg_total == 0:
         raise DegenerateGroupError("accuracy threshold needs both outcome classes")
     thresholds, above = _policy_candidates(distinct, above)
-    # counts rather than rates: exact when the weights are the class totals
-    correct = above[:, 1] * (p_weight / pos_total) + (neg_total - above[:, 0]) * (
-        n_weight / neg_total
-    )
+    # counts rather than rates, so unit-weight accuracies are exact
+    correct = above[:, 1] + (neg_total - above[:, 0])
     best = int(np.argmax(correct))  # first max = largest threshold
-    return float(thresholds[best]), float(correct[best] / (n_weight + p_weight))
+    return float(thresholds[best]), float(correct[best] / (neg_total + pos_total))
 
 
 def fairest_threshold(d: Dataset) -> tuple[float, float, float]:

@@ -51,7 +51,7 @@ def test_criterion_01_toy_table_reproduction(toy, toy_pred):
 
 
 def test_criterion_02_threshold_narrative(toy):
-    t_opt, acc = rocstats.best_accuracy_threshold(toy, n_weight=10, p_weight=14)
+    t_opt, acc = rocstats.best_accuracy_threshold(toy)
     assert 15 / 24 < t_opt < 16 / 24
     assert acc == 17 / 24  # error 7/24 = 29.17%, exact
     pred = apply_policy(toy, ThresholdPolicy.shared(t_opt))

@@ -140,8 +140,7 @@ def ref_opportunity_mixture(geo, pos_w, total_w):
 
 
 def ref_per_group_thresholds(d, objective):
-    v0, c0, t0 = mitigate._group_threshold_table(d, 0, objective)
-    v1, c1, t1 = mitigate._group_threshold_table(d, 1, objective)
+    (v0, c0, t0), (v1, c1, t1) = mitigate._group_threshold_tables(d, objective)
     best_key = None
     best_pair = None
     for i, val0 in enumerate(v0):
@@ -201,7 +200,7 @@ def check_equalize_odds(d):
     """Both criteria pick the reference mixture; returns the number of
     collinear segment pairs the full search met."""
     try:
-        geo = {g: mitigate._group_geometry(d, g) for g in (0, 1)}
+        geo = mitigate._group_geometries(d)
     except DegenerateGroupError:
         return 0
     pos_w = geo[0].pos_w + geo[1].pos_w

@@ -347,6 +347,17 @@ class TestAuditCommand:
 
 
 class TestMitigateCommand:
+    def test_massage_single_class_exit_3(self, tmp_path, capsys):
+        src = tmp_path / "one.csv"
+        src.write_text("s,y,score\n0,1,0.2\n0,1,0.4\n1,1,0.9\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code, out, err = run(
+            ["mitigate", src, "--method", "massage", "--out", out_dir / "ms"], capsys
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: accuracy threshold needs both outcome classes\n"
+        assert not out_dir.exists() or not list(out_dir.iterdir())
+
     def test_reweigh_balances_weighted_label_rates(self, toy_csv, tmp_path, capsys):
         code, _, _ = run(
             ["mitigate", toy_csv, "--method", "reweigh", "--out", tmp_path / "rw"],
@@ -883,6 +894,29 @@ def test_largest_seed_accepted(toy_csv, tmp_path, capsys, command):
         warnings.simplefilter("error")
         code, _, _ = run(argv + ["--seed", str(2**63 - 1)], capsys)
     assert code == 0
+
+
+@pytest.mark.parametrize("boot", ["99", "1000001", "1000000000000", "-5", "1e3"])
+def test_boot_outside_range_exit_2_before_reading_csv(tmp_path, capsys, boot):
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", str(tmp_path / "missing.csv"), "--threshold", "0.5", "--boot", boot])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    if boot == "1e3":
+        assert "argument --boot: invalid int value: '1e3'" in err
+    else:
+        assert f"argument --boot: must be between 100 and 1000000, got '{boot}'" in err
+
+
+def test_boot_range_ends_accepted(toy_csv, capsys):
+    argv = ["audit", toy_csv, "--threshold", TOY_THRESHOLD_ARG, "--no-individual"]
+    code, out, err = run(argv + ["--boot", "100"], capsys)
+    assert code == 0, err
+    assert json.loads(out)["interval"]["n_boot"] == 100
+    # the largest count parses; the asymptotic interval draws no replicate
+    code, out, err = run(argv + ["--ci", "asymptotic", "--boot", "1000000"], capsys)
+    assert code == 0, err
+    assert json.loads(out)["interval"]["method"] == "asymptotic"
 
 
 def test_non_numeric_option_message_unchanged(toy_csv, capsys):

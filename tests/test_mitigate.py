@@ -511,9 +511,9 @@ class TestPerGroupThresholds:
 
 def in_hull(d, group, point, tol=1e-9):
     """Point lies under the group's upper envelope and above its lower hull."""
-    from fairaudit.mitigate import _group_geometry
+    from fairaudit.mitigate import _group_geometries
 
-    geo = _group_geometry(d, group)
+    geo = _group_geometries(d)[group]
     pts = np.column_stack([geo.fpr, geo.tpr])
 
     def boundary(points, upper):

@@ -15,6 +15,8 @@ from fairaudit.data import (
 )
 from fairaudit.rocstats import (
     ConfusionMatrix,
+    _group_sweeps,
+    _sweep,
     auc,
     best_accuracy_threshold,
     confusion,
@@ -164,6 +166,52 @@ class TestRocCurve:
         assert text.splitlines()[0] == "fpr,tpr,threshold"
         assert len(text.splitlines()) == len(roc_curve(toy)) + 1
 
+    def test_group_curve_when_other_group_is_empty(self):
+        d = Dataset(s=[0] * 4, y=[0, 0, 1, 1], score=[0.1, 0.4, 0.35, 0.8])
+        assert roc_curve(d, group=0).points() == roc_curve(d).points()
+        with pytest.raises(DegenerateGroupError, match="group=1"):
+            roc_curve(d, group=1)
+
+
+@st.composite
+def grouped_sweep_inputs(draw):
+    """Scores with heavy ties and exact 0.0 and 1.0, unit, fractional or
+    tiny (about 1e-300) weights, and groups as small as one record."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 400))
+    s = rng.integers(0, 2, size=n)
+    lone = draw(st.sampled_from([None, 0, 1]))  # a group with a single record
+    if lone is None:
+        s[rng.permutation(n)[:2]] = (0, 1)
+    else:
+        s[:] = 1 - lone
+        s[rng.integers(n)] = lone
+    grid = np.concatenate(([0.0, 1.0], rng.random(draw(st.integers(0, 10)))))
+    score = rng.choice(grid, size=n)
+    untied = rng.random(n) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    score[untied] = rng.random(untied.sum())
+    w = {
+        "unit": np.ones(n),
+        "fractional": rng.random(n) * 5 + 0.01,
+        "tiny": rng.lognormal(0.0, 2.0, n) * 1e-300,
+    }[draw(st.sampled_from(["unit", "fractional", "tiny"]))]
+    y = rng.integers(0, 2, size=n)
+    return score, s, np.column_stack((w * (1 - y), w * y, w))
+
+
+@settings(max_examples=200, deadline=None)
+@given(grouped_sweep_inputs())
+def test_group_sweeps_are_the_masked_sweeps(case):
+    score, s, cols = case
+    sweeps = _group_sweeps(score, s, cols)
+    for g in (0, 1):
+        (only,) = _group_sweeps(score, s, cols, (g,))
+        want = _sweep(score[s == g], cols[s == g])
+        for got in (sweeps[g], only):
+            assert len(got) == len(want) == 3
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b) and a.tobytes() == b.tobytes()
+
 
 class TestAuc:
     def test_trivials(self):
@@ -270,19 +318,19 @@ class TestConvexEnvelope:
 
 class TestBestAccuracyThreshold:
     def test_toy_optimum(self, toy):
-        t, acc = best_accuracy_threshold(toy, n_weight=10, p_weight=14)
+        t, acc = best_accuracy_threshold(toy)
         assert Fraction(15, 24) < Fraction(t) < Fraction(16, 24)
         assert acc == 17 / 24  # error 7/24 exactly
 
     def test_perfect_curve(self):
         d = Dataset(s=[0, 0], y=[0, 1], score=[0.2, 0.8])
-        t, acc = best_accuracy_threshold(d, 1, 1)
+        t, acc = best_accuracy_threshold(d)
         assert acc == 1.0
         assert 0.2 < t < 0.8
 
     def test_tie_breaks_to_larger_threshold(self):
         d = Dataset(s=[0, 0], y=[0, 1], score=[0.5, 0.5])
-        t, acc = best_accuracy_threshold(d, 1, 1)
+        t, acc = best_accuracy_threshold(d)
         assert acc == 0.5
         assert t == 1.0  # the (0,0) endpoint carries the largest threshold
 
@@ -290,7 +338,7 @@ class TestBestAccuracyThreshold:
         # the all-positive point (accuracy 3/4) is no policy: t = 0.0 keeps
         # the zero score negative and decides like t = 0.1 (accuracy 1/2)
         d = Dataset(s=[0, 1, 0, 1], y=[1, 1, 0, 1], score=[0.0, 0.2, 0.5, 0.8])
-        t, acc = best_accuracy_threshold(d, n_weight=1, p_weight=3)
+        t, acc = best_accuracy_threshold(d)
         assert (t, acc) == (0.65, 0.5)
         pred = apply_policy(d, ThresholdPolicy.shared(t))
         assert float(np.mean(pred.prob == d.y)) == acc
