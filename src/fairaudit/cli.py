@@ -607,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--di-threshold", type=_finite_float, default=0.8)
     pa.add_argument("--ci", choices=["bootstrap", "asymptotic", "none"], default="bootstrap")
     pa.add_argument("--ci-level", type=float, default=0.95)
-    # up to 1000 times the default; a far larger count fails allocating its replicates
+    # up to 1000 times the default: a replicate that resamples records costs O(n)
     pa.add_argument("--boot", type=_int_between(100, 10**6), default=1000)
     pa.add_argument("--individual", action=argparse.BooleanOptionalAction, default=True)
     pa.add_argument("--lipschitz-scale", type=_non_negative_float, default=1.0)
@@ -651,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("synth", help="sample a synthetic scored dataset")
     ps.add_argument("--spec", default=None, help="JSON file with Beta cell parameters")
     ps.add_argument("--preset", choices=["uniform", "operating-point"], default="uniform")
-    ps.add_argument("--n", type=int, required=True)
+    ps.add_argument("--n", type=_int_between(1, 10**8), required=True)
     ps.add_argument("--seed", type=_seed, default=0)
     ps.add_argument("--out", required=True, help="output path prefix")
     ps.set_defaults(func=cmd_synth)

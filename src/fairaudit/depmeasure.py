@@ -113,10 +113,14 @@ def maximal_correlation_joint(joint) -> float:
 
 
 def _joint_from_samples(x, y, w) -> np.ndarray:
-    xv, xi = np.unique(x, return_inverse=True)
-    yv, yi = np.unique(y, return_inverse=True)
-    P = np.zeros((len(xv), len(yv)))
-    np.add.at(P, (xi, yi), w)
+    if np.all((x == 0) | (x == 1)) and np.all((y == 0) | (y == 1)):
+        # 0/1 samples need no sort; a value that never occurs leaves a zero row or column
+        P = np.bincount((2 * x + y).astype(np.intp), weights=w, minlength=4).reshape(2, 2)
+    else:
+        xv, xi = np.unique(x, return_inverse=True)
+        yv, yi = np.unique(y, return_inverse=True)
+        P = np.zeros((len(xv), len(yv)))
+        np.add.at(P, (xi, yi), w)
     return P / P.sum()
 
 

@@ -308,18 +308,24 @@ def impact_point_estimate(d: Dataset, pred: PredictionSet) -> float:
     asymptotic interval treats weights as replication counts; the bootstrap
     resamples records, each keeping its weight.
     """
-    wp0, wp1, w0, w1 = _impact_sums(d, pred)
+    wp0, wp1, w0, w1, _ = _impact_sums(d, pred)
     return (wp0 / wp1) * (w1 / w0)
 
 
-def _impact_sums(d: Dataset, pred: PredictionSet) -> tuple[float, float, float, float]:
-    """Per-group sums of w*p (group 0, group 1), then of w, behind the impact ratio."""
-    for g in (0, 1):
-        d.require_group(g)
-    (wp0, wp1), (w0, w1) = cell_sums(d.s, 2, d.weight * pred.prob, d.weight)[0].tolist()
+def _impact_sums(d: Dataset, pred: PredictionSet) -> tuple[float, float, float, float, bool]:
+    """Per-group sums of w*p (group 0, group 1), then of w, behind the impact
+    ratio, and whether they count records: every weight 1, every decision 0 or 1."""
+    d.require_group(0)
+    g1, w, p = d.require_group(1), d.weight, pred.prob
+    if counted := bool(np.all(w == 1.0) and np.all((p == 0.0) | (p == 1.0))):
+        # the float sums exactly: integers of at most n < 2^53
+        wp1, w1 = np.count_nonzero(g1 & (p == 1.0)), np.count_nonzero(g1)
+        wp0, w0 = np.count_nonzero(p) - wp1, len(d) - w1
+    else:
+        (wp0, wp1), (w0, w1) = cell_sums(d.s, 2, w * p, w)[0].tolist()
     if wp1 == 0:
         raise DegenerateGroupError("no positive predictions in group 1")
-    return wp0, wp1, w0, w1
+    return float(wp0), float(wp1), float(w0), float(w1), counted
 
 
 @dataclass
@@ -346,61 +352,64 @@ def impact_ci(
 ) -> ImpactInterval:
     """Confidence interval for the disparate-impact ratio.
 
-    "bootstrap": percentile interval over record resampling; resamples that
-    lose a group are redrawn (at most 100 retries each).  "asymptotic":
+    "bootstrap": percentile interval over record resampling; a resample that
+    loses a group is redrawn (at most 100 times).  "asymptotic":
     delta-method normal interval for the ratio of two independent
     proportions.
 
-    Bootstrap stream contract: replicate b draws n uniform record indices
-    from ``default_rng(SeedSequence(seed, spawn_key=(b,)))``, and its redraws
-    come from the same generator.  A replicate needs only the per-group sums
-    of w*p and of w.  When every weight is 1 and every decision probability
-    is 0 or 1, these sums are counts: each record gets a cell key
-    2*s + decision, and a replicate gathers its records' keys and counts the
-    cells.  Otherwise it counts how often each record was drawn and takes the
-    four sums as one product with a per-record contribution matrix.  Both
-    routes give the same bits on the counting route's inputs: every partial
-    sum is an integer of at most n < 2^53, so it is exact in any order.
+    A replicate needs only its group sizes m0, m1 and positives k0*, k1*
+    (sums of w and of w*p).  With unit weights and 0/1 decisions their law is
+    exact in three binomials: m0 ~ Bin(n, n0/n), m1 = n - m0,
+    k0* ~ Bin(m0, k0/n0) and k1* ~ Bin(m1, k1/n1).  Stream contract: one
+    ``default_rng(SeedSequence(seed))`` draws all n_boot values of m0, redraws
+    those with m0 = 0 or m1 = 0 in index order, round after round, then draws
+    all k0*, then all k1*; a vectorized draw takes the stream as a scalar loop
+    in the same order does.  Other inputs resample records: replicate b draws
+    n indices from ``default_rng(SeedSequence(seed, spawn_key=(b,)))``,
+    redraws from it, and takes its four sums as one product of its draw
+    counts with a per-record contribution matrix.
     """
     if not (math.isfinite(level) and 0.0 < level < 1.0):
         raise ValueError(
             f"interval level must lie strictly between 0 and 1, got {level!r}"
         )
-    point = impact_point_estimate(d, pred)
+    wp0, wp1, w0, w1, counted = _impact_sums(d, pred)
+    point = (wp0 / wp1) * (w1 / w0)
     if method == "bootstrap":
         if n_boot < 100:
             raise ValueError("bootstrap needs at least 100 replicates")
+        lost = "bootstrap resampling kept losing a group (100 retries)"
         n = len(d)
-        w, p = d.weight, pred.prob
-        if np.all(w == 1.0) and np.all((p == 0.0) | (p == 1.0)):
-            key = (2 * d.s + p).astype(np.uint8)
-
-            def replicate_sums(idx):
-                kb = key[idx]  # group-0 positives are cell 1, group-1 positives cell 3
-                n1 = np.count_nonzero(kb >= 2)
-                return np.count_nonzero(kb == 1), np.count_nonzero(kb == 3), n - n1, n1
+        if counted:
+            rng = np.random.default_rng(np.random.SeedSequence(seed))
+            m0 = rng.binomial(n, w0 / n, size=n_boot)
+            redraws = 0
+            while (bad := (m0 == 0) | (m0 == n)).any():
+                if redraws == 100:
+                    raise DegenerateGroupError(lost)
+                m0[bad] = rng.binomial(n, w0 / n, size=np.count_nonzero(bad))
+                redraws += 1
+            m1 = n - m0
+            k0 = rng.binomial(m0, wp0 / w0)
+            k1 = rng.binomial(m1, wp1 / w1)
         else:
-            wp = w * p
-            g0, g1 = d.s == 0, d.s == 1
-            cols = np.column_stack([wp * g0, wp * g1, w * g0, w * g1])
-
-            def replicate_sums(idx):
-                return np.bincount(idx, minlength=n).astype(np.float64) @ cols
-        stats = np.empty(n_boot)
-        for b in range(n_boot):
-            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
-            for attempt in range(100):
-                # weights are positive, so a group is present iff its weight sum is
-                num, den, n0, n1 = replicate_sums(rng.integers(0, n, size=n))
-                if n0 > 0 and n1 > 0:
-                    break
-            else:
-                raise DegenerateGroupError(
-                    "bootstrap resampling kept losing a group (100 retries)"
-                )
-            # sums near the ends of the float range can overflow to inf or NaN
-            with np.errstate(all="ignore"):
-                stats[b] = math.inf if den == 0 else (num / den) * (n1 / n0)
+            w, p, g0, g1 = d.weight, pred.prob, d.s == 0, d.s == 1
+            cols = np.column_stack([w * p * g0, w * p * g1, w * g0, w * g1])
+            sums = np.empty((n_boot, 4))
+            for b in range(n_boot):
+                rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
+                for _ in range(100):
+                    counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
+                    sums[b] = counts.astype(np.float64) @ cols
+                    # weights are positive, so a group is present iff its weight sum is
+                    if sums[b, 2] > 0 and sums[b, 3] > 0:
+                        break
+                else:
+                    raise DegenerateGroupError(lost)
+            k0, k1, m0, m1 = sums.T
+        # sums near the ends of the float range can overflow to inf or NaN
+        with np.errstate(all="ignore"):
+            stats = np.where(k1 == 0, math.inf, (k0 / k1) * (m1 / m0))
         alpha = 1.0 - level
         with np.errstate(invalid="ignore"):  # inf replicates (no positives)
             lo, hi = np.quantile(stats, [alpha / 2, 1 - alpha / 2])
@@ -414,7 +423,6 @@ def impact_ci(
         return ImpactInterval(point, float(lo), float(hi), "bootstrap", level, n_boot, seed)
 
     if method == "asymptotic":
-        wp0, wp1, w0, w1 = _impact_sums(d, pred)
         p0, p1 = wp0 / w0, wp1 / w1
         if p0 <= 0 or p1 <= 0:
             raise DegenerateGroupError("asymptotic interval needs positives in both groups")

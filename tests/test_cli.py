@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import fairaudit
 from fairaudit import mitigate
-from fairaudit.cli import _dump_json, main
+from fairaudit.cli import _dump_json, build_parser, main
 from fairaudit.data import TOY_CSV, dataset_to_csv, load_csv, load_toy
 from fairaudit.mitigate import LinearModel
 
@@ -917,6 +917,32 @@ def test_boot_range_ends_accepted(toy_csv, capsys):
     code, out, err = run(argv + ["--ci", "asymptotic", "--boot", "1000000"], capsys)
     assert code == 0, err
     assert json.loads(out)["interval"]["method"] == "asymptotic"
+    # unit weights and 0/1 decisions: a million replicates are a few binomial draws
+    code, out, err = run(argv + ["--boot", "1000000"], capsys)
+    assert code == 0, err
+    assert json.loads(out)["interval"]["n_boot"] == 1000000
+
+
+@pytest.mark.parametrize("n", ["0", "-3", "100000001", "1000000000000", "1e3"])
+def test_synth_n_outside_range_exit_2_names_flag(capsys, n):
+    # parsed only: a broken bound would make the command sample n records
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["synth", "--n", n, "--out", "x"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    if n == "1e3":
+        assert "argument --n: invalid int value: '1e3'" in err
+    else:
+        assert f"argument --n: must be between 1 and 100000000, got '{n}'" in err
+
+
+def test_synth_n_range_ends_accepted(tmp_path, capsys):
+    code, _, err = run(["synth", "--n", "1", "--out", tmp_path / "one"], capsys)
+    assert code == 0, err
+    assert len((tmp_path / "one.csv").read_text(encoding="utf-8").splitlines()) == 2
+    # the largest count parses; sampling it would take gigabytes
+    args = build_parser().parse_args(["synth", "--n", "100000000", "--out", "x"])
+    assert args.n == 10**8
 
 
 def test_non_numeric_option_message_unchanged(toy_csv, capsys):

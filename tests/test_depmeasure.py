@@ -1,16 +1,19 @@
 import itertools
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairaudit import depmeasure
 from fairaudit.data import TOY_THRESHOLD, ThresholdPolicy, apply_policy
 from fairaudit.depmeasure import (
     BasisSpec,
     ConstantInputError,
+    _joint_from_samples,
     _poly_features,
     conditional_maximal_correlation,
     maximal_correlation,
@@ -277,3 +280,62 @@ def test_poly_features_match_reference_rank_transform(levels):
     for n in (1, 2, 5, 40, 1000, 5000):
         x = rng.random(n) if levels is None else rng.integers(0, levels, n) * 0.5 - 0.5
         assert np.array_equal(_poly_features(x, 4), reference_poly_features(x, 4))
+
+
+def unique_joint(x, y, w):
+    """The joint table from np.unique codes and np.add.at: one row per value
+    x takes and one column per value y takes."""
+    xv, xi = np.unique(x, return_inverse=True)
+    yv, yi = np.unique(y, return_inverse=True)
+    P = np.zeros((len(xv), len(yv)))
+    np.add.at(P, (xi, yi), w)
+    return P / P.sum()
+
+
+def outcome(f, *args):
+    """A measure's value as bytes, or its error's type and message."""
+    try:
+        return np.float64(f(*args)).tobytes()
+    except (ConstantInputError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def binary_samples(draw):
+    """0/1 samples as floats or integers, sometimes with a constant column,
+    under unit, lognormal (sigma 3) or lognormal weights near 1e-300."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 300))
+    x, y = rng.integers(0, 2, (2, n))
+    constant = draw(st.sampled_from([None, "x", "y"]))
+    if constant == "x":
+        x[:] = draw(st.integers(0, 1))
+    elif constant == "y":
+        y[:] = draw(st.integers(0, 1))
+    if draw(st.booleans()):
+        x, y = x.astype(float), y.astype(float)
+    scale = draw(st.sampled_from([None, 1.0, 1e-300]))
+    w = np.ones(n) if scale is None else scale * rng.lognormal(0.0, 3.0, n)
+    return x, y, w
+
+
+@settings(max_examples=200, deadline=None)
+@given(binary_samples())
+def test_binary_joint_is_the_unique_joint(case):
+    x, y, w = case
+    P, Q = _joint_from_samples(x, y, w), unique_joint(x, y, w)
+    # a value that never occurs adds a zero row or column, the rest are the same bits
+    rows, cols = np.isin([0, 1], x), np.isin([0, 1], y)
+    assert P.shape == (2, 2)
+    assert P[np.ix_(rows, cols)].tobytes() == Q.tobytes()
+    assert not P[~rows].any() and not P[:, ~cols].any()
+    assert outcome(maximal_correlation_joint, P) == outcome(maximal_correlation_joint, Q)
+    with mock.patch.object(depmeasure, "_joint_from_samples", unique_joint):
+        expected = [outcome(f, x, y, w) for f in (mutual_information, maximal_correlation)]
+    assert [outcome(f, x, y, w) for f in (mutual_information, maximal_correlation)] == expected
+    if not (rows.all() and cols.all()):
+        with pytest.raises(ConstantInputError):
+            maximal_correlation_joint(P)
+        if len(x) > 1:  # one record is rejected before the constant check
+            with pytest.raises(ConstantInputError):
+                maximal_correlation(x, y, w)

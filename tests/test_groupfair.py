@@ -1,6 +1,8 @@
+import itertools
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -351,7 +353,7 @@ def test_cell_sums_on_runs_beyond_numpy_blocking():
 
 
 def reference_bootstrap(d, pred, level, n_boot, seed):
-    """The per-record bootstrap loop that ``impact_ci`` replaced: gathers
+    """The per-record bootstrap loop that the product route replaced: gathers
     each replicate's records and sums them by group."""
     impact_point_estimate(d, pred)
     n = len(d)
@@ -379,15 +381,47 @@ def reference_bootstrap(d, pred, level, n_boot, seed):
     return float(lo), float(hi)
 
 
+def binomial_replicates(d, pred, n_boot, seed):
+    """The documented stream contract of the unit-weight 0/1 route, one scalar
+    draw at a time: every m0, then the redraw rounds in index order, then every
+    k0*, then every k1*.  Returns the replicate ratios and the rounds taken."""
+    impact_point_estimate(d, pred)
+    n = len(d)
+    n1 = int(np.count_nonzero(d.s))
+    n0 = n - n1
+    k0 = sum(int(v) for v, g in zip(pred.prob, d.s) if g == 0)
+    k1 = sum(int(v) for v, g in zip(pred.prob, d.s) if g == 1)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    m0 = [int(rng.binomial(n, n0 / n)) for _ in range(n_boot)]
+    rounds = 0
+    while any(m in (0, n) for m in m0):
+        if rounds == 100:
+            raise DegenerateGroupError("bootstrap resampling kept losing a group")
+        m0 = [int(rng.binomial(n, n0 / n)) if m in (0, n) else m for m in m0]
+        rounds += 1
+    k0s = [int(rng.binomial(m, k0 / n0)) for m in m0]
+    k1s = [int(rng.binomial(n - m, k1 / n1)) for m in m0]
+    stats = [math.inf if b == 0 else (a / b) * ((n - m) / m) for a, b, m in zip(k0s, k1s, m0)]
+    return stats, rounds
+
+
+def binomial_bootstrap(d, pred, level, n_boot, seed):
+    alpha = 1.0 - level
+    stats = binomial_replicates(d, pred, n_boot, seed)[0]
+    with np.errstate(invalid="ignore"):
+        lo, hi = np.quantile(stats, [alpha / 2, 1 - alpha / 2])
+    return float(lo), float(hi)
+
+
 @st.composite
 def bootstrap_inputs(draw):
-    """Small datasets, some with only one or two group-1 records (so that
+    """Small datasets, some with only one or two records in a group (so that
     replicates lose the group and are redrawn).  Unit, integral non-unit or
     fractional weights are crossed with 0/1 or fractional decision
-    probabilities; unit weights with 0/1 decisions take the counting route,
+    probabilities; unit weights with 0/1 decisions take the binomial route,
     the rest the contribution-matrix product."""
     n1 = draw(st.sampled_from([1, 2, draw(st.integers(3, 30))]))
-    n0 = draw(st.integers(1, 30))
+    n0 = draw(st.sampled_from([1, 2, draw(st.integers(3, 30))]))
     n = n0 + n1
     order = draw(st.permutations(range(n)))
     s = np.array([0] * n0 + [1] * n1)[list(order)]
@@ -405,19 +439,22 @@ def bootstrap_inputs(draw):
         prob = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
     d = Dataset(s=s, y=np.zeros(n, dtype=int), weight=weight)
     pred = PredictionSet(prob=np.array(prob), deterministic=binary)
-    # integral weights and 0/1 decisions make every sum an exact integer
-    exact = binary and weights != "fractional"
+    if binary and weight is None:
+        route = "binomial"
+    else:  # integral weights and 0/1 decisions make every sum an exact integer
+        route = "exact" if binary and weights == "integral" else "product"
     seed = draw(st.integers(0, 2**32 - 1))
     level = draw(st.sampled_from([0.5, 0.9, 0.95, 0.99]))
-    return d, pred, exact, seed, level
+    return d, pred, route, seed, level
 
 
 @settings(max_examples=100, deadline=None)
 @given(bootstrap_inputs())
 def test_bootstrap_matches_per_record_loop(inputs):
-    d, pred, exact, seed, level = inputs
+    d, pred, route, seed, level = inputs
+    oracle = binomial_bootstrap if route == "binomial" else reference_bootstrap
     try:
-        expected = reference_bootstrap(d, pred, level, 100, seed)
+        expected = oracle(d, pred, level, 100, seed)
     except DegenerateGroupError:
         with pytest.raises(DegenerateGroupError):
             impact_ci(d, pred, level=level, n_boot=100, seed=seed)
@@ -427,42 +464,137 @@ def test_bootstrap_matches_per_record_loop(inputs):
             impact_ci(d, pred, level=level, n_boot=100, seed=seed)
         return
     ci = impact_ci(d, pred, level=level, n_boot=100, seed=seed)
-    if exact:
-        assert (ci.lo, ci.hi) == expected
-    else:
+    if route == "product":
         assert ci.lo == pytest.approx(expected[0], rel=1e-12, abs=0.0)
         assert ci.hi == pytest.approx(expected[1], rel=1e-12, abs=0.0)
+    else:
+        assert (ci.lo, ci.hi) == expected
 
 
-def test_bootstrap_counts_match_per_record_loop_at_scale():
-    # 2e4 records, a rare positive decision in group 1: the counting route
-    # against the per-record oracle, bit for bit, at several levels
+@pytest.mark.parametrize("sizes", [(2, 1), (3, 1), (2, 2), (1, 3), (1, 5)])
+def test_bootstrap_binomial_redraws_follow_the_stream_contract(sizes):
+    # one- and two-record groups: an eighth to a half of the first draws of
+    # m0 lose a group, and the ratio varies, so the interval depends on the
+    # redraw rounds
+    n0, n1 = sizes
+    d = Dataset(s=[0] * n0 + [1] * n1, y=[0] * (n0 + n1))
+    labels = [1 - i % 2 for i in range(n0)] + [int(i < max(2, n1 - 1)) for i in range(n1)]
+    pred = PredictionSet.from_labels(labels)
+    assert binomial_replicates(d, pred, 1000, 5)[1] >= 3
+    for level in (0.5, 0.8):
+        ci = impact_ci(d, pred, level=level, n_boot=1000, seed=5)
+        assert (ci.lo, ci.hi) == binomial_bootstrap(d, pred, level, 1000, 5)
+        assert ci.lo < ci.hi
+
+
+def test_bootstrap_routes_match_their_oracles_at_scale():
+    # 2e4 records, a rare positive decision in group 1: the binomial route
+    # against its scalar stream, and with every weight 2 the product route
+    # against the per-record loop, bit for bit at several levels
     rng = np.random.default_rng(11)
     n = 20_000
     s = rng.integers(0, 2, n)
     prob = (rng.random(n) < np.where(s == 0, 0.4, 0.05)).astype(float)
-    d = Dataset(s=s, y=np.zeros(n, dtype=int))
     pred = PredictionSet(prob=prob, deterministic=True)
+    unit = Dataset(s=s, y=np.zeros(n, dtype=int))
+    doubled = Dataset(s=s, y=np.zeros(n, dtype=int), weight=np.full(n, 2.0))
     for level in (0.5, 0.9, 0.99):
-        ci = impact_ci(d, pred, level=level, n_boot=100, seed=7)
-        assert (ci.lo, ci.hi) == reference_bootstrap(d, pred, level, 100, 7)
+        ci = impact_ci(unit, pred, level=level, n_boot=1000, seed=7)
+        assert (ci.lo, ci.hi) == binomial_bootstrap(unit, pred, level, 1000, 7)
+        ci = impact_ci(doubled, pred, level=level, n_boot=100, seed=7)
+        assert (ci.lo, ci.hi) == reference_bootstrap(doubled, pred, level, 100, 7)
 
 
-def test_bootstrap_counts_without_contribution_matrix():
-    """Unit weights and 0/1 decisions: the bootstrap holds per-record cell
-    keys and one replicate's draw, and peaks below one (n, 4) float64
-    contribution matrix (3.2 MB at n = 1e5), which the product route builds."""
+def _binomial_pmf(n, p, k):
+    return math.comb(n, k) * p**k * (1 - p) ** (n - k)
+
+
+class RecordingGenerator:
+    """A generator that records the trials, probability and result of each
+    binomial draw."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def binomial(self, trials, p, size=None):
+        out = self.rng.binomial(trials, p, size=size)
+        self.calls.append((np.array(trials), p, out.copy()))
+        return out
+
+
+def test_bootstrap_binomial_law_is_the_resampling_law(monkeypatch):
+    """Every resample of every unit-weight 0/1 dataset with n <= 6 records,
+    enumerated: the exact pmf of (m0, k0*, k1*) is the product of the three
+    binomials that impact_ci draws from, read back as fractions."""
+    real = np.random.default_rng
+    recorders = []
+
+    def recording_rng(seed):
+        recorders.append(RecordingGenerator(real(seed)))
+        return recorders[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    checked = 0
+    for n in range(2, 7):
+        resamples = np.indices((n,) * n).reshape(n, -1).T  # all n^n index tuples
+        for n0 in range(1, n):
+            s = np.array([0] * n0 + [1] * (n - n0))
+            for k0, k1 in itertools.product(range(n0 + 1), range(1, n - n0 + 1)):
+                p = np.array([1.0] * k0 + [0.0] * (n0 - k0) + [1.0] * k1 + [0.0] * (n - n0 - k1))
+                d = Dataset(s=s, y=np.zeros(n, dtype=int))
+                try:  # the draws are what is checked, not the interval
+                    impact_ci(d, PredictionSet(prob=p, deterministic=True), n_boot=100)
+                except DegenerateGroupError as exc:  # replicates with no group-1 positive
+                    assert "had an infinite ratio" in str(exc)
+                *m_calls, (t0, q0, _), (t1, q1, _) = recorders.pop().calls
+                m0 = np.zeros(100, dtype=np.int64)
+                for trials, q, out in m_calls:  # the first draw, then each redraw round
+                    assert trials == n and Fraction(q).limit_denominator(n) == Fraction(n0, n)
+                    m0[(m0 == 0) | (m0 == n)] = out
+                assert np.array_equal(t0, m0) and np.array_equal(t1, n - m0)
+                qm, qa, qb = (Fraction(q).limit_denominator(n) for q in (m_calls[0][1], q0, q1))
+                law = {
+                    (a, b, c): _binomial_pmf(n, qm, a) * _binomial_pmf(a, qa, b)
+                    * _binomial_pmf(n - a, qb, c)
+                    for a in range(n + 1) for b in range(a + 1) for c in range(n - a + 1)
+                }
+                g0 = s[resamples] == 0
+                pos = p[resamples] == 1.0
+                triples = np.column_stack(
+                    [g0.sum(1), (g0 & pos).sum(1), (~g0 & pos).sum(1)]
+                )
+                keys, counts = np.unique(triples, axis=0, return_counts=True)
+                enumerated = {
+                    tuple(map(int, k)): Fraction(int(c), n**n) for k, c in zip(keys, counts)
+                }
+                assert {k: v for k, v in law.items() if v} == enumerated
+                checked += 1
+    assert checked == 105
+
+
+def test_bootstrap_binomial_route_peak_is_independent_of_n():
+    """Unit weights and 0/1 decisions: the replicates hold a few arrays of
+    n_boot counts and no per-record draw.  Above the input checks and group
+    counts that the asymptotic interval makes too, the bootstrap's peak stays
+    below one 100k-record index draw, and the whole call peaks at a quarter of
+    the record-gathering route's 2.4 MB at n = 1e5."""
+    def peak(d, pred, **kw):
+        tracemalloc.start()
+        try:
+            impact_ci(d, pred, **kw)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     rng = np.random.default_rng(2)
-    n = 100_000
-    d = Dataset(s=rng.integers(0, 2, n), y=np.zeros(n, dtype=int))
-    pred = PredictionSet(prob=rng.integers(0, 2, n).astype(float), deterministic=True)
-    tracemalloc.start()
-    try:
-        impact_ci(d, pred, n_boot=100, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < n * 4 * 8
+    impact_ci(Dataset(s=[0, 1], y=[0, 0]), PredictionSet.from_labels([1, 1]))  # lazy imports
+    for n in (10_000, 100_000):
+        d = Dataset(s=rng.integers(0, 2, n), y=np.zeros(n, dtype=int))
+        pred = PredictionSet(prob=rng.integers(0, 2, n).astype(float), deterministic=True)
+        base = peak(d, pred, method="asymptotic")
+        boot = peak(d, pred, n_boot=1000, seed=0)
+        assert boot - base < 100_000
+    assert boot < 600_000
 
 
 def test_bootstrap_redraws_from_the_replicate_generator():
