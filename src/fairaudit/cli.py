@@ -450,7 +450,7 @@ def cmd_plot(args) -> int:
         )
         written = [str(out_prefix.with_suffix(".csv")), str(out_prefix.with_suffix(".svg"))]
     elif args.kind == "roc-by-group":
-        curves = [(f"s={g}", rocstats.roc_curve(d, group=g)) for g in (0, 1)]
+        curves = [(f"s={g}", c) for g, c in enumerate(rocstats.group_roc_curves(d))]
         for name, curve in curves:
             path = Path(str(out_prefix) + f".{name.replace('=', '')}.csv")
             path.write_text(rocstats.roc_points_csv(curve), encoding="utf-8")

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._common import _ndtri, cell_sums, ks_distance
+from ._common import _ndtri, cell_sums
 from .data import DataError, Dataset, DegenerateGroupError, PredictionSet
 from . import rocstats
 from .rocstats import _ratio
@@ -159,9 +159,11 @@ def group_metrics(
 ) -> dict[str, MetricResult]:
     """Evaluate catalog metrics in the order of ``ids``; both groups must be present.
 
-    The group check, the per-group confusion counts and rates, the two group
-    ROC curves and the calibration table are each built on first use and
-    shared by every metric that reads them.  A build that raises is not
+    The group check, the per-group confusion counts and rates, the stable
+    descending order of the scores, the two group ROC curves and the
+    calibration table are each built on first use and shared by every metric
+    that reads them; the curves, the strong class balance and the calibration
+    edges all come from that one score order.  A build that raises is not
     kept, so every metric that reads it raises the same error.  With
     ``undefined_ok``, a metric that raises :class:`DegenerateGroupError` is
     reported with ``details={"undefined": reason}`` instead.
@@ -193,8 +195,12 @@ def group_metrics(
             gap = max(gaps) if len(gaps) == 2 else None
             return _composite(metric, gap, epsilon, details={"tpr": tpr, "fpr": fpr})
 
+        # None without scores, so that each reader raises as it would alone
+        order = lambda: shared(
+            "order", lambda: None if d.score is None else rocstats._descending(d.score)
+        )
         if metric in ("auc_fairness", "roc_equality"):
-            c0, c1 = shared("curves", lambda: [rocstats.roc_curve(d, group=g) for g in (0, 1)])
+            c0, c1 = shared("curves", lambda: rocstats.group_roc_curves(d, order=order()))
             if metric == "auc_fairness":
                 return _result(metric, rocstats.auc(c0), rocstats.auc(c1), epsilon)
             res = _roc_gaps(c0, c1)
@@ -204,14 +210,14 @@ def group_metrics(
 
         if metric in ("class_balance_weak", "class_balance_strong"):
             mode = "weak" if metric.endswith("weak") else "strong"
-            per_y = class_balance(d, mode)
+            per_y = class_balance(d, mode, order() if mode == "strong" else None)
             defined = [v for v in per_y.values() if v is not None]
             gap = max(defined) if defined else None
             per_y = {str(k): v for k, v in per_y.items()}
             return _composite(metric, gap, epsilon, details={"per_y": per_y})
 
         if metric in ("calibration_parity", "good_calibration"):
-            cal = shared("calibration", lambda: calibration(d, bins))
+            cal = shared("calibration", lambda: calibration(d, bins, order()))
             gap = cal.good_calibration_deviation if metric == "good_calibration" else cal.parity_gap
             return _composite(metric, gap, epsilon, details={"bins": len(cal.edges) - 1})
 
@@ -398,7 +404,7 @@ def impact_ci(
             sums = np.empty((n_boot, 4))
             for b in range(n_boot):
                 rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
-                for _ in range(100):
+                for _ in range(101):  # one draw and at most 100 redraws
                     counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
                     sums[b] = counts.astype(np.float64) @ cols
                     # weights are positive, so a group is present iff its weight sum is
@@ -462,31 +468,36 @@ def roc_equality(d: Dataset) -> RocEqualityResult:
     at matched TPR).  Both gaps are zero iff the group curves coincide, and
     the comparison only depends on within-group score ranks.
     """
-    return _roc_gaps(rocstats.roc_curve(d, group=0), rocstats.roc_curve(d, group=1))
+    return _roc_gaps(*rocstats.group_roc_curves(d))
 
 
 def _roc_gaps(a: rocstats.RocCurve, b: rocstats.RocCurve) -> RocEqualityResult:
-    """The sup-norm gaps of :func:`roc_equality` between two built curves."""
-    # vertically: TPR at every FPR either curve steps at
-    grid = np.union1d(a.fpr, b.fpr)
-    ta = a.tpr[np.searchsorted(a.fpr, grid, side="right") - 1]
-    tb = b.tpr[np.searchsorted(b.fpr, grid, side="right") - 1]
-    # horizontally: the first FPR reaching every TPR either curve steps at
-    grid = np.union1d(a.tpr, b.tpr)
-    ia = np.minimum(np.searchsorted(a.tpr, grid, side="left"), len(a.tpr) - 1)
-    ib = np.minimum(np.searchsorted(b.tpr, grid, side="left"), len(b.tpr) - 1)
-    return RocEqualityResult(
-        sup_tpr_gap=float(np.max(np.abs(ta - tb))),
-        sup_fpr_gap=float(np.max(np.abs(a.fpr[ia] - b.fpr[ib]))),
-    )
+    """The sup-norm gaps of :func:`roc_equality` between two built curves, at
+    each curve's own points in turn: the same pairs as on the merged grid."""
+    tpr_gap = fpr_gap = 0.0
+    for p, q in ((a, b), (b, a)):
+        # vertically: TPR at every FPR, where a run of equal FPRs ends
+        ends = np.r_[rocstats._run_starts(p.fpr)[1:], len(p)] - 1
+        other = q.tpr[np.searchsorted(q.fpr, p.fpr[ends], side="right") - 1]
+        tpr_gap = max(tpr_gap, np.max(np.abs(p.tpr[ends] - other)))
+        # horizontally: the first FPR reaching every TPR, where a run of equal TPRs starts
+        starts = rocstats._run_starts(p.tpr)
+        other = q.fpr[np.minimum(np.searchsorted(q.tpr, p.tpr[starts], side="left"), len(q) - 1)]
+        fpr_gap = max(fpr_gap, np.max(np.abs(p.fpr[starts] - other)))
+    return RocEqualityResult(sup_tpr_gap=float(tpr_gap), sup_fpr_gap=float(fpr_gap))
 
 
-def class_balance(d: Dataset, mode: str = "weak") -> dict[int, float | None]:
+def class_balance(
+    d: Dataset, mode: str = "weak", order: np.ndarray | None = None
+) -> dict[int, float | None]:
     """Per-outcome-class score gap between groups.
 
     weak: absolute difference of conditional mean scores.
     strong: Kolmogorov-Smirnov distance between the conditional score
-    distributions (the distance is reported, not a p-value).
+    distributions (the distance is reported, not a p-value), read from the
+    stable descending order of the scores (``order``, the records by
+    decreasing score with ties in record order; built when not given).  It
+    equals ``ks_distance`` of the two cells bit for bit.
     """
     if mode not in ("weak", "strong"):
         raise ValueError(f"mode must be 'weak' or 'strong', got {mode!r}")
@@ -500,9 +511,27 @@ def class_balance(d: Dataset, mode: str = "weak") -> dict[int, float | None]:
         elif mode == "weak":
             out[yv] = abs(float(wscore[yv] / w[yv]) - float(wscore[2 + yv] / w[2 + yv]))
         else:
-            m0, m1 = key == yv, key == 2 + yv
-            out[yv] = ks_distance(score[m0], score[m1], d.weight[m0], d.weight[m1])
+            order = rocstats._descending(score) if order is None else order
+            out[yv] = _ks_in_class(d, order[d.y[order] == yv], w[yv], w[2 + yv])
     return out
+
+
+def _ks_in_class(d: Dataset, desc: np.ndarray, w0: float, w1: float) -> float:
+    """KS distance between the two groups' scores among the records ``desc``
+    (one class, by decreasing score, ties in record order), whose groups'
+    weight sums are w0 and w1."""
+    n = len(desc)
+    bounds = np.r_[rocstats._run_starts(d.score[desc]), n]
+    # the tie runs in increasing order, each keeping its records in record
+    # order: every group's records in the order ks_distance sorts them
+    asc = np.empty_like(desc)
+    asc[np.arange(n) + np.repeat(n - bounds[:-1] - bounds[1:], np.diff(bounds))] = desc
+    wv, g1 = d.weight[asc], d.s[asc] == 1
+    # the other group's records add exact zeros, so each partial sum keeps its bits
+    f0 = np.cumsum(np.where(g1, 0.0, wv)) / w0
+    f1 = np.cumsum(np.where(g1, wv, 0.0)) / w1
+    ends = n - 1 - bounds[:-1]  # each run's last record: the CDFs at its score
+    return float(np.max(np.abs(f0[ends] - f1[ends])))
 
 
 @dataclass
@@ -520,20 +549,37 @@ def max_calibration_bins(n: int) -> int:
     return max(n, 10)
 
 
-def calibration(d: Dataset, bins: int = 10) -> CalibrationResult:
+def _quantiles(ascending: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``np.quantile`` with its default "linear" method on values already in
+    increasing order: the virtual index (n - 1) q, its floor, and numpy's
+    ``_lerp``, whose t >= 0.5 branch interpolates back from the upper value."""
+    n = len(ascending)
+    virtual = (n - 1) * q
+    above = virtual >= n - 1  # numpy takes the maximum, with t = virtual + 1
+    lo = np.where(above, -1, np.floor(virtual)).astype(np.intp)
+    t = virtual - lo
+    a, b = ascending[lo], ascending[np.where(above, -1, lo + 1)]
+    diff = b - a
+    return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
+
+
+def calibration(d: Dataset, bins: int = 10, order: np.ndarray | None = None) -> CalibrationResult:
     """Reliability table over quantile bins of the pooled scores.
 
     parity gap: max over bins (with both groups present) of the inter-group
     difference in observed P[Y=1].  good-calibration deviation: max over
     (group, bin) of |observed P[Y=1] - mean score in the cell|.  ``bins``
-    runs from 1 to ``max_calibration_bins(n)``.
+    runs from 1 to ``max_calibration_bins(n)``.  The bin edges are the
+    pooled scores' linear quantiles, read from the stable descending order
+    of the scores (``order``; built when not given) instead of a partition.
     """
     if bins < 1:
         raise ValueError("need at least one bin")
     score = d.require_scores()
     if bins > max_calibration_bins(len(score)):
         raise ValueError(f"{bins} calibration bins exceed the {len(score)} scored records")
-    edges = np.unique(np.quantile(score, np.linspace(0.0, 1.0, bins + 1)))
+    order = rocstats._descending(score) if order is None else order
+    edges = np.unique(_quantiles(score[order[::-1]], np.linspace(0.0, 1.0, bins + 1)))
     merged = len(edges) - 1 < bins
     if len(edges) == 1:  # constant score
         edges = np.array([edges[0], edges[0]])

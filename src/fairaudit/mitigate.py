@@ -731,8 +731,7 @@ def _group_geometries(d: Dataset) -> dict[int, _GroupGeometry]:
     score = d.require_scores()
     for g in (0, 1):
         d.require_group(g)
-    w = d.weight
-    sweeps = rocstats._group_sweeps(score, d.s, np.column_stack((w * (1 - d.y), w * d.y)))
+    sweeps = rocstats._group_sweeps(score, d.s, rocstats._roc_cols(d))
     geo = {}
     for g, (distinct, above, (neg_w, pos_w)) in enumerate(sweeps):
         if neg_w == 0 or pos_w == 0:

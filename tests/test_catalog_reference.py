@@ -172,7 +172,7 @@ def audit_inputs(draw):
     else:
         prob = draw(st.lists(st.sampled_from([0.0, 0.2, 0.5, 0.75, 1.0]), min_size=n, max_size=n))
         pred = PredictionSet(prob=np.array(prob), deterministic=False)
-    kw = {"epsilon": draw(st.sampled_from([0.0, 0.05, 0.2])), "bins": draw(st.integers(1, 4)),
+    kw = {"epsilon": draw(st.sampled_from([0.0, 0.05, 0.2])), "bins": draw(st.integers(0, 4)),
           "legit": legit}
     return d, pred, kw
 
@@ -213,14 +213,14 @@ def test_failed_build_is_not_kept(toy, toy_pred, monkeypatch):
     # a curve build that raises is retried by the next metric that reads it
     calls = []
 
-    def failing(d, group=None):
-        calls.append(group)
+    def failing(d, order=None):
+        calls.append(d)
         raise DegenerateGroupError("ROC curve needs both outcome classes")
 
-    monkeypatch.setattr(rocstats, "roc_curve", failing)
+    monkeypatch.setattr(rocstats, "group_roc_curves", failing)
     res = group_metrics(["auc_fairness", "roc_equality", "statistical_parity"], toy, toy_pred,
                         undefined_ok=True)
-    assert calls == [0, 0]
+    assert calls == [toy, toy]
     for mid in ("auc_fairness", "roc_equality"):
         assert res[mid].details == {"undefined": "ROC curve needs both outcome classes"}
     assert res["statistical_parity"].group0 == 0.25

@@ -212,9 +212,9 @@ class TestAuditCommand:
     def test_catalog_builds_each_shared_input_once(self, toy_csv, capsys, monkeypatch):
         from fairaudit import groupfair, rocstats
 
-        calls = {"confusion": 0, "roc_curve": 0, "calibration": 0}
-        for module, name in ((rocstats, "confusion"), (rocstats, "roc_curve"),
-                             (groupfair, "calibration")):
+        calls = {"confusion": 0, "_descending": 0, "group_roc_curves": 0, "calibration": 0}
+        for module, name in ((rocstats, "confusion"), (rocstats, "_descending"),
+                             (rocstats, "group_roc_curves"), (groupfair, "calibration")):
             def counted(*args, _fn=getattr(module, name), _name=name, **kw):
                 calls[_name] += 1
                 return _fn(*args, **kw)
@@ -223,8 +223,10 @@ class TestAuditCommand:
         code, _, _ = run(["audit", toy_csv, "--threshold", TOY_THRESHOLD_ARG, "--no-individual"],
                          capsys)
         assert code == 0
-        # two confusions for the catalog and two for the disparate-impact block
-        assert calls == {"confusion": 4, "roc_curve": 2, "calibration": 1}
+        # two confusions for the catalog and two for the disparate-impact block;
+        # one score order for the curves, the strong class balance and calibration
+        assert calls == {"confusion": 4, "_descending": 1, "group_roc_curves": 1,
+                         "calibration": 1}
 
     def test_pred_col_with_features_matches_threshold_audit(self, tmp_path, capsys):
         # yhat is score > 0.55, so the threshold audit of the same rows

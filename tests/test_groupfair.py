@@ -610,6 +610,33 @@ def test_bootstrap_redraws_from_the_replicate_generator():
         assert ci.hi == pytest.approx(expected[1], rel=1e-12, abs=0.0)
 
 
+class LosingGenerator:
+    """A generator whose first ``losses`` index draws resample only the last
+    record (group 1), and whose later draws take every record once."""
+
+    def __init__(self, losses):
+        self.losses = losses
+
+    def integers(self, low, high, size):
+        self.losses -= 1
+        return np.full(size, high - 1) if self.losses >= 0 else np.arange(size)
+
+
+@pytest.mark.parametrize("losses", [100, 101])
+def test_bootstrap_record_route_redraws_100_times(monkeypatch, losses):
+    # weights of 2 take the record-resampling route; each replicate gets its
+    # own generator, so every replicate loses group 0 ``losses`` times
+    d = Dataset(s=[0, 0, 1, 1], y=[0, 1, 0, 1], weight=[2.0] * 4)
+    pred = PredictionSet.from_labels([1, 0, 1, 0])
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: LosingGenerator(losses))
+    if losses == 100:
+        ci = impact_ci(d, pred, n_boot=100, seed=0)
+        assert ci.lo == ci.hi == ci.point == 1.0
+    else:
+        with pytest.raises(DegenerateGroupError, match=r"kept losing a group \(100 retries\)"):
+            impact_ci(d, pred, n_boot=100, seed=0)
+
+
 def test_bootstrap_overflowing_ratio_counts_undefined_replicates():
     # group-0 sums are subnormal and group-1 sums huge: every replicate ratio
     # is 0 * inf = NaN, which must neither warn nor count as zero replicates
