@@ -242,15 +242,19 @@ def cmd_audit(args) -> int:
         wanted = [m for m in args.metrics.split(",") if m]
     else:
         wanted = _default_metrics(d, pred, legit)
+    inputs: dict = {}  # the catalog's shared inputs; only its confusion counts are kept
     # a defaulted metric that this dataset cannot support is reported as
     # undefined; an explicitly requested one fails the audit
     results = groupfair.group_metrics(
         wanted, d, pred, epsilon=args.epsilon, bins=args.bins, legit=legit,
-        undefined_ok=not args.metrics,
+        undefined_ok=not args.metrics, inputs=inputs,
     )
     metrics = {mid: asdict(r) for mid, r in results.items()}
+    confusions = [c for c, _ in inputs.get("counts", ())]
+    del inputs  # the score order and the curves are not held through the intervals
 
-    di = groupfair.disparate_impact(d, pred, threshold=args.di_threshold, epsilon=args.epsilon)
+    di = groupfair.disparate_impact(d, pred, threshold=args.di_threshold, epsilon=args.epsilon,
+                                    confusions=confusions)
     report = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,

@@ -156,6 +156,7 @@ def group_metrics(
     bins: int = 10,
     legit: Sequence[str] | None = None,
     undefined_ok: bool = False,
+    inputs: dict | None = None,
 ) -> dict[str, MetricResult]:
     """Evaluate catalog metrics in the order of ``ids``; both groups must be present.
 
@@ -166,12 +167,13 @@ def group_metrics(
     edges all come from that one score order.  A build that raises is not
     kept, so every metric that reads it raises the same error.  With
     ``undefined_ok``, a metric that raises :class:`DegenerateGroupError` is
-    reported with ``details={"undefined": reason}`` instead.
+    reported with ``details={"undefined": reason}`` instead.  A dict given as
+    ``inputs`` receives the built inputs; ``"counts"`` is (confusion, rates) per group.
     """
     unknown = [m for m in ids if m not in METRICS]
     if unknown:
         raise ValueError(f"unknown metric id(s): {unknown}")
-    built: dict = {}
+    built: dict = {} if inputs is None else inputs
 
     def shared(key: str, build):
         if key not in built:
@@ -262,17 +264,19 @@ def disparate_impact(
     pred: PredictionSet,
     threshold: float = 0.8,
     epsilon: float = 0.05,
+    confusions: Sequence[rocstats.ConfusionMatrix] | None = None,
 ) -> DisparateImpactResult:
     """Two-sided disparate-impact ratio with the four-fifths flag.
 
     Also reports the statistical parity difference (group 1 - group 0), its
     normalized version NSPD = SPD / D_max with
     D_max = min(P[Yhat=1]/P[S=1], P[Yhat=0]/P[S=0]), and the equal
-    opportunity difference EOD (TPR_1 - TPR_0).
+    opportunity difference EOD (TPR_1 - TPR_0).  ``confusions``, both
+    groups' ``rocstats.confusion`` if the caller has them, are not counted again.
     """
     for g in (0, 1):
         d.require_group(g)
-    c0, c1 = (rocstats.confusion(d, pred, g) for g in (0, 1))
+    c0, c1 = confusions or [rocstats.confusion(d, pred, g) for g in (0, 1)]
     p0, p1 = _positive_rate(c0), _positive_rate(c1)
     if p0 > 0 and p1 > 0:
         ratio = min(p0 / p1, p1 / p0)

@@ -841,9 +841,18 @@ def _opportunity_mixture(geo: dict[int, _GroupGeometry], pos_w: float, total_w: 
     return taus[best], mixes
 
 
+_PAIR_BLOCK = 64  # group-0 segments per block of the equalized-odds pair search
+
+
 def _full_mixture(geo: dict[int, _GroupGeometry], accuracy):
     """Accuracy-best intersection of the two groups' realizable segment
-    families, solved for all pairs at once."""
+    families: the first candidate with the least key (-accuracy, fpr, strict
+    mixtures) among the proper crossings in np.nonzero order, then the two
+    ends of each collinear overlap.  The group-0 segments meet all group-1
+    segments _PAIR_BLOCK rows at a time, in O(_PAIR_BLOCK * S1) memory.  Each
+    block keeps its earliest best crossing and overlap end; a later block, or
+    an overlap end over a crossing, wins only with a strictly smaller key.
+    """
     segs = {g: np.asarray(_segments(geo[g]), dtype=int) for g in (0, 1)}
     for g in (0, 1):
         if len(segs[g]) == 0:  # every score in the group is 0
@@ -852,50 +861,57 @@ def _full_mixture(geo: dict[int, _GroupGeometry], accuracy):
     A1 = np.column_stack([geo[0].fpr[segs[0][:, 1]], geo[0].tpr[segs[0][:, 1]]])
     B0 = np.column_stack([geo[1].fpr[segs[1][:, 0]], geo[1].tpr[segs[1][:, 0]]])
     B1 = np.column_stack([geo[1].fpr[segs[1][:, 1]], geo[1].tpr[segs[1][:, 1]]])
-    r = A1 - A0
     s = B1 - B0
-    denom = r[:, None, 0] * s[None, :, 1] - r[:, None, 1] * s[None, :, 0]
-    diff0 = B0[None, :, 0] - A0[:, None, 0]
-    diff1 = B0[None, :, 1] - A0[:, None, 1]
-    cross_s = diff0 * s[None, :, 1] - diff1 * s[None, :, 0]
-    cross_r = diff0 * r[:, None, 1] - diff1 * r[:, None, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = cross_s / denom
-        v = cross_r / denom
     tol = 1e-12
-    parallel = np.abs(denom) <= 1e-14
-    ii, jj = np.nonzero(~parallel & (u >= -tol) & (u <= 1 + tol) & (v >= -tol) & (v <= 1 + tol))
-    uu = np.clip(u[ii, jj], 0.0, 1.0)
-    vv = np.clip(v[ii, jj], 0.0, 1.0)
+    found = ([], [])  # each block's best (key, i, j, u, v): crossing, overlap end
+    for start in range(0, len(A0), _PAIR_BLOCK):
+        a0, a1 = A0[start : start + _PAIR_BLOCK], A1[start : start + _PAIR_BLOCK]
+        r = a1 - a0
+        denom = r[:, None, 0] * s[None, :, 1] - r[:, None, 1] * s[None, :, 0]
+        diff0 = B0[None, :, 0] - a0[:, None, 0]
+        diff1 = B0[None, :, 1] - a0[:, None, 1]
+        cross_s = diff0 * s[None, :, 1] - diff1 * s[None, :, 0]
+        cross_r = diff0 * r[:, None, 1] - diff1 * r[:, None, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = cross_s / denom
+            v = cross_r / denom
+        parallel = np.abs(denom) <= 1e-14
+        ii, jj = np.nonzero(~parallel & (u >= -tol) & (u <= 1 + tol) & (v >= -tol) & (v <= 1 + tol))
+        uu = np.clip(u[ii, jj], 0.0, 1.0)
+        vv = np.clip(v[ii, jj], 0.0, 1.0)
 
-    # collinear overlapping pairs contribute the two ends of their overlap,
-    # as consecutive candidates
-    ci, cj = np.nonzero(parallel & (np.abs(cross_r) <= 1e-12))
-    ci, cj = np.repeat(ci, 2), np.repeat(cj, 2)
-    rc, sc = r[ci], s[cj]
-    rr = _rowdot(rc, rc)
-    ss = _rowdot(sc, sc)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t0 = _rowdot(B0[cj] - A0[ci], rc) / rr
-        t1 = _rowdot(B1[cj] - A0[ci], rc) / rr
-        lo = np.maximum(np.minimum(t0, t1), 0.0)
-        hi = np.minimum(np.maximum(t0, t1), 1.0)
-        uo = np.where(np.arange(len(ci)) % 2 == 1, hi, lo)
-        vo = np.where(ss > 0, _rowdot(A0[ci] + uo[:, None] * rc - B0[cj], sc) / ss, 0.0)
-    keep = (rr != 0) & (lo <= hi) & (vo >= -1e-9) & (vo <= 1 + 1e-9)
+        # collinear overlapping pairs contribute the two ends of their
+        # overlap, as consecutive candidates
+        ci, cj = np.nonzero(parallel & (np.abs(cross_r) <= 1e-12))
+        ci, cj = np.repeat(ci, 2), np.repeat(cj, 2)
+        rc, sc = r[ci], s[cj]
+        rr = _rowdot(rc, rc)
+        ss = _rowdot(sc, sc)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t0 = _rowdot(B0[cj] - a0[ci], rc) / rr
+            t1 = _rowdot(B1[cj] - a0[ci], rc) / rr
+            lo = np.maximum(np.minimum(t0, t1), 0.0)
+            hi = np.minimum(np.maximum(t0, t1), 1.0)
+            uo = np.where(np.arange(len(ci)) % 2 == 1, hi, lo)
+            vo = np.where(ss > 0, _rowdot(a0[ci] + uo[:, None] * rc - B0[cj], sc) / ss, 0.0)
+        keep = (rr != 0) & (lo <= hi) & (vo >= -1e-9) & (vo <= 1 + 1e-9)
 
-    ii = np.concatenate((ii, ci[keep]))
-    jj = np.concatenate((jj, cj[keep]))
-    uu = np.concatenate((uu, uo[keep]))
-    vv = np.concatenate((vv, np.clip(vo[keep], 0.0, 1.0)))
-    xs = (1 - uu)[:, None] * A0[ii] + uu[:, None] * A1[ii]
-    n_mixed = ((uu > tol) & (uu < 1 - tol)).astype(int) + ((vv > tol) & (vv < 1 - tol))
-    # lexsort is stable: among equal keys the earliest candidate wins
-    k = np.lexsort((n_mixed, xs[:, 0], -accuracy(xs[:, 0], xs[:, 1])))[0]
-    return (
-        (int(segs[0][ii[k], 0]), int(segs[0][ii[k], 1]), float(uu[k])),
-        (int(segs[1][jj[k], 0]), int(segs[1][jj[k], 1]), float(vv[k])),
-    )
+        ends = (ci[keep], cj[keep], uo[keep], np.clip(vo[keep], 0.0, 1.0))
+        for slot, (i, j, us, vs) in enumerate(((ii, jj, uu, vv), ends)):
+            if len(i) == 0:
+                continue
+            xs = (1 - us)[:, None] * a0[i] + us[:, None] * a1[i]
+            n_mixed = ((us > tol) & (us < 1 - tol)).astype(int) + ((vs > tol) & (vs < 1 - tol))
+            keys = (-accuracy(xs[:, 0], xs[:, 1]), xs[:, 0], n_mixed)
+            k = np.arange(len(i))
+            for col in keys:  # keep the rows tied at the least key so far
+                k = k[col[k] == col[k].min()]
+            k = k[0]
+            key = tuple(col[k].item() for col in keys)
+            found[slot].append((key, start + int(i[k]), int(j[k]), float(us[k]), float(vs[k])))
+    # min keeps the first of equal keys: crossings before overlap ends, blocks in order
+    _, i, j, u, v = min(found[0] + found[1], key=lambda c: c[0])
+    return tuple((int(segs[g][k, 0]), int(segs[g][k, 1]), t) for g, k, t in ((0, i, u), (1, j, v)))
 
 
 def equalize_odds(d: Dataset, criterion: str = "full") -> EqualizedOddsResult:

@@ -4,13 +4,18 @@ Each reference below is the straightforward loop form of a search: build
 every candidate with its tie-break key, one at a time, and keep the best.
 The array searches in ``mitigate`` and ``rocstats`` must pick the very same
 candidate, so mixtures, thresholds and flags are compared exactly.
+``dense_full_mixture`` is the equalized-odds search before its row-block
+walk (one dense grid of segment pairs, one lexsort); it pins the walk on
+geometries too large for the loop.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fairaudit import mitigate, rocstats
+from fairaudit import mitigate, rocstats, synth
 from fairaudit.data import Dataset, DegenerateGroupError, ThresholdPolicy
 
 
@@ -107,6 +112,57 @@ def ref_full_mixture(geo, accuracy):
             )
     _, mix0, mix1 = min(cands, key=lambda c: c[0])
     return (mix0, mix1), len(ci)
+
+
+def dense_full_mixture(geo, accuracy):
+    """The search as one dense S0 x S1 grid of segment pairs and one lexsort
+    over every candidate, before the row-block walk."""
+    segs = {g: np.asarray(mitigate._segments(geo[g]), dtype=int) for g in (0, 1)}
+    A0 = np.column_stack([geo[0].fpr[segs[0][:, 0]], geo[0].tpr[segs[0][:, 0]]])
+    A1 = np.column_stack([geo[0].fpr[segs[0][:, 1]], geo[0].tpr[segs[0][:, 1]]])
+    B0 = np.column_stack([geo[1].fpr[segs[1][:, 0]], geo[1].tpr[segs[1][:, 0]]])
+    B1 = np.column_stack([geo[1].fpr[segs[1][:, 1]], geo[1].tpr[segs[1][:, 1]]])
+    r = A1 - A0
+    s = B1 - B0
+    denom = r[:, None, 0] * s[None, :, 1] - r[:, None, 1] * s[None, :, 0]
+    diff0 = B0[None, :, 0] - A0[:, None, 0]
+    diff1 = B0[None, :, 1] - A0[:, None, 1]
+    cross_s = diff0 * s[None, :, 1] - diff1 * s[None, :, 0]
+    cross_r = diff0 * r[:, None, 1] - diff1 * r[:, None, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = cross_s / denom
+        v = cross_r / denom
+    tol = 1e-12
+    parallel = np.abs(denom) <= 1e-14
+    ii, jj = np.nonzero(~parallel & (u >= -tol) & (u <= 1 + tol) & (v >= -tol) & (v <= 1 + tol))
+    uu = np.clip(u[ii, jj], 0.0, 1.0)
+    vv = np.clip(v[ii, jj], 0.0, 1.0)
+
+    ci, cj = np.nonzero(parallel & (np.abs(cross_r) <= 1e-12))
+    ci, cj = np.repeat(ci, 2), np.repeat(cj, 2)
+    rc, sc = r[ci], s[cj]
+    rr = mitigate._rowdot(rc, rc)
+    ss = mitigate._rowdot(sc, sc)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t0 = mitigate._rowdot(B0[cj] - A0[ci], rc) / rr
+        t1 = mitigate._rowdot(B1[cj] - A0[ci], rc) / rr
+        lo = np.maximum(np.minimum(t0, t1), 0.0)
+        hi = np.minimum(np.maximum(t0, t1), 1.0)
+        uo = np.where(np.arange(len(ci)) % 2 == 1, hi, lo)
+        vo = np.where(ss > 0, mitigate._rowdot(A0[ci] + uo[:, None] * rc - B0[cj], sc) / ss, 0.0)
+    keep = (rr != 0) & (lo <= hi) & (vo >= -1e-9) & (vo <= 1 + 1e-9)
+
+    ii = np.concatenate((ii, ci[keep]))
+    jj = np.concatenate((jj, cj[keep]))
+    uu = np.concatenate((uu, uo[keep]))
+    vv = np.concatenate((vv, np.clip(vo[keep], 0.0, 1.0)))
+    xs = (1 - uu)[:, None] * A0[ii] + uu[:, None] * A1[ii]
+    n_mixed = ((uu > tol) & (uu < 1 - tol)).astype(int) + ((vv > tol) & (vv < 1 - tol))
+    k = np.lexsort((n_mixed, xs[:, 0], -accuracy(xs[:, 0], xs[:, 1])))[0]
+    return (
+        (int(segs[0][ii[k], 0]), int(segs[0][ii[k], 1]), float(uu[k])),
+        (int(segs[1][jj[k], 0]), int(segs[1][jj[k], 1]), float(vv[k])),
+    )
 
 
 def ref_opportunity_mixture(geo, pos_w, total_w):
@@ -218,7 +274,22 @@ def check_equalize_odds(d):
         return 0
     expected, n_collinear = ref_full_mixture(geo, accuracy)
     assert mitigate._full_mixture(geo, accuracy) == expected
+    assert dense_full_mixture(geo, accuracy) == expected
     return n_collinear
+
+
+def synth_geometry(seed):
+    """Both groups' geometries and the accuracy of the operating-point
+    generator at n = 1e4: about 630 segments a group, 4e5 pairs."""
+    d = synth.sample_scores(synth.operating_point_spec(), 10_000, seed)
+    geo = mitigate._group_geometries(d)
+    pos_w = geo[0].pos_w + geo[1].pos_w
+    neg_w = geo[0].neg_w + geo[1].neg_w
+
+    def accuracy(f, t):
+        return (t * pos_w + (1.0 - f) * neg_w) / (pos_w + neg_w)
+
+    return geo, accuracy
 
 
 def check_thresholds(d):
@@ -289,6 +360,41 @@ def test_grid_data_matches_reference(weighted):
         collinear += check_equalize_odds(d)
         check_thresholds(d)
     assert collinear > 0  # the collinear overlap path was exercised
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_small_pair_blocks_match_reference(monkeypatch, block):
+    """Blocks of 1-3 rows put tied keys in different blocks (every chord pair
+    through (0, 0) has the same key) and collinear ends after crossings of
+    later blocks; the earliest candidate must still win."""
+    monkeypatch.setattr(mitigate, "_PAIR_BLOCK", block)
+    rng = np.random.default_rng(7 + block)
+    for _ in range(3):
+        check_equalize_odds(criterion_10_dataset(rng))
+    collinear = 0
+    for k in range(60):
+        collinear += check_equalize_odds(grid_dataset(rng, weighted=k % 2 == 1))
+    assert collinear > 0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_block_search_matches_dense_search_on_synth_geometries(seed):
+    geo, accuracy = synth_geometry(seed)
+    assert len(mitigate._segments(geo[0])) * len(mitigate._segments(geo[1])) > 390_000
+    assert mitigate._full_mixture(geo, accuracy) == dense_full_mixture(geo, accuracy)
+
+
+def test_block_search_peak_memory():
+    """About 4e5 segment pairs: the block walk peaks near 6.5 MB; the dense
+    grid held a dozen 4e5-float arrays and peaked near 46 MB."""
+    geo, accuracy = synth_geometry(1)
+    tracemalloc.start()
+    try:
+        mitigate._full_mixture(geo, accuracy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_decimal_weight_thresholds_match_reference():

@@ -223,9 +223,10 @@ class TestAuditCommand:
         code, _, _ = run(["audit", toy_csv, "--threshold", TOY_THRESHOLD_ARG, "--no-individual"],
                          capsys)
         assert code == 0
-        # two confusions for the catalog and two for the disparate-impact block;
-        # one score order for the curves, the strong class balance and calibration
-        assert calls == {"confusion": 4, "_descending": 1, "group_roc_curves": 1,
+        # two confusions, built by the catalog and reused by the
+        # disparate-impact block; one score order for the curves, the strong
+        # class balance and calibration
+        assert calls == {"confusion": 2, "_descending": 1, "group_roc_curves": 1,
                          "calibration": 1}
 
     def test_pred_col_with_features_matches_threshold_audit(self, tmp_path, capsys):

@@ -24,9 +24,10 @@ def smooth_score_dataset(rng, n=200, lipschitz=0.25):
 
 
 def ref_lipschitz_audit(d, scale, top_k=10, seed=0, dy="score", pred=None):
-    """The Lipschitz audit before the feature-major kernel: white[bi] row
-    gathers, np.linalg.norm over each (m, p) block and the ratio from
-    np.where; the pair stream and block loop are unchanged."""
+    """The Lipschitz audit before the feature-major kernel and the
+    PAIR_BLOCK walk: white[bi] row gathers, np.linalg.norm over each (m, p)
+    block, the ratio from np.where, and self pairs dropped from all sampled
+    pairs before 500k-pair blocks; the pair stream is unchanged."""
     n = len(d)
     out = d.score if dy == "score" else pred.prob
     white = d.features @ indivfair._mahalanobis_factor(d.features, d.feature_names).T
@@ -107,6 +108,28 @@ class TestLipschitzAudit:
         else:
             assert res.worst_ratio == np.inf
 
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "sampled"])
+    @pytest.mark.parametrize("block", [1, 7, 2**20])
+    def test_any_pair_block_matches_fancy_index_gather(self, monkeypatch, block, exact):
+        """The counts, the worst ratio and the top pairs do not depend on the
+        block: each block's own first top_k include every pair of the global
+        first top_k, and the self pairs dropped block by block are the ones
+        a filter over all pairs drops."""
+        monkeypatch.setattr(indivfair, "PAIR_BLOCK", block)
+        if not exact:
+            monkeypatch.setattr(indivfair, "EXACT_PAIR_LIMIT", 40)
+            monkeypatch.setattr(indivfair, "SAMPLED_PAIRS", 3_000)
+        rng = np.random.default_rng(block)
+        n = 60
+        X = rng.normal(size=(n, 3))
+        X[n // 2 :] = X[: n // 2]  # duplicated rows: ties at ratio inf
+        d = Dataset(s=rng.integers(0, 2, n), y=rng.integers(0, 2, n), score=rng.random(n),
+                    features=X)
+        res = lipschitz_audit(d, scale=0.5, top_k=25)
+        got = (res.violations, res.checked_pairs, res.worst_ratio, res.top_pairs, res.exact)
+        assert got == ref_lipschitz_audit(d, scale=0.5, top_k=25)
+        assert res.exact == exact and res.worst_ratio == np.inf
+
     @pytest.mark.parametrize("p", range(1, 13))
     def test_pair_distances_are_norms_bit_for_bit(self, p):
         """Summed by column below 8 features, by np.linalg.norm from 8 on:
@@ -124,6 +147,7 @@ class TestLipschitzAudit:
         gathering whole rows held two such gathers at once and peaked at
         about 49 MB."""
         monkeypatch.setattr(indivfair, "SAMPLED_PAIRS", 500_000)
+        monkeypatch.setattr(indivfair, "PAIR_BLOCK", 500_000)
         rng = np.random.default_rng(4)
         n = 2500
         d = Dataset(s=rng.integers(0, 2, n), y=rng.integers(0, 2, n), score=rng.random(n),
@@ -150,8 +174,9 @@ class TestLipschitzAudit:
 
     def test_sampled_pairs_peak_below_int64_pairs(self):
         """2e6 sampled pairs on 2500 records: the int32 pairs (16 MB) and one
-        block's intp copies and temporaries peak near 39 MB; int64 pairs
-        peaked at 50.2 MB."""
+        65,536-pair block's filtered copies and temporaries peak near 20 MB.
+        A filtered copy of all pairs and 500k-pair blocks peaked near 39 MB,
+        and int64 pairs at 50.2 MB."""
         rng = np.random.default_rng(4)
         n = 2500
         d = Dataset(s=rng.integers(0, 2, n), y=rng.integers(0, 2, n), score=rng.random(n),
@@ -163,7 +188,7 @@ class TestLipschitzAudit:
         finally:
             tracemalloc.stop()
         assert res.checked_pairs > 1_990_000
-        assert peak < 42e6
+        assert peak < 24e6
 
     @pytest.mark.parametrize("scale", [-1.0, -1e-300, float("nan")])
     def test_negative_scale_rejected(self, scale):
