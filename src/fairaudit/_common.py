@@ -150,11 +150,3 @@ def ks_distance(a, b, wa=None, wb=None) -> float:
     fa = np.concatenate(([0.0], ca))[np.searchsorted(a[ia], grid, side="right")]
     fb = np.concatenate(([0.0], cb))[np.searchsorted(b[ib], grid, side="right")]
     return float(np.max(np.abs(fa - fb)))
-
-
-def ks_two_sample_critical(n1: int, n2: int, level: float = 0.01) -> float:
-    """Asymptotic two-sample KS critical value at the given significance level."""
-    coeff = {0.10: 1.224, 0.05: 1.358, 0.01: 1.628}
-    if level not in coeff:
-        raise ValueError(f"unsupported level {level}; use one of {sorted(coeff)}")
-    return coeff[level] * np.sqrt((n1 + n2) / (n1 * n2))

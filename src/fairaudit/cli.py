@@ -294,7 +294,7 @@ def cmd_audit(args) -> int:
         have_features = d.features is not None and not np.isnan(d.features).any()
         if have_features and d.score is not None:
             indiv["lipschitz"] = asdict(indivfair.lipschitz_audit(
-                d, dy="score", scale=args.lipschitz_scale, seed=args.seed
+                d, scale=args.lipschitz_scale, seed=args.seed
             ))
         if have_features or (d.features is None and d.score is not None):
             try:
@@ -351,10 +351,8 @@ def cmd_mitigate(args) -> int:
             spec = mitigate.PenaltySpec.dp_correlation(args.lam)
         elif args.penalty == "eo_correlation":
             spec = mitigate.PenaltySpec.eo_correlation(args.lam0, args.lam1)
-        elif args.penalty == "dp_maxcor":
+        else:  # dp_maxcor: --penalty's choices admit no other value
             spec = mitigate.PenaltySpec.dp_maxcor(args.lam, degree=args.degree)
-        else:
-            raise DataError(f"unknown penalty {args.penalty!r}")
         model = mitigate.train_logistic(d, penalty=spec, link=args.link)
         if model.diverged or not model.converged:
             failure = "diverged (separable data)" if model.diverged else "did not converge"
@@ -632,11 +630,18 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--out", required=True, help="output path prefix")
     pm.add_argument("--eps", type=_finite_float, default=0.0, help="massage: target label-rate gap")
     pm.add_argument("--amount", type=float, default=1.0, help="repair: amount in [0, 1]")
-    pm.add_argument("--penalty", default="none", help="train: penalty kind")
+    pm.add_argument(
+        "--penalty",
+        choices=["none", "dp_correlation", "eo_correlation", "dp_maxcor"],
+        default="none",
+        help="train: penalty kind",
+    )
     pm.add_argument("--lam", type=_finite_float, default=0.0)
     pm.add_argument("--lam0", type=_finite_float, default=0.0)
     pm.add_argument("--lam1", type=_finite_float, default=0.0)
-    pm.add_argument("--degree", type=int, default=3)
+    # the max-correlation basis is n x degree; monomials of a score in [0, 1]
+    # are nearly collinear well before degree 10
+    pm.add_argument("--degree", type=_int_between(1, 10), default=3)
     pm.add_argument("--link", choices=["logistic", "probit"], default="logistic")
     pm.add_argument("--objective", choices=["dp", "eo_tpr"], default="dp")
     pm.add_argument("--criterion", choices=["full", "opportunity"], default="full")

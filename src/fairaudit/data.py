@@ -131,11 +131,8 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.s)
 
-    def group_mask(self, g: int) -> np.ndarray:
-        return self.s == g
-
     def require_group(self, g: int) -> np.ndarray:
-        mask = self.group_mask(g)
+        mask = self.s == g
         if not mask.any():
             raise DegenerateGroupError(f"group {g} is empty")
         return mask
@@ -407,13 +404,6 @@ class ThresholdPolicy:
             raise DataError(f"policy has no rule for group {g}")
         return self.rules[g]
 
-    @property
-    def deterministic(self) -> bool:
-        return all(
-            isinstance(r, Deterministic) or r.p in (0.0, 1.0)
-            for r in self.rules.values()
-        )
-
     def to_json_dict(self) -> dict:
         out = {}
         for g, rule in sorted(self.rules.items()):
@@ -427,18 +417,6 @@ class ThresholdPolicy:
                     "p": rule.p,
                 }
         return out
-
-    @classmethod
-    def from_json_dict(cls, d: Mapping) -> "ThresholdPolicy":
-        rules: dict[int, GroupRule] = {}
-        for g, spec in d.items():
-            if spec["kind"] == "deterministic":
-                rules[int(g)] = Deterministic(spec["threshold"])
-            elif spec["kind"] == "randomized":
-                rules[int(g)] = Randomized(spec["t_lo"], spec["t_hi"], spec["p"])
-            else:
-                raise DataError(f"unknown rule kind {spec['kind']!r}")
-        return cls(rules=rules)
 
 
 @dataclass(frozen=True)
@@ -461,12 +439,6 @@ class PredictionSet:
 
     def __len__(self) -> int:
         return len(self.prob)
-
-    @property
-    def labels(self) -> np.ndarray:
-        if not self.deterministic:
-            raise DataError("randomized predictions have no hard labels")
-        return (self.prob > 0.5).astype(np.int64)
 
     @classmethod
     def from_labels(cls, labels: Sequence[int]) -> "PredictionSet":

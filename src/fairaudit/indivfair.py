@@ -8,8 +8,6 @@ an adversary could see; AUC near 0.5 means the attribute leaves no trace.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,16 +34,8 @@ class LipschitzAuditResult:
     worst_ratio: float
     top_pairs: list[dict] = field(default_factory=list)
     exact: bool = True
-    mode: str = "score"
+    mode: str = "score"  # the only mode; a key of the report
     scale: float = 1.0
-
-    def pairs_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["i", "j", "d_y", "d_x", "ratio"])
-        for p in self.top_pairs:
-            writer.writerow([p["i"], p["j"], repr(p["d_y"]), repr(p["d_x"]), repr(p["ratio"])])
-        return buf.getvalue()
 
 
 def _mahalanobis_factor(features: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
@@ -116,23 +106,20 @@ def _check_block(white, cols, out, bi, bj, scale, top_k):
 
 def lipschitz_audit(
     d: Dataset,
-    dy: str = "score",
     scale: float = 1.0,
-    pred: PredictionSet | None = None,
     top_k: int = 10,
     seed: int = 0,
 ) -> LipschitzAuditResult:
     """Count pairs with d_y > scale * d_x.
 
-    d_y compares scores (|m_i - m_j|, mode "score") or decisions
-    (|yhat_i - yhat_j|, mode "decision"); d_x is the Mahalanobis distance
-    over the feature columns.  The pure similarity inequality has no free
-    constant, so ``scale`` makes it non-vacuous and is reported back; it
-    must be at least 0.  Exact enumeration up to n = 2000; beyond that a
-    seeded sample of 2e6 pairs is audited and flagged as non-exact.  The
-    pairs are checked PAIR_BLOCK at a time, each block dropping its sampled
-    pairs of a record with itself, so no filtered copy of all pairs is made;
-    ``checked_pairs`` counts the kept ones.
+    d_y compares scores (|m_i - m_j|, mode "score"); d_x is the Mahalanobis
+    distance over the feature columns.  The pure similarity inequality has
+    no free constant, so ``scale`` makes it non-vacuous and is reported
+    back; it must be at least 0.  Exact enumeration up to n = 2000; beyond
+    that a seeded sample of 2e6 pairs is audited and flagged as non-exact.
+    The pairs are checked PAIR_BLOCK at a time, each block dropping its
+    sampled pairs of a record with itself, so no filtered copy of all pairs
+    is made; ``checked_pairs`` counts the kept ones.
 
     d_x sums the squared whitened differences in column order below 8
     features and as ``np.linalg.norm`` does (pairwise) from 8 on, which is
@@ -149,14 +136,7 @@ def lipschitz_audit(
     n = len(d)
     if n < 2:
         raise DataError("need at least two records")
-    if dy == "score":
-        out = d.require_scores()
-    elif dy == "decision":
-        if pred is None:
-            raise DataError("decision mode requires predictions")
-        out = pred.prob
-    else:
-        raise ValueError(f"unknown output metric {dy!r}")
+    out = d.require_scores()
 
     white = d.features @ _mahalanobis_factor(d.features, d.feature_names).T
     cols = np.ascontiguousarray(white.T)
@@ -188,8 +168,8 @@ def lipschitz_audit(
         top.extend(t)
     top.sort(key=lambda t: -t[0])
     top_pairs = [
-        {"i": i, "j": j, "d_y": dy_, "d_x": dx_, "ratio": r}
-        for r, i, j, dy_, dx_ in top[:top_k]
+        {"i": i, "j": j, "d_y": dy, "d_x": dx, "ratio": r}
+        for r, i, j, dy, dx in top[:top_k]
     ]
     return LipschitzAuditResult(
         violations=violations,
@@ -197,7 +177,6 @@ def lipschitz_audit(
         worst_ratio=worst,
         top_pairs=top_pairs,
         exact=exact,
-        mode=dy,
         scale=scale,
     )
 

@@ -40,7 +40,6 @@ __all__ = [
     "roc_curve",
     "group_roc_curves",
     "auc",
-    "convex_envelope",
     "best_accuracy_threshold",
     "fairest_threshold",
     "roc_points_csv",
@@ -310,23 +309,6 @@ def _upper_hull(fpr: np.ndarray, tpr: np.ndarray) -> np.ndarray:
                 break
         hull.append(i)
     return np.asarray(hull)
-
-
-def convex_envelope(r: RocCurve) -> RocCurve:
-    """Upper concave hull of the curve's points.
-
-    Dominates the input pointwise and is idempotent.
-    """
-    idx = _upper_hull(r.fpr, r.tpr)
-    return RocCurve(
-        fpr=r.fpr[idx],
-        tpr=r.tpr[idx],
-        thresholds=r.thresholds[idx],
-        neg_above=r.neg_above[idx],
-        pos_above=r.pos_above[idx],
-        neg_total=r.neg_total,
-        pos_total=r.pos_total,
-    )
 
 
 def best_accuracy_threshold(d: Dataset) -> tuple[float, float]:

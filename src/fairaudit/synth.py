@@ -40,7 +40,6 @@ __all__ = [
     "beta_sample",
     "sample_scores",
     "invariance_check",
-    "fit_beta_moments",
     "uniform_spec",
     "operating_point_spec",
 ]
@@ -182,30 +181,6 @@ def invariance_check(alpha: float, beta: float, p0: float, n: int, seed: int) ->
             f"only {len(kept)} samples fall below p0={p0}; increase n"
         )
     return ks_distance(kept / p0, x)
-
-
-def fit_beta_moments(samples) -> tuple[float, float]:
-    """Method-of-moments Beta shape estimates.
-
-    alpha = m (m(1-m)/v - 1), beta = (1-m) (m(1-m)/v - 1).  Samples with
-    v >= m(1-m) (only possible with mass at the boundary) have no Beta
-    moment match and raise.
-    """
-    x = np.asarray(samples, dtype=float)
-    if len(x) < 2:
-        raise ValueError("need at least two samples")
-    if (x < 0).any() or (x > 1).any():
-        raise ValueError("samples must lie in [0, 1]")
-    if np.all(x == x[0]):
-        raise ValueError("constant samples: moments are degenerate")
-    m = float(np.mean(x))
-    v = float(np.var(x))
-    common = m * (1.0 - m) / v - 1.0
-    if common <= 0:
-        raise ValueError(
-            f"infeasible moments: variance {v} >= m(1-m) = {m * (1 - m)}"
-        )
-    return m * common, (1.0 - m) * common
 
 
 def uniform_spec() -> BetaSpec:

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from fairaudit._common import ks_distance, ks_two_sample_critical
+from fairaudit._common import ks_distance
 from fairaudit.cli import main as cli_main
 from fairaudit.data import (
     TOY_CSV,
@@ -24,6 +24,7 @@ from fairaudit import depmeasure, groupfair, mitigate, rocstats, synth
 from test_depmeasure import joint_pearson
 from test_mitigate import in_hull, make_logistic_data
 from test_rocstats import brute_force_concordance, proportions_dataset
+from test_synth import ks_two_sample_critical
 
 
 def report(criterion, detail):

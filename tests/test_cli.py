@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import warnings
@@ -926,6 +928,30 @@ def test_boot_range_ends_accepted(toy_csv, capsys):
     assert json.loads(out)["interval"]["n_boot"] == 1000000
 
 
+def test_unknown_penalty_exit_2_before_reading_csv(tmp_path, capsys):
+    argv = ["mitigate", str(tmp_path / "missing.csv"), "--method", "train",
+            "--out", str(tmp_path / "m"), "--penalty", "bogus"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --penalty: invalid choice: 'bogus'" in err
+    assert "FileNotFoundError" not in err and "missing.csv" not in err
+
+
+@pytest.mark.parametrize("degree", ["0", "11"])
+def test_degree_outside_range_exit_2_names_flag(tmp_path, capsys, degree):
+    # parsed only: a broken bound would make the trainer build a degree x degree matrix
+    argv = ["mitigate", str(tmp_path / "missing.csv"), "--method", "train",
+            "--out", str(tmp_path / "m"), "--penalty", "dp_maxcor", "--degree", degree]
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert f"argument --degree: must be between 1 and 10, got '{degree}'" in (
+        capsys.readouterr().err
+    )
+
+
 @pytest.mark.parametrize("n", ["0", "-3", "100000001", "1000000000000", "1e3"])
 def test_synth_n_outside_range_exit_2_names_flag(capsys, n):
     # parsed only: a broken bound would make the command sample n records
@@ -953,6 +979,14 @@ def test_non_numeric_option_message_unchanged(toy_csv, capsys):
         main(["audit", str(toy_csv), "--epsilon", "abc"])
     assert exc.value.code == 2
     assert "argument --epsilon: invalid float value: 'abc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name", sorted(m.name for m in pkgutil.iter_modules(fairaudit.__path__))
+)
+def test_module_all_names_exist(name):
+    module = importlib.import_module(f"fairaudit.{name}")
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
 
 
 def test_cli_import_leaves_out_scipy_stats():

@@ -154,7 +154,7 @@ class TestApplyPolicy:
     def test_toy_threshold_reproduces_decision_row(self, toy):
         pred = apply_policy(toy, ThresholdPolicy.shared(TOY_THRESHOLD))
         expected = np.array([0] * 10 + [1] * 14)
-        assert np.array_equal(pred.labels, expected)
+        assert np.array_equal(pred.prob, expected)
 
     def test_threshold_one_rejects_everyone(self, toy):
         pred = apply_policy(toy, ThresholdPolicy.shared(1.0))
@@ -184,7 +184,7 @@ class TestApplyPolicy:
         # a threshold equal to a record's score leaves that record negative
         d = load_toy()
         pred = apply_policy(d, ThresholdPolicy.shared(i / 24))
-        assert pred.labels[i - 1] == 0
+        assert pred.prob[i - 1] == 0
 
     @given(
         st.floats(0, 1), st.floats(0, 1), st.floats(0, 1),

@@ -23,13 +23,13 @@ def smooth_score_dataset(rng, n=200, lipschitz=0.25):
     return Dataset(s=rng.integers(0, 2, size=n), y=rng.integers(0, 2, size=n), score=score, features=X)
 
 
-def ref_lipschitz_audit(d, scale, top_k=10, seed=0, dy="score", pred=None):
+def ref_lipschitz_audit(d, scale, top_k=10, seed=0):
     """The Lipschitz audit before the feature-major kernel and the
     PAIR_BLOCK walk: white[bi] row gathers, np.linalg.norm over each (m, p)
     block, the ratio from np.where, and self pairs dropped from all sampled
     pairs before 500k-pair blocks; the pair stream is unchanged."""
     n = len(d)
-    out = d.score if dy == "score" else pred.prob
+    out = d.score
     white = d.features @ indivfair._mahalanobis_factor(d.features, d.feature_names).T
     exact = n <= indivfair.EXACT_PAIR_LIMIT
     if exact:
@@ -78,13 +78,12 @@ class TestLipschitzAudit:
         assert got == ref_lipschitz_audit(d, scale=0.5)
         assert res.exact == exact and res.violations > 0
 
-    @pytest.mark.parametrize("case", ["dup-equal", "dup-differ", "decision"])
+    @pytest.mark.parametrize("case", ["dup-equal", "dup-differ"])
     @pytest.mark.parametrize("exact", [True, False], ids=["exact", "sampled"])
     @pytest.mark.parametrize("p", range(1, 10))
     def test_duplicate_rows_match_fancy_index_gather(self, monkeypatch, p, exact, case):
         """Duplicated feature rows give d_x = 0: with equal outputs (0/0,
-        ratio 0) or with different ones (ratio inf), in score and in
-        decision mode."""
+        ratio 0) or with different ones (ratio inf)."""
         if not exact:
             monkeypatch.setattr(indivfair, "EXACT_PAIR_LIMIT", 40)
             monkeypatch.setattr(indivfair, "SAMPLED_PAIRS", 20_000)
@@ -96,12 +95,9 @@ class TestLipschitzAudit:
         if case == "dup-equal":
             score[n // 2 :] = score[: n // 2]
         d = Dataset(s=rng.integers(0, 2, n), y=rng.integers(0, 2, n), score=score, features=X)
-        kw = {}
-        if case == "decision":
-            kw = {"dy": "decision", "pred": PredictionSet.from_labels(rng.integers(0, 2, n))}
-        res = lipschitz_audit(d, scale=0.5, **kw)
+        res = lipschitz_audit(d, scale=0.5)
         got = (res.violations, res.checked_pairs, res.worst_ratio, res.top_pairs, res.exact)
-        assert got == ref_lipschitz_audit(d, scale=0.5, **kw)
+        assert got == ref_lipschitz_audit(d, scale=0.5)
         assert res.exact == exact
         if case == "dup-equal":
             assert 0 < res.worst_ratio < np.inf
@@ -214,20 +210,6 @@ class TestLipschitzAudit:
         assert res.violations == 0
         assert res.checked_pairs == 20 * 19 // 2
 
-    def test_identical_features_different_decisions(self):
-        d = Dataset(
-            s=[0, 1],
-            y=[0, 1],
-            score=[0.1, 0.9],
-            features=np.array([[1.0, 2.0], [1.0, 2.0]]),
-        )
-        pred = PredictionSet.from_labels([0, 1])
-        res = lipschitz_audit(d, dy="decision", pred=pred)
-        assert res.violations == 1
-        assert res.worst_ratio == np.inf
-        assert res.top_pairs[0]["d_x"] == pytest.approx(0.0)
-        assert res.top_pairs[0]["d_y"] == 1.0
-
     def test_smooth_function_respects_scale(self):
         rng = np.random.default_rng(7)
         d = smooth_score_dataset(rng, n=200, lipschitz=0.25)
@@ -256,15 +238,6 @@ class TestLipschitzAudit:
     def test_requires_features(self, toy):
         with pytest.raises(DataError):
             lipschitz_audit(toy)
-
-    def test_pairs_csv_export(self):
-        d = Dataset(
-            s=[0, 1], y=[0, 1], score=[0.1, 0.9], features=np.array([[1.0], [1.0]])
-        )
-        res = lipschitz_audit(d)
-        text = res.pairs_csv()
-        assert text.splitlines()[0] == "i,j,d_y,d_x,ratio"
-        assert len(text.splitlines()) == 2
 
 
 class TestReconstructionAudit:

