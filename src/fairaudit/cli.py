@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, depmeasure, groupfair, indivfair, mitigate, rocstats, synth
-from ._common import _dump_json, cell_sums
+from ._common import _dump_json
 from .data import (
     ColumnSchema,
     DataError,
@@ -28,6 +28,7 @@ from .data import (
     DegenerateGroupError,
     PredictionSet,
     ThresholdPolicy,
+    _base_rates,
     apply_policy,
     dataset_to_csv,
     load_csv,
@@ -72,12 +73,8 @@ def _load_with_pred(args) -> tuple[Dataset, PredictionSet | None, dict]:
             raise DataError(f"prediction column {pred_col!r} must be 0/1")
         pred = PredictionSet.from_labels(raw.astype(int))
         keep = [n for n in d.feature_names if n != pred_col]
-        d = Dataset(
-            s=d.s,
-            y=d.y,
-            score=d.score,
+        d = d.with_(
             features=np.column_stack([d.feature_column(n) for n in keep]) if keep else None,
-            weight=d.weight,
             feature_names=keep,
             legit_names=tuple(n for n in d.legit_names if n != pred_col),
         )
@@ -242,19 +239,15 @@ def cmd_audit(args) -> int:
         wanted = [m for m in args.metrics.split(",") if m]
     else:
         wanted = _default_metrics(d, pred, legit)
-    inputs: dict = {}  # the catalog's shared inputs; only its confusion counts are kept
     # a defaulted metric that this dataset cannot support is reported as
     # undefined; an explicitly requested one fails the audit
     results = groupfair.group_metrics(
         wanted, d, pred, epsilon=args.epsilon, bins=args.bins, legit=legit,
-        undefined_ok=not args.metrics, inputs=inputs,
+        undefined_ok=not args.metrics,
     )
     metrics = {mid: asdict(r) for mid, r in results.items()}
-    confusions = [c for c, _ in inputs.get("counts", ())]
-    del inputs  # the score order and the curves are not held through the intervals
 
-    di = groupfair.disparate_impact(d, pred, threshold=args.di_threshold, epsilon=args.epsilon,
-                                    confusions=confusions)
+    di = groupfair.disparate_impact(d, pred, threshold=args.di_threshold, epsilon=args.epsilon)
     report = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
@@ -321,8 +314,7 @@ def cmd_audit(args) -> int:
 
 
 def _label_rates(d: Dataset) -> dict:
-    (wy, w), counts = cell_sums(d.s, 2, d.weight * d.y, d.weight)
-    out = {str(g): float(wy[g] / w[g]) if counts[g] else None for g in (0, 1)}
+    out = {str(g): rate for g, rate in _base_rates(d)[0].items()}
     if out["0"] is not None and out["1"] is not None:
         out["gap"] = abs(out["1"] - out["0"])
     return out

@@ -424,11 +424,10 @@ class PredictionSet:
     """Per-record decisions.
 
     ``prob`` holds the decision probability; for deterministic policies the
-    entries are exactly 0.0 or 1.0 and ``labels`` yields hard decisions.
+    entries are exactly 0.0 or 1.0.
     """
 
     prob: np.ndarray
-    deterministic: bool
 
     def __post_init__(self):
         p = np.asarray(self.prob, dtype=float)
@@ -445,26 +444,21 @@ class PredictionSet:
         arr = np.asarray(labels, dtype=float)
         if not np.isin(arr, (0.0, 1.0)).all():
             raise DataError("labels must be 0 or 1")
-        return cls(prob=arr, deterministic=True)
+        return cls(prob=arr)
 
 
 def apply_policy(d: Dataset, policy: ThresholdPolicy) -> PredictionSet:
     """Score each record against its group's rule.
 
-    Pure function: identical inputs produce bit-identical outputs.
+    Pure function: identical inputs produce bit-identical outputs.  A mixture
+    with p of 0 or 1 decides exactly 0.0 or 1.0: 1.0 * a + 0.0 * b is a.
     """
     score = d.require_scores()
     prob = np.empty(len(d))
-    deterministic = True
     for g in np.unique(d.s):
-        rule = policy.rule_for(int(g))
         mask = d.s == g
-        prob[mask] = rule.decision_prob(score[mask])
-        if isinstance(rule, Randomized) and rule.p not in (0.0, 1.0):
-            deterministic = False
-    if deterministic:
-        prob = np.rint(prob)
-    return PredictionSet(prob=prob, deterministic=deterministic)
+        prob[mask] = policy.rule_for(int(g)).decision_prob(score[mask])
+    return PredictionSet(prob=prob)
 
 
 # ---------------------------------------------------------------------------
@@ -482,11 +476,16 @@ class ValidationReport:
     warnings: list[str] = field(default_factory=list)
 
 
+def _base_rates(d: Dataset) -> tuple[dict[int, float | None], np.ndarray]:
+    """Each group's weighted rate of y = 1 (None if empty), and its record count."""
+    (wy, w), counts = cell_sums(d.s, 2, d.weight * d.y, d.weight)
+    return {g: float(wy[g] / w[g]) if counts[g] else None for g in (0, 1)}, counts
+
+
 def validate(d: Dataset) -> ValidationReport:
     """Report-only sanity summary: group sizes, base rates, degenerate columns."""
-    (wy, w), counts = cell_sums(d.s, 2, d.weight * d.y, d.weight)
+    rates, counts = _base_rates(d)
     sizes = {g: int(counts[g]) for g in (0, 1)}
-    rates = {g: float(wy[g] / w[g]) if counts[g] else None for g in (0, 1)}
     warnings = [f"group {g} empty" for g in (0, 1) if not counts[g]]
 
     missing = {}

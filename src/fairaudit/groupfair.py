@@ -156,7 +156,6 @@ def group_metrics(
     bins: int = 10,
     legit: Sequence[str] | None = None,
     undefined_ok: bool = False,
-    inputs: dict | None = None,
 ) -> dict[str, MetricResult]:
     """Evaluate catalog metrics in the order of ``ids``; both groups must be present.
 
@@ -167,13 +166,12 @@ def group_metrics(
     edges all come from that one score order.  A build that raises is not
     kept, so every metric that reads it raises the same error.  With
     ``undefined_ok``, a metric that raises :class:`DegenerateGroupError` is
-    reported with ``details={"undefined": reason}`` instead.  A dict given as
-    ``inputs`` receives the built inputs; ``"counts"`` is (confusion, rates) per group.
+    reported with ``details={"undefined": reason}`` instead.
     """
     unknown = [m for m in ids if m not in METRICS]
     if unknown:
         raise ValueError(f"unknown metric id(s): {unknown}")
-    built: dict = {} if inputs is None else inputs
+    built: dict = {}
 
     def shared(key: str, build):
         if key not in built:
@@ -186,7 +184,7 @@ def group_metrics(
             if pred is None:
                 raise ValueError(f"{metric} requires predictions")
             counts = shared("counts", lambda: [
-                (c, rocstats.rates(c)) for c in (rocstats.confusion(d, pred, g) for g in (0, 1))
+                (c, rocstats.rates(c)) for c in rocstats.group_confusions(d, pred)
             ])
             if metric in _SCALAR_METRICS:
                 v0, v1 = (_SCALAR_METRICS[metric](c, r) for c, r in counts)
@@ -264,19 +262,15 @@ def disparate_impact(
     pred: PredictionSet,
     threshold: float = 0.8,
     epsilon: float = 0.05,
-    confusions: Sequence[rocstats.ConfusionMatrix] | None = None,
 ) -> DisparateImpactResult:
     """Two-sided disparate-impact ratio with the four-fifths flag.
 
     Also reports the statistical parity difference (group 1 - group 0), its
     normalized version NSPD = SPD / D_max with
     D_max = min(P[Yhat=1]/P[S=1], P[Yhat=0]/P[S=0]), and the equal
-    opportunity difference EOD (TPR_1 - TPR_0).  ``confusions``, both
-    groups' ``rocstats.confusion`` if the caller has them, are not counted again.
+    opportunity difference EOD (TPR_1 - TPR_0).
     """
-    for g in (0, 1):
-        d.require_group(g)
-    c0, c1 = confusions or [rocstats.confusion(d, pred, g) for g in (0, 1)]
+    c0, c1 = rocstats.group_confusions(d, pred)
     p0, p1 = _positive_rate(c0), _positive_rate(c1)
     if p0 > 0 and p1 > 0:
         ratio = min(p0 / p1, p1 / p0)

@@ -199,11 +199,12 @@ def reconstruction_audit(
     """Mean held-out AUC of a logistic attacker predicting s.
 
     The attacker sees the features plus, when available, the score, the
-    decision and the outcome.  Folds are stratified by s (so no fold loses a
-    group) and the whole procedure is deterministic given the seed.
+    decision and the outcome.  Folds are stratified by s, and each group needs
+    2 records, so every fold trains and tests on both.  Deterministic given the seed.
     """
-    for g in (0, 1):
-        d.require_group(g)
+    sizes = [np.count_nonzero(d.require_group(g)) for g in (0, 1)]
+    if min(sizes) < 2:
+        raise DegenerateGroupError("reconstruction audit needs 2 records in each group")
 
     blocks: list[np.ndarray] = []
     names: list[str] = []
@@ -222,7 +223,7 @@ def reconstruction_audit(
     names.append("y")
     X = np.hstack(blocks)
 
-    folds = max(2, min(folds, int((d.s == 0).sum()), int((d.s == 1).sum())))
+    folds = max(2, min(folds, *sizes))
     rng = np.random.default_rng(seed)
     fold_of = np.empty(len(d), dtype=int)
     for g in (0, 1):
@@ -244,12 +245,7 @@ def reconstruction_audit(
         model = mitigate.train_logistic(train_data)
         attack_score = model.predict_score(X[test])
         held = Dataset(s=d.s[test], y=d.s[test], score=attack_score, weight=d.weight[test])
-        try:
-            fold_aucs.append(rocstats.auc(rocstats.roc_curve(held)))
-        except DegenerateGroupError:
-            continue  # stratification keeps this rare (tiny folds only)
-    if not fold_aucs:
-        raise DegenerateGroupError("no fold contained both groups")
+        fold_aucs.append(rocstats.auc(rocstats.roc_curve(held)))
     return ReconstructionAuditResult(
         auc=float(np.mean(fold_aucs)),
         features_used=tuple(names),

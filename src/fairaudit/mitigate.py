@@ -250,10 +250,9 @@ def penalty_value_and_grad(
             total += lam * val_c
             grad[mask] += lam * grad_c
         return total, grad
-    if spec.kind == "dp_maxcor":
-        val, grad = _maxcor_sq_and_grad(m, s, wn, spec.degree)
-        return spec.lam * val, spec.lam * grad
-    raise ValueError(f"unknown penalty kind {spec.kind!r}")
+    # dp_maxcor: PenaltySpec admits no other kind
+    val, grad = _maxcor_sq_and_grad(m, s, wn, spec.degree)
+    return spec.lam * val, spec.lam * grad
 
 
 def objective_value_and_grad(

@@ -29,13 +29,14 @@ from typing import Sequence
 
 import numpy as np
 
+from ._common import cell_sums
 from .data import Dataset, DegenerateGroupError, PredictionSet
 
 __all__ = [
     "ConfusionMatrix",
     "RateSet",
     "RocCurve",
-    "confusion",
+    "group_confusions",
     "rates",
     "roc_curve",
     "group_roc_curves",
@@ -90,24 +91,18 @@ def _ratio(num: float, den: float) -> float | None:
     return None if den == 0 else num / den
 
 
-def confusion(
-    d: Dataset, pred: PredictionSet, group: int | None = None
-) -> ConfusionMatrix:
-    """Weighted confusion counts, optionally restricted to one group."""
+def group_confusions(d: Dataset, pred: PredictionSet) -> list[ConfusionMatrix]:
+    """Weighted confusion counts of group 0, then group 1, from one pass."""
     if len(pred) != len(d):
         raise ValueError("predictions not aligned with dataset")
-    mask = np.ones(len(d), dtype=bool) if group is None else d.s == group
-    if not mask.any():
-        raise DegenerateGroupError(f"filter selects no records (group={group})")
-    w = d.weight[mask]
-    y = d.y[mask]
-    p = pred.prob[mask]
-    return ConfusionMatrix(
-        tp=float(np.sum(w * p * y)),
-        fp=float(np.sum(w * p * (1 - y))),
-        tn=float(np.sum(w * (1 - p) * (1 - y))),
-        fn=float(np.sum(w * (1 - p) * y)),
+    w, p, y = d.weight, pred.prob, d.y
+    sums, counts = cell_sums(
+        d.s, 2, w * p * y, w * p * (1 - y), w * (1 - p) * (1 - y), w * (1 - p) * y
     )
+    for g in (0, 1):
+        if not counts[g]:
+            raise DegenerateGroupError(f"group {g} is empty")
+    return [ConfusionMatrix(*sums[:, g].tolist()) for g in (0, 1)]
 
 
 def rates(c: ConfusionMatrix) -> RateSet:

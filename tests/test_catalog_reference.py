@@ -28,13 +28,14 @@ from fairaudit.groupfair import (
     group_metric,
     group_metrics,
 )
+from test_rocstats import confusion
 
 
 def ref_confusions(d, pred):
     """One weighted confusion matrix per group; both groups must be present."""
     for g in (0, 1):
         d.require_group(g)
-    return [rocstats.confusion(d, pred, g) for g in (0, 1)]
+    return [confusion(d, pred, g) for g in (0, 1)]
 
 
 def ref_roc_equality(d):
@@ -171,7 +172,7 @@ def audit_inputs(draw):
         pred = PredictionSet.from_labels(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
     else:
         prob = draw(st.lists(st.sampled_from([0.0, 0.2, 0.5, 0.75, 1.0]), min_size=n, max_size=n))
-        pred = PredictionSet(prob=np.array(prob), deterministic=False)
+        pred = PredictionSet(prob=np.array(prob))
     kw = {"epsilon": draw(st.sampled_from([0.0, 0.05, 0.2])), "bins": draw(st.integers(0, 4)),
           "legit": legit}
     return d, pred, kw

@@ -1,4 +1,5 @@
 import importlib
+import importlib.util
 import json
 import os
 import pkgutil
@@ -214,8 +215,8 @@ class TestAuditCommand:
     def test_catalog_builds_each_shared_input_once(self, toy_csv, capsys, monkeypatch):
         from fairaudit import groupfair, rocstats
 
-        calls = {"confusion": 0, "_descending": 0, "group_roc_curves": 0, "calibration": 0}
-        for module, name in ((rocstats, "confusion"), (rocstats, "_descending"),
+        calls = {"group_confusions": 0, "_descending": 0, "group_roc_curves": 0, "calibration": 0}
+        for module, name in ((rocstats, "group_confusions"), (rocstats, "_descending"),
                              (rocstats, "group_roc_curves"), (groupfair, "calibration")):
             def counted(*args, _fn=getattr(module, name), _name=name, **kw):
                 calls[_name] += 1
@@ -225,10 +226,10 @@ class TestAuditCommand:
         code, _, _ = run(["audit", toy_csv, "--threshold", TOY_THRESHOLD_ARG, "--no-individual"],
                          capsys)
         assert code == 0
-        # two confusions, built by the catalog and reused by the
-        # disparate-impact block; one score order for the curves, the strong
-        # class balance and calibration
-        assert calls == {"confusion": 2, "_descending": 1, "group_roc_curves": 1,
+        # one count pass for the catalog and one for the disparate-impact
+        # block; one score order for the curves, the strong class balance and
+        # calibration
+        assert calls == {"group_confusions": 2, "_descending": 1, "group_roc_curves": 1,
                          "calibration": 1}
 
     def test_pred_col_with_features_matches_threshold_audit(self, tmp_path, capsys):
@@ -260,6 +261,16 @@ class TestAuditCommand:
         for report in (got, want):
             del report["dataset"], report["policy"]
         assert got == want
+
+    def test_singleton_groups_report_reconstruction_undefined(self, tmp_path, capsys):
+        # one record per group: no fold could train on both groups
+        path = tmp_path / "two.csv"
+        path.write_text("s,y,score\n0,0,0.3\n1,1,0.7\n", encoding="utf-8")
+        code, out, err = run(["audit", path, "--threshold", "0.5", "--ci", "none"], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["individual"] == {"reconstruction": {
+            "undefined": "reconstruction audit needs 2 records in each group"
+        }}
 
     def test_missing_pred_col_exit_2(self, toy_csv, capsys):
         code, _, err = run(["audit", toy_csv, "--pred-col", "yhat"], capsys)
@@ -987,6 +998,22 @@ def test_non_numeric_option_message_unchanged(toy_csv, capsys):
 def test_module_all_names_exist(name):
     module = importlib.import_module(f"fairaudit.{name}")
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def test_trace_targets_exist(monkeypatch):
+    """Every function the benchmark's tracer wraps is still there to wrap:
+    ``Tracer.install`` looks each one up with ``getattr``."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # dataclasses look their module up
+    spec.loader.exec_module(spans)
+    missing = [
+        (mod, fn) for mod, fn, _, _ in spans.TARGETS
+        if not callable(getattr(importlib.import_module(f"fairaudit.{mod}"), fn, None))
+    ]
+    assert spans.TARGETS
+    assert missing == []
 
 
 def test_cli_import_leaves_out_scipy_stats():

@@ -161,12 +161,13 @@ class TestApplyPolicy:
         assert pred.prob.sum() == 0
 
     def test_degenerate_mixture_equals_deterministic(self, toy):
-        det = apply_policy(toy, ThresholdPolicy(rules={g: Deterministic(0.3) for g in (0, 1)}))
-        mix = apply_policy(
-            toy, ThresholdPolicy(rules={g: Randomized(0.3, 0.9, p=1.0) for g in (0, 1)})
-        )
-        assert np.array_equal(det.prob, mix.prob)
-        assert mix.deterministic
+        # p = 1 decides by t_lo and p = 0 by t_hi, bit for bit
+        for p, t in ((1.0, 0.3), (0.0, 0.9)):
+            det = apply_policy(toy, ThresholdPolicy(rules={g: Deterministic(t) for g in (0, 1)}))
+            mix = apply_policy(
+                toy, ThresholdPolicy(rules={g: Randomized(0.3, 0.9, p=p) for g in (0, 1)})
+            )
+            assert [v.hex() for v in mix.prob.tolist()] == [v.hex() for v in det.prob.tolist()]
 
     def test_pure_function(self, toy):
         policy = ThresholdPolicy(rules={0: Randomized(0.2, 0.8, 0.25), 1: Deterministic(0.5)})

@@ -120,8 +120,8 @@ class TestMetricMachinery:
         # PPV_s from TPR/FPR and the group base rate, exactly
         from fairaudit import rocstats
 
-        for g in (0, 1):
-            c = rocstats.rates(rocstats.confusion(toy, toy_pred, group=g))
+        for g, conf in enumerate(rocstats.group_confusions(toy, toy_pred)):
+            c = rocstats.rates(conf)
             pi = float(np.mean(toy.y[toy.s == g]))
             ppv_identity = c.tpr * pi / (c.tpr * pi + c.fpr * (1 - pi))
             res = group_metric("predictive_parity", toy, toy_pred)
@@ -180,7 +180,7 @@ class TestImpossibility:
             fpr = float(rng.uniform(0.1, 0.45))
             prob = np.where(y == 1, tpr, fpr)  # identical rates in both groups
             d = Dataset(s=s, y=y, score=np.full(n, 0.5))
-            pred = PredictionSet(prob=prob, deterministic=False)
+            pred = PredictionSet(prob=prob)
             eo = group_metric("equalized_odds", d, pred)
             assert eo.gap <= 1e-12
             pi = [float(np.mean(y[s == g])) for g in (0, 1)]
@@ -438,7 +438,7 @@ def bootstrap_inputs(draw):
     else:
         prob = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
     d = Dataset(s=s, y=np.zeros(n, dtype=int), weight=weight)
-    pred = PredictionSet(prob=np.array(prob), deterministic=binary)
+    pred = PredictionSet(prob=np.array(prob))
     if binary and weight is None:
         route = "binomial"
     else:  # integral weights and 0/1 decisions make every sum an exact integer
@@ -495,7 +495,7 @@ def test_bootstrap_routes_match_their_oracles_at_scale():
     n = 20_000
     s = rng.integers(0, 2, n)
     prob = (rng.random(n) < np.where(s == 0, 0.4, 0.05)).astype(float)
-    pred = PredictionSet(prob=prob, deterministic=True)
+    pred = PredictionSet(prob=prob)
     unit = Dataset(s=s, y=np.zeros(n, dtype=int))
     doubled = Dataset(s=s, y=np.zeros(n, dtype=int), weight=np.full(n, 2.0))
     for level in (0.5, 0.9, 0.99):
@@ -543,7 +543,7 @@ def test_bootstrap_binomial_law_is_the_resampling_law(monkeypatch):
                 p = np.array([1.0] * k0 + [0.0] * (n0 - k0) + [1.0] * k1 + [0.0] * (n - n0 - k1))
                 d = Dataset(s=s, y=np.zeros(n, dtype=int))
                 try:  # the draws are what is checked, not the interval
-                    impact_ci(d, PredictionSet(prob=p, deterministic=True), n_boot=100)
+                    impact_ci(d, PredictionSet(prob=p), n_boot=100)
                 except DegenerateGroupError as exc:  # replicates with no group-1 positive
                     assert "had an infinite ratio" in str(exc)
                 *m_calls, (t0, q0, _), (t1, q1, _) = recorders.pop().calls
@@ -590,7 +590,7 @@ def test_bootstrap_binomial_route_peak_is_independent_of_n():
     impact_ci(Dataset(s=[0, 1], y=[0, 0]), PredictionSet.from_labels([1, 1]))  # lazy imports
     for n in (10_000, 100_000):
         d = Dataset(s=rng.integers(0, 2, n), y=np.zeros(n, dtype=int))
-        pred = PredictionSet(prob=rng.integers(0, 2, n).astype(float), deterministic=True)
+        pred = PredictionSet(prob=rng.integers(0, 2, n).astype(float))
         base = peak(d, pred, method="asymptotic")
         boot = peak(d, pred, n_boot=1000, seed=0)
         assert boot - base < 100_000
@@ -602,7 +602,7 @@ def test_bootstrap_redraws_from_the_replicate_generator():
     # distinct weights give every resample its own ratio, so only redraws
     # from the same generator reproduce the reference interval
     d = Dataset(s=[0, 0, 0, 0, 1], y=[0, 1, 0, 1, 1], weight=[1.0, 1.3, 1.7, 2.9, 1.1])
-    pred = PredictionSet(prob=np.array([0.9, 0.2, 0.6, 0.35, 0.8]), deterministic=False)
+    pred = PredictionSet(prob=np.array([0.9, 0.2, 0.6, 0.35, 0.8]))
     for level in (0.5, 0.8, 0.95):
         expected = reference_bootstrap(d, pred, level, 500, 3)
         ci = impact_ci(d, pred, level=level, n_boot=500, seed=3)
@@ -646,7 +646,7 @@ def test_bootstrap_overflowing_ratio_counts_undefined_replicates():
         y=[0, 1] * n,
         weight=[1e-310] * n + [1e300] * n,
     )
-    pred = PredictionSet(prob=np.array([0.0, 1.0] * n), deterministic=True)
+    pred = PredictionSet(prob=np.array([0.0, 1.0] * n))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DegenerateGroupError, match="undefined") as exc:

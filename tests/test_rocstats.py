@@ -21,8 +21,8 @@ from fairaudit.rocstats import (
     _upper_hull,
     auc,
     best_accuracy_threshold,
-    confusion,
     fairest_threshold,
+    group_confusions,
     rates,
     roc_curve,
     roc_points_csv,
@@ -60,39 +60,101 @@ def proportions_dataset():
     return Dataset(s=s, y=y, score=[0.5] * len(s), weight=w), PredictionSet.from_labels(yhat)
 
 
+# The masked reference for ``group_confusions``: one mask per group and four
+# ``np.sum`` calls under each mask
+def confusion(
+    d: Dataset, pred: PredictionSet, group: int | None = None
+) -> ConfusionMatrix:
+    """Weighted confusion counts, optionally restricted to one group."""
+    if len(pred) != len(d):
+        raise ValueError("predictions not aligned with dataset")
+    mask = np.ones(len(d), dtype=bool) if group is None else d.s == group
+    if not mask.any():
+        raise DegenerateGroupError(f"filter selects no records (group={group})")
+    w = d.weight[mask]
+    y = d.y[mask]
+    p = pred.prob[mask]
+    return ConfusionMatrix(
+        tp=float(np.sum(w * p * y)),
+        fp=float(np.sum(w * p * (1 - y))),
+        tn=float(np.sum(w * (1 - p) * (1 - y))),
+        fn=float(np.sum(w * (1 - p) * y)),
+    )
+
+
+def cells(c: ConfusionMatrix) -> tuple:
+    return (c.tp, c.fp, c.tn, c.fn)
+
+
+@st.composite
+def confusion_inputs(draw):
+    """Both groups present; unit, integer or lognormal weights; 0/1 or
+    fractional decision probabilities."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 300))
+    s = rng.permutation(np.r_[0, 1, rng.integers(0, 2, n - 2)])
+    y = rng.integers(0, 2, n)
+    w = {
+        "unit": None,
+        "integer": rng.integers(1, 50, n).astype(float),
+        "lognormal": rng.lognormal(0.0, 2.0, n),
+    }[draw(st.sampled_from(["unit", "integer", "lognormal"]))]
+    fractional = draw(st.booleans())
+    prob = rng.random(n) if fractional else rng.integers(0, 2, n).astype(float)
+    return Dataset(s=s, y=y, score=rng.random(n), weight=w), PredictionSet(prob=prob)
+
+
 class TestConfusion:
     def test_toy_counts(self, toy, toy_pred):
-        c = confusion(toy, toy_pred)
-        assert (c.tp, c.fp, c.tn, c.fn) == (10, 4, 6, 4)
+        c0, c1 = group_confusions(toy, toy_pred)
+        assert cells(c0) == (2, 0, 3, 3)
+        assert cells(c1) == (8, 4, 3, 1)
+        # the pooled counts of the toy table
+        assert tuple(a + b for a, b in zip(cells(c0), cells(c1))) == (10, 4, 6, 4)
 
     def test_perfect_classifier(self, toy):
         pred = PredictionSet.from_labels(toy.y)
-        c = confusion(toy, pred)
-        assert c.fp == 0 and c.fn == 0
+        for c in group_confusions(toy, pred):
+            assert c.fp == 0 and c.fn == 0
 
     def test_proportions_reconstruction(self):
         d, pred = proportions_dataset()
-        c0 = confusion(d, pred, group=0)
-        assert (c0.tn, c0.fn, c0.fp, c0.tp) == (30, 20, 30, 20)
+        for g, c in enumerate(group_confusions(d, pred)):
+            assert (c.tn, c.fn, c.fp, c.tp) == PROPORTION_CELLS[g]
 
-    def test_empty_filter(self, toy_pred):
-        d = Dataset(s=[0, 0], y=[0, 1], score=[0.1, 0.9])
+    def test_empty_filter(self):
         pred = PredictionSet.from_labels([0, 1])
-        with pytest.raises(DegenerateGroupError):
-            confusion(d, pred, group=1)
+        for g in (0, 1):
+            d = Dataset(s=[1 - g] * 2, y=[0, 1], score=[0.1, 0.9])
+            with pytest.raises(DegenerateGroupError) as exc:
+                group_confusions(d, pred)
+            assert str(exc.value) == f"group {g} is empty"
+
+    def test_misaligned_predictions(self, toy):
+        with pytest.raises(ValueError, match="not aligned"):
+            group_confusions(toy, PredictionSet.from_labels([0, 1]))
 
     def test_randomized_fractional_counts(self, toy):
-        pred = PredictionSet(prob=np.full(24, 0.5), deterministic=False)
-        c = confusion(toy, pred)
-        assert c.tp == pytest.approx(14 * 0.5)
-        assert c.total == pytest.approx(24)
+        pred = PredictionSet(prob=np.full(24, 0.5))
+        for g, c in enumerate(group_confusions(toy, pred)):
+            in_g = toy.s == g
+            assert c.tp == 0.5 * np.sum(toy.y[in_g])
+            assert c.total == np.sum(in_g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(confusion_inputs())
+    def test_matches_mask_oracle_bit_for_bit(self, case):
+        d, pred = case
+        got = group_confusions(d, pred)
+        for g in (0, 1):
+            want = confusion(d, pred, group=g)
+            assert [v.hex() for v in cells(got[g])] == [v.hex() for v in cells(want)]
 
 
 class TestRates:
     def test_proportions_rates(self):
         d, pred = proportions_dataset()
-        r0 = rates(confusion(d, pred, group=0))
-        r1 = rates(confusion(d, pred, group=1))
+        r0, r1 = map(rates, group_confusions(d, pred))
         assert r0.accuracy == 0.5 and r1.accuracy == 0.5
         assert r0.ppv == pytest.approx(0.4)
         assert r1.ppv == pytest.approx(0.6)
@@ -100,8 +162,8 @@ class TestRates:
 
     def test_proportions_phi_zero(self):
         d, pred = proportions_dataset()
-        for g in (0, 1):
-            assert rates(confusion(d, pred, group=g)).phi == pytest.approx(0.0)
+        for c in group_confusions(d, pred):
+            assert rates(c).phi == pytest.approx(0.0)
 
     def test_degenerate_denominators(self):
         r = rates(ConfusionMatrix(tp=1, fp=0, tn=0, fn=0))
@@ -109,9 +171,10 @@ class TestRates:
         assert r.fpr is None and r.npv is None and r.phi is None
 
     def test_accuracy_matches_direct_count(self, toy, toy_pred):
-        r = rates(confusion(toy, toy_pred))
-        direct = float(np.mean(toy_pred.prob == toy.y))
-        assert abs(r.accuracy - direct) < 1e-12
+        for g, c in enumerate(group_confusions(toy, toy_pred)):
+            in_g = toy.s == g
+            direct = float(np.mean(toy_pred.prob[in_g] == toy.y[in_g]))
+            assert abs(rates(c).accuracy - direct) < 1e-12
 
 
 class TestRocCurve:
