@@ -30,10 +30,6 @@ def _dump_json(obj, path: Path | None) -> str:
     return text
 
 
-def weighted_mean(x: np.ndarray, w: np.ndarray) -> float:
-    return float(np.sum(w * x) / np.sum(w))
-
-
 def cell_sums(key: np.ndarray, n_cells: int, *cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each column's sum over each cell's records, and each cell's record count.
 

@@ -71,12 +71,13 @@ def _load_with_pred(args) -> tuple[Dataset, PredictionSet | None, dict]:
         raw = d.feature_column(pred_col)
         if not np.isin(raw, (0.0, 1.0)).all():
             raise DataError(f"prediction column {pred_col!r} must be 0/1")
+        if pred_col in d.legit_names:
+            raise DataError(f"--legit names the prediction column {pred_col!r}")
         pred = PredictionSet.from_labels(raw.astype(int))
         keep = [n for n in d.feature_names if n != pred_col]
         d = d.with_(
             features=np.column_stack([d.feature_column(n) for n in keep]) if keep else None,
             feature_names=keep,
-            legit_names=tuple(n for n in d.legit_names if n != pred_col),
         )
         return d, pred, {"kind": "column", "column": pred_col}
 
@@ -104,7 +105,7 @@ def _load_with_pred(args) -> tuple[Dataset, PredictionSet | None, dict]:
 # ---------------------------------------------------------------------------
 
 
-def _default_metrics(d: Dataset, pred: PredictionSet | None, legit) -> list[str]:
+def _default_metrics(d: Dataset, pred: PredictionSet | None) -> list[str]:
     out = []
     if pred is not None:
         out += [*groupfair.TABLE_METRICS, "equalized_odds", "equalizing_disincentives",
@@ -118,7 +119,7 @@ def _default_metrics(d: Dataset, pred: PredictionSet | None, legit) -> list[str]
             "calibration_parity",
             "good_calibration",
         ]
-    if pred is not None and legit:
+    if pred is not None and d.legit_names:
         out.append("conditional_demographic_parity")
     return out
 
@@ -228,7 +229,6 @@ def cmd_audit(args) -> int:
     d, pred, policy_desc = _load_with_pred(args)
     if pred is None:
         raise DataError("audit needs --threshold, --threshold-by-group or --pred-col")
-    legit = tuple(args.legit.split(",")) if args.legit else d.legit_names
 
     limit = groupfair.max_calibration_bins(len(d))
     if d.score is not None and not 1 <= args.bins <= limit:
@@ -238,12 +238,11 @@ def cmd_audit(args) -> int:
     if args.metrics:
         wanted = [m for m in args.metrics.split(",") if m]
     else:
-        wanted = _default_metrics(d, pred, legit)
+        wanted = _default_metrics(d, pred)
     # a defaulted metric that this dataset cannot support is reported as
     # undefined; an explicitly requested one fails the audit
     results = groupfair.group_metrics(
-        wanted, d, pred, epsilon=args.epsilon, bins=args.bins, legit=legit,
-        undefined_ok=not args.metrics,
+        wanted, d, pred, epsilon=args.epsilon, bins=args.bins, undefined_ok=not args.metrics,
     )
     metrics = {mid: asdict(r) for mid, r in results.items()}
 

@@ -154,7 +154,6 @@ def group_metrics(
     *,
     epsilon: float = 0.05,
     bins: int = 10,
-    legit: Sequence[str] | None = None,
     undefined_ok: bool = False,
 ) -> dict[str, MetricResult]:
     """Evaluate catalog metrics in the order of ``ids``; both groups must be present.
@@ -224,7 +223,7 @@ def group_metrics(
         # conditional_demographic_parity, the one metric left
         if pred is None:
             raise ValueError("conditional_demographic_parity requires predictions")
-        res = conditional_dp(d, pred, legit or d.legit_names)
+        res = conditional_dp(d, pred, d.legit_names)
         gap = None if res["max_gap"] is None else res["max_gap"] / 100.0
         return _composite(metric, gap, epsilon, details={"strata": res["strata"]})
 

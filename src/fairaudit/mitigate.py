@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._common import _dump_json, _midranks, cell_sums, weighted_mean
+from ._common import _dump_json, _midranks, cell_sums
 from .data import (
     DataError,
     Dataset,
@@ -427,32 +427,32 @@ def massage_labels(
     is infeasible the best achieved dataset is returned with
     ``reached_target=False``.
 
-    Cost O(n log n).  While the first higher-rate group stays higher, no
-    swapped record re-enters a pool, so the swaps take each pool, listed by
-    index, in the order of one stable sort by distance.  After k swaps the
-    signed gap is d_k = (P_hi - D_k) / W_hi - (P_lo + U_k) / W_lo, with P_g
-    and W_g group g's positive and total weight and D_k, U_k cumulative sums
-    of the demoted and promoted weights.  The longest prefix in which each
-    step k holds d_k > eps + B, d_k > B, d_{k+1} > B and d_k - d_{k+1} > 2B
-    (the gap exceeds eps, the higher group stays higher and the swap shrinks
-    the gap) is applied at once; the step loop runs on from there, where a
-    decision is too close to call, the gap crosses eps or zero, or a pool
-    runs out.
+    Cost O(n log n) per pass, in a few passes.  Each pass reads both groups'
+    sums of w y and w from one ``cell_sums`` call.  While the higher-rate
+    group stays higher, no swapped record re-enters a pool, so the pools are
+    sorted by distance (stably) only when that group changes.  After k more
+    swaps the signed gap is d_k = (P_hi - D_k) / W_hi - (P_lo + U_k) / W_lo,
+    with P_g, W_g group g's positive and total weight at the pass's start and
+    D_k, U_k cumulative sums of the demoted and promoted weights.  A pass
+    applies the longest run in which each step k holds d_k > eps + B,
+    d_k > B, d_{k+1} > B and d_k - d_{k+1} > 2B (the gap exceeds eps, the
+    higher group stays higher and the swap shrinks the gap), or else one
+    swap, which the next pass undoes, and stops, if the gap did not shrink.
 
     The bound B = 32 n u, with u = 2**-53 and n records, for n u <= 0.01.
     The weights are positive and the labels 0/1, so every sum is of at most
     n non-negative terms; in any order it is within gamma = n u / (1 - n u)
     <= 1.0102 n u of its value, relative to that value (Higham 2002,
-    section 4.2).  Each rate is in [0, 1].  The loop's rate
-    fl(sum(w y) / sum(w)) is within 2 gamma / (1 - gamma) + 1.03 u of the
-    exact rate, so its gap is within 8 gamma of |d_k|.  The prefix's rate
-    has one more rounded sum or difference in its numerator; it is within
-    5.2 gamma, and its d_k within 11.5 gamma.  So a condition that holds
-    with 20 gamma (<= 20.3 n u) in place of B holds in the loop's own
-    arithmetic, and B leaves room for the rounding of eps + B and of
-    d_k - d_{k+1}.  A step is too close to call only when d_k is within B
-    of eps or zero, or when its two weights are below about B times their
-    group totals; with unit or integer weights the loop runs a few steps.
+    section 4.2).  Each rate is in [0, 1].  A pass's rate
+    fl(sum(w y) / sum(w)), which decides a single step, is within
+    2 gamma / (1 - gamma) + 1.03 u of the exact rate, so its gap is within
+    8 gamma of |d_k|.  A run's rate has one more rounded sum or difference
+    in its numerator; it is within 5.2 gamma, and its d_k within 11.5 gamma.
+    So a condition that holds with 20 gamma (<= 20.3 n u) in place of B
+    holds in the arithmetic of a single step, and B leaves room for the
+    rounding of eps + B and of d_k - d_{k+1}.  A step is too close to call
+    only when d_k is within B of eps or zero, or when its two weights are
+    below about B times their group totals; the next pass starts a run after it.
     """
     for g in (0, 1):
         d.require_group(g)
@@ -464,13 +464,6 @@ def massage_labels(
     if threshold is None:
         threshold, _ = rocstats.best_accuracy_threshold(d.with_(score=scores))
     boundary_dist = np.abs(scores - threshold)
-
-    def rate(g: int) -> float:
-        mask = d.s == g
-        return weighted_mean(y[mask], w[mask])
-
-    hi = 0 if rate(0) > rate(1) else 1
-    lo = 1 - hi
     # distances are >= 0, so -1 sorts NaN first, where argmin finds it
     key = np.where(np.isnan(boundary_dist), -1.0, boundary_dist)
 
@@ -478,46 +471,44 @@ def massage_labels(
         pool = np.flatnonzero((d.s == g) & (y == label))
         return pool[np.argsort(key[pool], kind="stable")]
 
-    def rates_after(g: int, label_change: np.ndarray) -> np.ndarray:
-        mask = d.s == g
-        return (np.sum(w[mask] * y[mask]) + np.r_[0.0, np.cumsum(label_change)]) / np.sum(w[mask])
-
-    demote_order, promote_order = sorted_pool(hi, 1), sorted_pool(lo, 0)
-    m = min(len(demote_order), len(promote_order))
-    diff = rates_after(hi, -w[demote_order[:m]]) - rates_after(lo, w[promote_order[:m]])
     bound = 32 * len(y) * 2.0**-53
-    above = diff > bound
-    safe = (diff[:-1] > eps + bound) & above[:-1] & above[1:] & (diff[:-1] - diff[1:] > 2 * bound)
-    k = int(np.argmin(np.r_[safe, False]))
-    y[demote_order[:k]], y[promote_order[:k]] = 0, 1
-
-    swaps: list[tuple[int, int]] = list(zip(demote_order[:k].tolist(), promote_order[:k].tolist()))
-    gap = abs(rate(0) - rate(1))
-    reached = gap <= eps
     max_swaps = int(np.sum(d.y))
-    while gap > eps and len(swaps) < max_swaps:
-        hi = 0 if rate(0) > rate(1) else 1
-        lo = 1 - hi
-        demote_pool = np.flatnonzero((d.s == hi) & (y == 1))
-        promote_pool = np.flatnonzero((d.s == lo) & (y == 0))
-        if len(demote_pool) == 0 or len(promote_pool) == 0:
+    swaps: list[tuple[int, int]] = []
+    hi = close_gap = None  # close_gap: the gap before a swap too close to call
+    while True:
+        (pos, tot), _ = cell_sums(d.s, 2, w * y, w)
+        rate = pos / tot
+        gap = float(abs(rate[0] - rate[1]))
+        if close_gap is not None and gap >= close_gap:  # weights can make a swap counterproductive
+            demoted, promoted = swaps.pop()
+            y[demoted], y[promoted] = 1, 0
+            gap = close_gap
             break
-        demote = demote_pool[np.argmin(boundary_dist[demote_pool])]
-        promote = promote_pool[np.argmin(boundary_dist[promote_pool])]
-        y[demote], y[promote] = 0, 1
-        new_gap = abs(rate(0) - rate(1))
-        if new_gap >= gap:  # weights can make a swap counterproductive
-            y[demote], y[promote] = 1, 0
+        if gap <= eps or len(swaps) >= max_swaps:
             break
-        swaps.append((int(demote), int(promote)))
-        gap = new_gap
-        if gap <= eps:
-            reached = True
+        higher = 0 if rate[0] > rate[1] else 1
+        if higher != hi:
+            hi, lo = higher, 1 - higher
+            demote_order, promote_order = sorted_pool(hi, 1), sorted_pool(lo, 0)
+        m = min(len(demote_order), len(promote_order), max_swaps - len(swaps))
+        if m == 0:
+            break
+        demote, promote = demote_order[:m], promote_order[:m]
+        diff = ((pos[hi] + np.r_[0.0, np.cumsum(-w[demote])]) / tot[hi]
+                - (pos[lo] + np.r_[0.0, np.cumsum(w[promote])]) / tot[lo])
+        above = diff > bound
+        safe = (diff[:-1] > eps + bound) & above[:-1] & above[1:] & (diff[:-1] - diff[1:] > 2 * bound)
+        k = int(np.argmin(np.r_[safe, False]))
+        close_gap = None if k else gap
+        k = max(k, 1)
+        y[demote[:k]], y[promote[:k]] = 0, 1
+        swaps += zip(demote[:k].tolist(), promote[:k].tolist())
+        demote_order, promote_order = demote_order[k:], promote_order[k:]
     return MassageResult(
         dataset=d.with_(y=y),
         swaps=swaps,
         gap=gap,
-        reached_target=reached,
+        reached_target=gap <= eps,
         boundary_threshold=float(threshold),
     )
 
@@ -789,13 +780,10 @@ def _rule_from_mix(geo: _GroupGeometry, i: int, j: int, u: float):
         return Deterministic(float(geo.thresholds[i])), False
     if u >= 1.0 - 1e-12:
         return Deterministic(float(geo.thresholds[j])), False
-    ti, tj = float(geo.thresholds[i]), float(geo.thresholds[j])
-    # probability p applies to the lower threshold (the larger point)
-    if ti < tj:
-        rule = Randomized(t_lo=ti, t_hi=tj, p=1.0 - u)
-    else:
-        rule = Randomized(t_lo=tj, t_hi=ti, p=u)
-    return rule, True
+    # every segment runs from i to some j > i (an opportunity mixture with
+    # i == j has u = 0), and the thresholds decrease, so p applies to tj: the
+    # lower threshold, the larger point
+    return Randomized(t_lo=float(geo.thresholds[j]), t_hi=float(geo.thresholds[i]), p=u), True
 
 
 def _realized(geo: _GroupGeometry, i: int, j: int, u: float) -> np.ndarray:

@@ -3,9 +3,9 @@
 Conventions
 -----------
 * Decisions follow the strict rule ``yhat = 1 iff score > t``, so candidate
-  thresholds are enumerated at midpoints between consecutive distinct scores
-  plus two end candidates; a threshold equal to an observed score is never
-  ambiguous.  ``_sweep`` is the one place this rule lives: every ROC point,
+  thresholds lie between consecutive distinct scores (``_midpoints``), plus
+  two end candidates; each selects exactly the records above it in the
+  sweep.  ``_sweep`` is the one place this rule lives: every ROC point,
   shared or per-group threshold and equalized-odds vertex comes from its
   sorted pass.  ROC curves use +/-inf as end candidates; decision policies
   use the legal 1.0 and 0.0 (``_policy_candidates``).
@@ -61,14 +61,6 @@ class ConfusionMatrix:
         for name in ("tp", "fp", "tn", "fn"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-
-    @property
-    def p(self) -> float:
-        return self.tp + self.fn
-
-    @property
-    def n(self) -> float:
-        return self.fp + self.tn
 
     @property
     def total(self) -> float:
@@ -204,6 +196,15 @@ def _group_sweeps(score: np.ndarray, s: np.ndarray, cols: np.ndarray, groups=(0,
     return [_sweep(score, cols, order[s[order] == g]) for g in groups]
 
 
+def _midpoints(distinct: np.ndarray) -> np.ndarray:
+    """Between consecutive distinct scores hi > lo, their midpoint, or lo
+    where it rounds onto hi (adjacent doubles): lo <= t < hi, so the
+    thresholds strictly decrease and ``score > t`` decides as the sweep row."""
+    hi, lo = distinct[:-1], distinct[1:]
+    mids = (hi + lo) / 2.0
+    return np.where(mids < hi, mids, lo)
+
+
 def _policy_candidates(distinct: np.ndarray, above: np.ndarray):
     """Policy-legal thresholds 1.0, the midpoints and 0.0 for a sweep.
 
@@ -211,10 +212,9 @@ def _policy_candidates(distinct: np.ndarray, above: np.ndarray):
     keeps zero-score records negative, so when some record scores exactly 0
     the last candidate decides like the one before it.
     """
-    mids = (distinct[:-1] + distinct[1:]) / 2.0
     if distinct[-1] == 0.0:
         above = np.concatenate((above[:-1], above[-2:-1]))
-    return np.concatenate(([1.0], mids, [0.0])), above
+    return np.concatenate(([1.0], _midpoints(distinct), [0.0])), above
 
 
 def _roc_cols(d: Dataset) -> np.ndarray:
@@ -247,11 +247,10 @@ def group_roc_curves(d: Dataset, groups=(0, 1), order: np.ndarray | None = None)
         if pos_total == 0 or neg_total == 0:
             raise DegenerateGroupError("ROC curve needs both outcome classes")
         neg_above, pos_above = above.T
-        mids = (distinct[:-1] + distinct[1:]) / 2.0
         curves.append(RocCurve(
             fpr=neg_above / neg_total,
             tpr=pos_above / pos_total,
-            thresholds=np.concatenate(([math.inf], mids, [-math.inf])),
+            thresholds=np.concatenate(([math.inf], _midpoints(distinct), [-math.inf])),
             neg_above=neg_above,
             pos_above=pos_above,
             neg_total=float(neg_total),

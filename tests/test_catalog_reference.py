@@ -158,13 +158,14 @@ def audit_inputs(draw):
     if draw(st.booleans()):
         weight = draw(st.lists(st.sampled_from([0.25, 0.5, 1.5, 2.75, 0.1, 3.3]),
                                min_size=n, max_size=n))
-    features, names, legit = None, (), None
+    features, names, legit = None, (), ()
     if draw(st.booleans()):
         features = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)),
                             dtype=float)[:, None]
         names = ("x",)
-        legit = draw(st.sampled_from([None, ("x",)]))
-    d = Dataset(s=s, y=y, score=score, features=features, weight=weight, feature_names=names)
+        legit = draw(st.sampled_from([(), ("x",)]))
+    d = Dataset(s=s, y=y, score=score, features=features, weight=weight, feature_names=names,
+                legit_names=legit)
     kind = draw(st.sampled_from(["none", "labels", "fractional"]))
     if kind == "none":
         pred = None
@@ -173,8 +174,7 @@ def audit_inputs(draw):
     else:
         prob = draw(st.lists(st.sampled_from([0.0, 0.2, 0.5, 0.75, 1.0]), min_size=n, max_size=n))
         pred = PredictionSet(prob=np.array(prob))
-    kw = {"epsilon": draw(st.sampled_from([0.0, 0.05, 0.2])), "bins": draw(st.integers(0, 4)),
-          "legit": legit}
+    kw = {"epsilon": draw(st.sampled_from([0.0, 0.05, 0.2])), "bins": draw(st.integers(0, 4))}
     return d, pred, kw
 
 

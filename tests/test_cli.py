@@ -272,6 +272,29 @@ class TestAuditCommand:
             "undefined": "reconstruction audit needs 2 records in each group"
         }}
 
+    def test_legit_naming_pred_col_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "p.csv"
+        path.write_text("s,y,score,yhat\n0,0,0.1,0\n0,1,0.7,1\n1,0,0.4,0\n1,1,0.9,1\n",
+                        encoding="utf-8")
+        code, out, err = run(["audit", path, "--pred-col", "yhat", "--legit", "yhat"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: --legit names the prediction column 'yhat'\n"
+
+    def test_adjacent_double_scores(self, tmp_path, capsys):
+        # the midpoints of adjacent doubles round onto a score; the group
+        # curves' thresholds must still strictly decrease
+        scores = ["0.5", "0.49999999999999994", "0.4999999999999999", "0.49999999999999983"]
+        rows = [f"{g},{(i + g) % 2},{v}" for g in (0, 1) for i, v in enumerate(scores)]
+        path = tmp_path / "adj.csv"
+        path.write_text("\n".join(["s,y,score", *rows]) + "\n", encoding="utf-8")
+        code, out, err = run(
+            ["audit", path, "--threshold", "0.5", "--ci", "none", "--no-individual"], capsys
+        )
+        assert (code, err) == (0, "")
+        json.loads(out, parse_constant=_reject_constant)
+        code, _, err = run(["plot", path, "--kind", "roc", "--out", tmp_path / "roc"], capsys)
+        assert (code, err) == (0, "")
+
     def test_missing_pred_col_exit_2(self, toy_csv, capsys):
         code, _, err = run(["audit", toy_csv, "--pred-col", "yhat"], capsys)
         assert code == 2
@@ -1137,6 +1160,8 @@ def test_random_csv_exits_0_2_or_3_with_strict_json(tmp_path, capsys, text, argv
         json.loads(out, parse_constant=_reject_constant)
     else:
         assert out == "" and err.startswith("error: ")
+        # a dataclass invariant is internal: valid input must never reach it
+        assert "must be strictly decreasing" not in err and "must be non-decreasing" not in err, err
 
 
 @pytest.mark.parametrize(

@@ -164,16 +164,31 @@ BAD_VALUES = {
 def csv_files(draw):
     """CSV text over the loader's columns: records drawn per column, then a
     few faults injected (odd cells, odd lines, trailing commas), with mixed
-    line ends and an optional BOM."""
+    line ends and an optional BOM.  Half the files instead hold 6 to 12
+    records without faults, scored on three adjacent doubles."""
     optional = ["score", "w", "x1", "x2", "yhat"]
     extra = draw(st.lists(st.sampled_from(optional), unique=True, max_size=4))
     columns = draw(st.permutations(["s", "y", *extra]))
     if draw(st.integers(0, 9)) == 0:  # a missing or a duplicate column
         columns = columns[1:] if draw(st.booleans()) else [*columns, columns[0]]
-    rows = [[draw(VALUES[c]) for c in columns] for _ in range(draw(st.integers(0, 6)))]
+    adjacent = draw(st.booleans())
+    if adjacent and "score" not in columns:
+        columns.append("score")
+    n_rows = draw(st.integers(6, 12) if adjacent else st.integers(0, 6))
+    rows = [[draw(VALUES[c]) for c in columns] for _ in range(n_rows)]
+    if adjacent:
+        # scores from three adjacent doubles whose middle one has an even
+        # significand, so that both midpoints round onto it
+        low = draw(st.floats(0.0, 0.9))
+        middle = float(np.nextafter(low, 1.0))
+        if np.float64(middle).view(np.int64) & 1:
+            low, middle = middle, float(np.nextafter(middle, 1.0))
+        run = [low, middle, float(np.nextafter(middle, 1.0))]
+        for row in rows:
+            row[columns.index("score")] = repr(draw(st.sampled_from(run)))
     lines = [",".join(columns)]
     kinds = ["value", "cell", "line", "comma", "commas"]
-    faults = draw(st.lists(st.sampled_from(kinds), max_size=2))
+    faults = [] if adjacent else draw(st.lists(st.sampled_from(kinds), max_size=2))
     for fault in faults:
         if fault in ("value", "cell") and rows:
             row = rows[draw(st.integers(0, len(rows) - 1))]

@@ -1,4 +1,4 @@
-"""Label massaging in one sorted pass against the step loop it replaced.
+"""Label massaging's one swap loop against the step loop it replaced.
 
 ``ref_massage_labels`` is the earlier ``mitigate.massage_labels``: each step
 rescanned both pools with ``argmin`` and recomputed both group rates over all
@@ -15,9 +15,13 @@ from hypothesis import strategies as st
 
 import fairaudit.mitigate
 from fairaudit import rocstats, synth
-from fairaudit._common import weighted_mean
+from fairaudit._common import cell_sums
 from fairaudit.data import Dataset
 from fairaudit.mitigate import MassageResult, massage_labels, train_logistic
+
+
+def weighted_mean(x: np.ndarray, w: np.ndarray) -> float:
+    return float(np.sum(w * x) / np.sum(w))
 
 
 def ref_massage_labels(d, scores=None, eps=0.0, threshold=None):
@@ -195,15 +199,57 @@ def test_nan_distances_come_first_as_with_argmin():
                 ref_massage_labels(d, eps=0.0, threshold=np.nan))
 
 
+def counted_passes(monkeypatch):
+    """The list that gets one entry per ``cell_sums`` call in ``mitigate``:
+    one per pass of the swap loop."""
+    passes = []
+
+    def counted(*args):
+        passes.append(1)
+        return cell_sums(*args)
+
+    monkeypatch.setattr(fairaudit.mitigate, "cell_sums", counted)
+    return passes
+
+
 def test_rates_are_computed_a_constant_number_of_times(monkeypatch):
     d = synth.sample_scores(synth.operating_point_spec(), 20_000, 3)
-    calls = []
+    passes = counted_passes(monkeypatch)
+    for w in (None, np.random.default_rng(3).lognormal(0.0, 3.0, len(d))):
+        passes.clear()
+        res = massage_labels(d.with_(weight=w), eps=0.0)
+        assert len(res.swaps) > 500
+        assert 1 <= len(passes) <= 16
 
-    def counted(x, w):
-        calls.append(1)
-        return weighted_mean(x, w)
 
-    monkeypatch.setattr(fairaudit.mitigate, "weighted_mean", counted)
-    res = massage_labels(d, eps=0.0)
-    assert len(res.swaps) > 500
-    assert len(calls) <= 16
+def test_run_resumes_after_a_close_call(monkeypatch):
+    # the first swap's two weights are below B times their group totals, so
+    # it is too close to call and goes alone; it shrinks the gap, the higher
+    # group stays higher, and the next pass takes the next 14 entries of the
+    # sorted pools as a run.  The 16th swap would not shrink the gap: one pass
+    # applies it alone and the last pass undoes it.
+    s = [0] * 50 + [1] * 50
+    y = [1] * 40 + [0] * 10 + [1] * 10 + [0] * 40
+    score = np.r_[np.linspace(0.52, 0.99, 40), np.linspace(0.01, 0.4, 10),
+                  np.linspace(0.6, 0.99, 10), np.linspace(0.01, 0.48, 40)]
+    w = np.ones(100)
+    w[[0, 99]] = 5e-12  # the pools' first entries
+    d = Dataset(s=s, y=y, score=score, weight=w)
+    want = ref_massage_labels(d, eps=0.0, threshold=0.5)
+    passes = counted_passes(monkeypatch)
+    got = massage_labels(d, eps=0.0, threshold=0.5)
+    assert len(passes) == 4 and len(want.swaps) == 15
+    assert_same(got, want)
+
+
+def test_heavy_tailed_weights_take_the_safe_run_again(monkeypatch):
+    # with lognormal(0, 3) weights, single heavy swaps carry the gap past
+    # zero, so the higher-rate group changes several times; each such swap
+    # goes alone, and the next pass sorts the pools again and takes a run
+    d = synth.sample_scores(synth.operating_point_spec(), 10_000, 36)
+    d = d.with_(weight=np.random.default_rng(36).lognormal(0.0, 3.0, len(d)))
+    want = ref_massage_labels(d, eps=0.0)
+    passes = counted_passes(monkeypatch)
+    got = massage_labels(d, eps=0.0)
+    assert 5 <= len(passes) <= 16
+    assert_same(got, want)

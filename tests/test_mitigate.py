@@ -482,6 +482,16 @@ class TestPerGroupThresholds:
         assert res.policy.rules[0] == res.policy.rules[1]
         assert res.gap == 0.0
 
+    def test_adjacent_doubles_policy_realizes_its_values(self):
+        # the midpoint of 1.0 and the double below it rounds to 1.0, a
+        # threshold that selects nobody
+        below = float(np.nextafter(1.0, 0.0))
+        d = Dataset(s=[0, 0, 1, 1], y=[1, 0, 1, 0], score=[1.0, below, 1.0, below])
+        res = per_group_thresholds(d, objective="dp")
+        pred = apply_policy(d, res.policy)
+        assert (res.values, res.accuracy) == ((0.5, 0.5), 1.0)
+        assert pred.prob.tolist() == [1.0, 0.0, 1.0, 0.0]
+
     def test_one_record_group_flagged(self):
         d = Dataset(s=[1] * 9 + [0], y=[0, 1] * 5, score=[i / 11 for i in range(1, 11)])
         res = per_group_thresholds(d, objective="dp")

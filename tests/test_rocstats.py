@@ -17,6 +17,7 @@ from fairaudit.rocstats import (
     ConfusionMatrix,
     RocCurve,
     _group_sweeps,
+    _policy_candidates,
     _sweep,
     _upper_hull,
     auc,
@@ -277,6 +278,40 @@ def test_group_sweeps_are_the_masked_sweeps(case):
                 assert np.array_equal(a, b) and a.tobytes() == b.tobytes()
 
 
+@st.composite
+def adjacent_double_scores(draw):
+    """Scores on runs of adjacent doubles (``np.nextafter`` chains, up or
+    down), where the midpoint of two scores can round onto the upper one,
+    with integer weights, so that every weight sum is exact."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    starts = st.one_of(st.sampled_from([1.0, 0.5, 0.25, 5e-324, 0.0]), st.floats(0.0, 1.0))
+    chain = []
+    for start in draw(st.lists(starts, min_size=1, max_size=3)):
+        v, toward = start, draw(st.sampled_from([0.0, 1.0]))
+        for _ in range(draw(st.integers(1, 6))):
+            chain.append(v)
+            v = float(np.nextafter(v, toward))
+    n = draw(st.integers(2, 40))
+    score = rng.choice(chain, size=n)
+    w = rng.integers(1, 4, size=n).astype(float)
+    y = rng.integers(0, 2, size=n)
+    return score, y, w
+
+
+@settings(max_examples=300, deadline=None)
+@given(adjacent_double_scores())
+def test_every_candidate_decides_as_its_sweep_row(case):
+    score, y, w = case
+    cols = np.column_stack((w * (1 - y), w * y))
+    thresholds, rows = _policy_candidates(*_sweep(score, cols)[:2])
+    for t, row in zip(thresholds, rows):
+        assert np.array_equal(cols[score > t].sum(axis=0), row)
+    if 0 < y.sum() < len(y):
+        c = roc_curve(Dataset(s=np.zeros(len(y), dtype=int), y=y, score=score, weight=w))
+        for t, neg, pos in zip(c.thresholds, c.neg_above, c.pos_above):
+            assert cols[score > t].sum(axis=0).tolist() == [neg, pos]
+
+
 class TestAuc:
     def test_trivials(self):
         perfect = Dataset(s=[0, 0], y=[0, 1], score=[0.2, 0.8])
@@ -421,6 +456,16 @@ class TestBestAccuracyThreshold:
         d = Dataset(s=[0, 1, 0, 1], y=[1, 1, 0, 1], score=[0.0, 0.2, 0.5, 0.8])
         t, acc = best_accuracy_threshold(d)
         assert (t, acc) == (0.65, 0.5)
+        pred = apply_policy(d, ThresholdPolicy.shared(t))
+        assert float(np.mean(pred.prob == d.y)) == acc
+
+    def test_adjacent_doubles_threshold_realizes_its_accuracy(self):
+        # the midpoint of 1.0 and the double below it rounds to 1.0, which
+        # selects nobody; the lower score selects the records at 1.0
+        below = float(np.nextafter(1.0, 0.0))
+        d = Dataset(s=[0, 0, 1, 1], y=[1, 0, 1, 0], score=[1.0, below, 1.0, below])
+        t, acc = best_accuracy_threshold(d)
+        assert (t, acc) == (below, 1.0)
         pred = apply_policy(d, ThresholdPolicy.shared(t))
         assert float(np.mean(pred.prob == d.y)) == acc
 
