@@ -137,7 +137,7 @@ def render_markdown(report: dict) -> str:
         "# Fairness audit",
         "",
         f"- dataset: `{report['dataset']['path']}` ({report['dataset']['n']} records)",
-        f"- digest: `{report['dataset']['sha256'][:16]}`",
+        f"- digest: `{(report['dataset']['sha256'] or '-')[:16]}`",
         f"- policy: `{json.dumps(report['policy'], sort_keys=True)}`",
         f"- epsilon: {report['epsilon']}",
         "",
@@ -266,8 +266,7 @@ def cmd_audit(args) -> int:
             d, pred, method=args.ci, level=args.ci_level, n_boot=args.boot, seed=args.seed
         ))
 
-    prob = pred.prob.astype(float)
-    s, w = d.s.astype(float), d.weight
+    prob, s, w = pred.prob, d.s.astype(float), d.weight
     # a measure undefined on this data (a constant input, or weights so small
     # that a variance or margin product underflows) is reported as null
     measures = {
@@ -280,6 +279,7 @@ def cmd_audit(args) -> int:
         "mutual_information_y_s_nats": lambda: depmeasure.mutual_information(d.y, d.s, w),
     }
     report["independence"] = {k: _defined(f) for k, f in measures.items()}
+    del s  # a float copy, not held through the individual audits
 
     if args.individual:
         indiv = {}

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -209,34 +210,38 @@ def load_csv(path, schema: ColumnSchema = ColumnSchema()) -> Dataset:
     ``loadtxt`` does not: empty cells (missing features), blank-only lines,
     and numbers that only Python's ``float`` accepts, such as ``1_0``.
     """
-    # the lines are kept for the row loop: a pipe cannot be read twice
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        lines = fh.readlines()
-    reader = csv.reader(lines)
-    try:
-        header = next(reader, None)
-    except csv.Error as exc:  # e.g. a field longer than the csv module's limit
-        raise DataError(f"line {reader.line_num}: {exc}") from None
-    if header is None:
-        raise DataError("no records (empty file)")
-    header = [h.strip() for h in header]
-    duplicates = sorted({h for h in header if header.count(h) > 1})
-    if duplicates:
-        raise DataError(f"duplicate column name(s) {duplicates} in header")
+        # a file is parsed as it is read, and read again for the row loop;
+        # a pipe's lines are kept, since it cannot be read twice
+        lines = None if fh.seekable() else fh.readlines()
+        reader = csv.reader(fh if lines is None else lines)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:  # e.g. a field longer than the csv module's limit
+            raise DataError(f"line {reader.line_num}: {exc}") from None
+        if header is None:
+            raise DataError("no records (empty file)")
+        header = [h.strip() for h in header]
+        duplicates = sorted({h for h in header if header.count(h) > 1})
+        if duplicates:
+            raise DataError(f"duplicate column name(s) {duplicates} in header")
 
-    body = lines[reader.line_num :]
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", UserWarning)  # raised on an empty body
-            table = np.loadtxt(
-                body, delimiter=",", comments=None, quotechar='"', ndmin=2, dtype=float
-            )
-    except (ValueError, UserWarning):
-        table = None
-    if table is not None and table.shape[1] == len(header):
-        d = _dataset_from_table(table, header, schema)
-        if d is not None:
-            return d
+        body = fh if lines is None else lines[reader.line_num :]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", UserWarning)  # raised on an empty body
+                table = np.loadtxt(
+                    body, delimiter=",", comments=None, quotechar='"', ndmin=2, dtype=float
+                )
+        except (ValueError, UserWarning):
+            table = None
+        if table is not None and table.shape[1] == len(header):
+            d = _dataset_from_table(table, header, schema)
+            if d is not None:
+                return d
+        if lines is None:
+            fh.seek(0)
+            body = fh.readlines()[reader.line_num :]
     return _dataset_from_rows(body, header, schema, reader.line_num)
 
 
@@ -266,15 +271,16 @@ def _dataset_from_table(
 ) -> Dataset | None:
     """The dataset of a parsed float table, or None if any value fails a check."""
     score_col, weight_col, feat_names = _resolve_columns(header, schema)
-    # contiguous copies: strided columns can change reductions in the last bits
-    column = dict(zip(header, np.ascontiguousarray(table.T)))
+    column = dict(zip(header, table.T))
+    # own copies: a strided view can change sums' last bits and keeps the table
+    kept = {c: np.ascontiguousarray(column[c]) for c in (score_col, weight_col) if c is not None}
     try:
         d = Dataset(
             s=column[schema.s_col],
             y=column[schema.y_col],
-            score=column.get(score_col),
+            score=kept.get(score_col),
             features=np.column_stack([column[c] for c in feat_names]) if feat_names else None,
-            weight=column.get(weight_col),
+            weight=kept.get(weight_col),
             feature_names=feat_names,
             legit_names=schema.legit_cols,
         )
@@ -534,7 +540,9 @@ def dataset_to_csv(d: Dataset) -> str:
     return "\n".join(lines) + "\n"
 
 
-def sha256_of_file(path) -> str:
+def sha256_of_file(path) -> str | None:
+    if not os.path.isfile(path):  # load_csv has read a pipe to its end
+        return None
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):

@@ -31,7 +31,7 @@ PAIR_BLOCK = 65_536  # pairs checked at a time
 class LipschitzAuditResult:
     violations: int
     checked_pairs: int
-    worst_ratio: float
+    worst_ratio: float | None  # None where some d_x = 0 < d_y
     top_pairs: list[dict] = field(default_factory=list)
     exact: bool = True
     mode: str = "score"  # the only mode; a key of the report
@@ -104,6 +104,32 @@ def _check_block(white, cols, out, bi, bj, scale, top_k):
     return len(bad), float(np.max(ratio, initial=0.0)), top
 
 
+def _pair_blocks(n: int, seed: int):
+    """The audited pairs (bi, bj) in intp blocks of at most PAIR_BLOCK: the
+    exact ``np.triu_indices(n, 1)`` a few rows at a time, or one generator's
+    SAMPLED_PAIRS draws of ``ii`` then of ``jj``, less self pairs.  A second
+    generator skips the ``ii`` draws, so a block takes ``bi`` from the first
+    and ``bj`` from the second: numpy keeps the spare half of a 64-bit output
+    in the bit generator, so blocks of bounded 32-bit draws join up."""
+    if n <= EXACT_PAIR_LIMIT:
+        rows = max(1, PAIR_BLOCK // n)
+        for a in range(0, n - 1, rows):
+            bi, bj = np.nonzero(np.triu(np.ones((min(rows, n - 1 - a), n), bool), k=a + 1))
+            yield bi + a, bj
+        return
+    # below 2^31 both widths take numpy's buffered 32-bit bounded draw,
+    # so int32 pairs are the int64 stream's values in half the memory
+    dtype = np.int32 if n < 2**31 else np.int64
+    first, second = np.random.default_rng(seed), np.random.default_rng(seed)
+    sizes = [min(PAIR_BLOCK, SAMPLED_PAIRS - a) for a in range(0, SAMPLED_PAIRS, PAIR_BLOCK)]
+    for m in sizes:
+        second.integers(0, n, size=m, dtype=dtype)
+    for m in sizes:
+        bi, bj = first.integers(0, n, size=m, dtype=dtype), second.integers(0, n, size=m, dtype=dtype)
+        keep = bi != bj  # intp: np.take would convert int32 indices on every call
+        yield bi[keep].astype(np.intp, copy=False), bj[keep].astype(np.intp, copy=False)
+
+
 def lipschitz_audit(
     d: Dataset,
     scale: float = 1.0,
@@ -117,15 +143,15 @@ def lipschitz_audit(
     no free constant, so ``scale`` makes it non-vacuous and is reported
     back; it must be at least 0.  Exact enumeration up to n = 2000; beyond
     that a seeded sample of 2e6 pairs is audited and flagged as non-exact.
-    The pairs are checked PAIR_BLOCK at a time, each block dropping its
-    sampled pairs of a record with itself, so no filtered copy of all pairs
-    is made; ``checked_pairs`` counts the kept ones.
+    The pairs are made and checked PAIR_BLOCK at a time, so no array of all
+    pairs is held; ``checked_pairs`` counts the sampled pairs that are not
+    of a record with itself.
 
     d_x sums the squared whitened differences in column order below 8
     features and as ``np.linalg.norm`` does (pairwise) from 8 on, which is
     numpy's own order in both cases, so every distance equals
-    ``np.linalg.norm(white[i] - white[j])``.  The ratio d_y / d_x is inf
-    where d_x = 0 < d_y and 0 where both are 0.
+    ``np.linalg.norm(white[i] - white[j])``.  The ratio d_y / d_x is 0 where
+    both are 0, and None (unbounded, ranked first) where d_x = 0 < d_y.
     """
     if not scale >= 0:
         raise ValueError(f"Lipschitz scale must be at least 0, got {scale!r}")
@@ -141,26 +167,10 @@ def lipschitz_audit(
     white = d.features @ _mahalanobis_factor(d.features, d.feature_names).T
     cols = np.ascontiguousarray(white.T)
 
-    exact = n <= EXACT_PAIR_LIMIT
-    if exact:
-        ii, jj = np.triu_indices(n, k=1)
-    else:
-        rng = np.random.default_rng(seed)
-        # below 2^31 both widths take numpy's buffered 32-bit bounded draw,
-        # so int32 pairs are the int64 stream's values in half the memory
-        dtype = np.int32 if n < 2**31 else np.int64
-        ii = rng.integers(0, n, size=SAMPLED_PAIRS, dtype=dtype)
-        jj = rng.integers(0, n, size=SAMPLED_PAIRS, dtype=dtype)
-
-    violations = 0
-    checked = 0
+    violations = checked = 0
     worst = 0.0
     top: list[tuple[float, int, int, float, float]] = []
-    for start in range(0, len(ii), PAIR_BLOCK):
-        bi, bj = ii[start : start + PAIR_BLOCK], jj[start : start + PAIR_BLOCK]
-        keep = bi != bj  # sampled pairs of a record with itself are dropped
-        # np.take would convert int32 indices on every call
-        bi, bj = bi[keep].astype(np.intp, copy=False), bj[keep].astype(np.intp, copy=False)
+    for bi, bj in _pair_blocks(n, seed):
         checked += len(bi)
         v, w, t = _check_block(white, cols, out, bi, bj, scale, top_k)
         violations += v
@@ -168,15 +178,15 @@ def lipschitz_audit(
         top.extend(t)
     top.sort(key=lambda t: -t[0])
     top_pairs = [
-        {"i": i, "j": j, "d_y": dy, "d_x": dx, "ratio": r}
+        {"i": i, "j": j, "d_y": dy, "d_x": dx, "ratio": None if r == np.inf else r}
         for r, i, j, dy, dx in top[:top_k]
     ]
     return LipschitzAuditResult(
         violations=violations,
         checked_pairs=checked,
-        worst_ratio=worst,
+        worst_ratio=None if worst == np.inf else worst,
         top_pairs=top_pairs,
-        exact=exact,
+        exact=n <= EXACT_PAIR_LIMIT,
         scale=scale,
     )
 
@@ -221,7 +231,6 @@ def reconstruction_audit(
         names.append("yhat")
     blocks.append(d.y[:, None].astype(float))
     names.append("y")
-    X = np.hstack(blocks)
 
     folds = max(2, min(folds, *sizes))
     rng = np.random.default_rng(seed)
@@ -238,12 +247,12 @@ def reconstruction_audit(
         train_data = Dataset(
             s=d.s[train],
             y=d.s[train],  # attacker target: the protected attribute
-            features=X[train],
+            features=np.hstack(blocks)[train],  # no n x p design is kept
             weight=d.weight[train],
             feature_names=names,
         )
         model = mitigate.train_logistic(train_data)
-        attack_score = model.predict_score(X[test])
+        attack_score = model.predict_score(np.hstack(blocks)[test])
         held = Dataset(s=d.s[test], y=d.s[test], score=attack_score, weight=d.weight[test])
         fold_aucs.append(rocstats.auc(rocstats.roc_curve(held)))
     return ReconstructionAuditResult(

@@ -323,7 +323,6 @@ def train_logistic(
         name = d.feature_names[int(np.argmin(np.isfinite(sd)))]
         raise DataError(f"feature {name!r} is too large to standardize")
     sd = np.where(sd > 0, sd, 1.0)
-    Xs = (X - mu) / sd
     y = d.y.astype(float)
 
     penalty_active = penalty.kind != "none" and max(
@@ -339,10 +338,12 @@ def train_logistic(
     converged = False
     diverged = False
     it = 0
-    # the inverse-Hessian estimate starts at the design's inverse second
-    # moments, so correlated features do not slow the first steps
-    X1 = np.hstack((Xs, np.ones((len(y), 1))))
+    # the inverse-Hessian estimate starts at the inverse second moments of
+    # X1 = [Xs, 1], so correlated features do not slow the first steps
+    X1 = np.ones((len(y), X.shape[1] + 1))
+    Xs = np.divide(np.subtract(X, mu, out=X1[:, :-1]), sd, out=X1[:, :-1])
     H = H0 = np.linalg.pinv(X1.T @ (wn[:, None] * X1), hermitian=True)
+    Xs, X1 = Xs.copy(), None  # contiguous; X1 is not kept through the loop
     value, grad = objective_value_and_grad(theta, Xs, y, d.s, wn, penalty, link)
     for it in range(1, opts.max_iter + 1):
         if float(np.linalg.norm(grad)) <= opts.tol:

@@ -99,13 +99,20 @@ def group_confusions(d: Dataset, pred: PredictionSet) -> list[ConfusionMatrix]:
 
 def rates(c: ConfusionMatrix) -> RateSet:
     phi_den = (c.tp + c.fp) * (c.tp + c.fn) * (c.tn + c.fp) * (c.tn + c.fn)
+    if 0 < phi_den < math.inf:
+        phi = (c.tp * c.tn - c.fp * c.fn) / math.sqrt(phi_den)
+    else:  # an empty margin or an over/underflow: scale by 2^k, root each margin
+        k = -math.frexp(max(c.tp, c.fp, c.tn, c.fn))[1]
+        tp, fp, tn, fn = (math.ldexp(x, k) for x in (c.tp, c.fp, c.tn, c.fn))
+        roots = math.prod(math.sqrt(a + b) for a in (tp, tn) for b in (fp, fn))
+        phi = None if roots == 0 else (tp * tn - fp * fn) / roots
     return RateSet(
         tpr=_ratio(c.tp, c.tp + c.fn),
         fpr=_ratio(c.fp, c.fp + c.tn),
         ppv=_ratio(c.tp, c.tp + c.fp),
         npv=_ratio(c.tn, c.tn + c.fn),
         accuracy=_ratio(c.tp + c.tn, c.total),
-        phi=None if phi_den == 0 else (c.tp * c.tn - c.fp * c.fn) / math.sqrt(phi_den),
+        phi=phi,
     )
 
 

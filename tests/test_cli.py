@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 import fairaudit
 from fairaudit import mitigate
-from fairaudit.cli import _dump_json, build_parser, main
-from fairaudit.data import TOY_CSV, dataset_to_csv, load_csv, load_toy
+from fairaudit.cli import _dump_json, build_parser, main, render_markdown
+from fairaudit.data import TOY_CSV, dataset_to_csv, load_csv, load_toy, sha256_of_file
 from fairaudit.mitigate import LinearModel
 
 from test_load_csv_reference import csv_files
@@ -1197,3 +1197,98 @@ class TestValidateCommand:
         report = json.loads(out)
         assert report["base_rates"]["0"] == 5 / 8
         assert report["base_rates"]["1"] == 9 / 16
+
+
+def test_unbounded_lipschitz_ratio_reported_as_null(tmp_path, capsys):
+    """Records 1 and 2 have equal features and different scores: d_x = 0 <
+    d_y.  The pair ranks first and counts as a violation, with a null ratio."""
+    path = tmp_path / "dup.csv"
+    path.write_text("s,y,score,x1\n0,0,0.2,1\n0,1,0.7,1\n1,0,0.4,2\n1,1,0.9,2\n"
+                    "0,1,0.6,3\n1,0,0.3,4\n", encoding="utf-8")
+    code, out, err = run(["audit", path, "--threshold", "0.5", "--ci", "none"], capsys)
+    assert code == 0, err
+    lp = json.loads(out, parse_constant=_reject_constant)["individual"]["lipschitz"]
+    assert lp["violations"] == 2 and lp["worst_ratio"] is None
+    assert [(p["i"], p["j"], p["ratio"]) for p in lp["top_pairs"][:2]] == [
+        (0, 1, None), (2, 3, None)
+    ]
+
+
+@pytest.mark.parametrize(
+    "policy,phi0",
+    [
+        (["--threshold", "0.5", "--ci", "asymptotic"], None),
+        (["--threshold", "0.5", "--ci", "none"], None),
+        # group 1 has no positive decision, which the impact interval needs
+        (["--pred-col", "yhat", "--ci", "none"], 1.0),
+    ],
+    ids=["threshold-asymptotic", "threshold-none", "pred-col-none"],
+)
+def test_phi_with_weights_near_1e198_exits_0(tmp_path, capsys, policy, phi0):
+    """The margin product overflows.  At threshold 0.5 every record is
+    decided 1, so group 0 has no negative decision and phi is undefined; by
+    the yhat column group 0 is a perfect positive and a perfect negative."""
+    path = tmp_path / "w.csv"
+    path.write_text("y,s,w,score,yhat\n1.0,0,2.0571089860330838e+198,0.7245741901917072,1\n"
+                    "0,0,1e-14,0.724574190191707,0\n0, 1,3.5223192043750508e+16,0.724574190191707,0\n",
+                    encoding="utf-8")
+    code, out, err = run(["audit", path, *policy], capsys)
+    assert code == 0, err
+    phi = json.loads(out, parse_constant=_reject_constant)["metrics"]["phi_fairness"]
+    assert phi["group0"] == (None if phi0 is None else pytest.approx(phi0, rel=1e-15))
+    assert phi["group1"] is None
+
+
+# a row that loadtxt cannot parse but Python's float can (1_0) sends the body
+# through the row loop: a file is read again from its start, a pipe's lines
+# are kept
+PIPE_CSVS = {
+    "table": "s,y,score,x1\n0,0,0.2,1\n0,1,0.7,3\n1,0,0.4,2\n1,1,0.9,5\n0,1,0.6,3\n1,0,0.3,4\n",
+    "row-loop": "s,y,score,x1\n0,0,0.2,1\n0,1,0.7,1_0\n1,0,0.4,2\n1,1,0.9,5\n0,1,0.6,3\n1,0,0.3,4\n",
+    "bad": "s,y,score,x1\n0,0,0.2,1\n0,1,0.7,1_0\n1,2,0.4,2\n1,1,0.9,5\n",
+}
+
+
+def _cli(argv, **kw):
+    src = Path(fairaudit.__file__).resolve().parent.parent
+    return subprocess.run(
+        [sys.executable, "-m", "fairaudit.cli", *map(str, argv)], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": str(src)}, **kw,
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+@pytest.mark.parametrize("name", sorted(PIPE_CSVS))
+def test_piped_csv_reads_as_the_file(tmp_path, name):
+    """The same CSV by path, through a pipe, and redirected from the file:
+    the same report apart from the path, or the same error.  A pipe has
+    nothing left to hash, so its digest is null; a redirected file is a
+    regular file and keeps its digest."""
+    path = tmp_path / "in.csv"
+    path.write_text(PIPE_CSVS[name], encoding="utf-8")
+    argv = ["--threshold", "0.5", "--ci", "none"]
+    by_path = _cli(["audit", path, *argv], stdin=subprocess.DEVNULL)
+    by_pipe = _cli(["audit", "/dev/stdin", *argv], input=PIPE_CSVS[name])
+    with open(path) as fh:
+        redirected = _cli(["audit", "/dev/stdin", *argv], stdin=fh)
+    runs = (by_path, by_pipe, redirected)
+    if name == "bad":
+        for res in runs:
+            assert (res.returncode, res.stdout) == (2, "")
+            assert res.stderr == "error: row 4: column 'y' must be 0 or 1, got '2'\n"
+        return
+    assert [res.returncode for res in runs] == [0, 0, 0], by_pipe.stderr
+    reports = [json.loads(res.stdout) for res in runs]
+    assert "- digest: `-`" in render_markdown(reports[1]).splitlines()
+    digest = sha256_of_file(path)
+    assert [r["dataset"].pop("sha256") for r in reports] == [digest, None, digest]
+    assert [r["dataset"].pop("path") for r in reports] == [str(path), "/dev/stdin", "/dev/stdin"]
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_piped_mitigate_reports_null_digest(tmp_path):
+    res = _cli(["mitigate", "/dev/stdin", "--method", "reweigh", "--out", tmp_path / "m"],
+               input=PIPE_CSVS["table"])
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["dataset"] == {"path": "/dev/stdin", "sha256": None, "n": 6}

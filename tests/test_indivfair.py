@@ -27,7 +27,8 @@ def ref_lipschitz_audit(d, scale, top_k=10, seed=0):
     """The Lipschitz audit before the feature-major kernel and the
     PAIR_BLOCK walk: white[bi] row gathers, np.linalg.norm over each (m, p)
     block, the ratio from np.where, and self pairs dropped from all sampled
-    pairs before 500k-pair blocks; the pair stream is unchanged."""
+    pairs before 500k-pair blocks; the pair stream is unchanged.  An
+    unbounded ratio is reported as None."""
     n = len(d)
     out = d.score
     white = d.features @ indivfair._mahalanobis_factor(d.features, d.feature_names).T
@@ -55,10 +56,12 @@ def ref_lipschitz_audit(d, scale, top_k=10, seed=0):
         for k in bad_idx[np.argsort(-ratio[bad_idx], kind="stable")][:top_k]:
             top.append((float(ratio[k]), int(bi[k]), int(bj[k]), float(dyv[k]), float(dx[k])))
     top.sort(key=lambda t: -t[0])
+    # an unbounded ratio is reported as None
     top_pairs = [
-        {"i": i, "j": j, "d_y": dy_, "d_x": dx_, "ratio": r} for r, i, j, dy_, dx_ in top[:top_k]
+        {"i": i, "j": j, "d_y": dy_, "d_x": dx_, "ratio": None if r == np.inf else r}
+        for r, i, j, dy_, dx_ in top[:top_k]
     ]
-    return violations, len(ii), worst, top_pairs, exact
+    return violations, len(ii), None if worst == np.inf else worst, top_pairs, exact
 
 
 class TestLipschitzAudit:
@@ -83,7 +86,7 @@ class TestLipschitzAudit:
     @pytest.mark.parametrize("p", range(1, 10))
     def test_duplicate_rows_match_fancy_index_gather(self, monkeypatch, p, exact, case):
         """Duplicated feature rows give d_x = 0: with equal outputs (0/0,
-        ratio 0) or with different ones (ratio inf)."""
+        ratio 0) or with different ones (an unbounded ratio, reported as None)."""
         if not exact:
             monkeypatch.setattr(indivfair, "EXACT_PAIR_LIMIT", 40)
             monkeypatch.setattr(indivfair, "SAMPLED_PAIRS", 20_000)
@@ -102,19 +105,24 @@ class TestLipschitzAudit:
         if case == "dup-equal":
             assert 0 < res.worst_ratio < np.inf
         else:
-            assert res.worst_ratio == np.inf
+            assert res.worst_ratio is None
+            assert res.top_pairs[0]["ratio"] is None
 
-    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "sampled"])
+    @pytest.mark.parametrize(
+        "pairs", [None, 3_000, 3_001], ids=["exact", "sampled", "sampled-prime"]
+    )
     @pytest.mark.parametrize("block", [1, 7, 2**20])
-    def test_any_pair_block_matches_fancy_index_gather(self, monkeypatch, block, exact):
+    def test_any_pair_block_matches_fancy_index_gather(self, monkeypatch, block, pairs):
         """The counts, the worst ratio and the top pairs do not depend on the
         block: each block's own first top_k include every pair of the global
         first top_k, and the self pairs dropped block by block are the ones
-        a filter over all pairs drops."""
+        a filter over all pairs drops.  3,001 pairs is a prime count, which
+        no block above 1 divides."""
         monkeypatch.setattr(indivfair, "PAIR_BLOCK", block)
+        exact = pairs is None
         if not exact:
             monkeypatch.setattr(indivfair, "EXACT_PAIR_LIMIT", 40)
-            monkeypatch.setattr(indivfair, "SAMPLED_PAIRS", 3_000)
+            monkeypatch.setattr(indivfair, "SAMPLED_PAIRS", pairs)
         rng = np.random.default_rng(block)
         n = 60
         X = rng.normal(size=(n, 3))
@@ -124,7 +132,7 @@ class TestLipschitzAudit:
         res = lipschitz_audit(d, scale=0.5, top_k=25)
         got = (res.violations, res.checked_pairs, res.worst_ratio, res.top_pairs, res.exact)
         assert got == ref_lipschitz_audit(d, scale=0.5, top_k=25)
-        assert res.exact == exact and res.worst_ratio == np.inf
+        assert res.exact == exact and res.worst_ratio is None
 
     @pytest.mark.parametrize("p", range(1, 13))
     def test_pair_distances_are_norms_bit_for_bit(self, p):
@@ -168,23 +176,53 @@ class TestLipschitzAudit:
             b = narrow.integers(0, n, size=size, dtype=np.int32)
             assert b.dtype == np.int32 and np.array_equal(a, b)
 
-    def test_sampled_pairs_peak_below_int64_pairs(self):
-        """2e6 sampled pairs on 2500 records: the int32 pairs (16 MB) and one
-        65,536-pair block's filtered copies and temporaries peak near 20 MB.
-        A filtered copy of all pairs and 500k-pair blocks peaked near 39 MB,
-        and int64 pairs at 50.2 MB."""
+    @pytest.mark.parametrize("n", [3, 40, 41, 2001, 50_000, 2**31 - 1])
+    @pytest.mark.parametrize("block", [1, 997, 65_536])
+    def test_pair_blocks_are_the_whole_pair_list(self, monkeypatch, n, block):
+        """Exact pairs come in np.triu_indices order a few rows at a time;
+        sampled pairs are the one-shot draws of all ii, then all jj, from one
+        generator, less the self pairs, whatever the block."""
+        monkeypatch.setattr(indivfair, "PAIR_BLOCK", block)
+        monkeypatch.setattr(indivfair, "EXACT_PAIR_LIMIT", 40)
+        monkeypatch.setattr(indivfair, "SAMPLED_PAIRS", 10_007)
+        blocks = list(indivfair._pair_blocks(n, seed=7))
+        assert all(len(bi) <= max(block, n) and bi.dtype == np.intp for bi, _ in blocks)
+        got = [np.concatenate(side) for side in zip(*blocks)]
+        if n <= 40:
+            want = np.triu_indices(n, k=1)
+        else:
+            rng = np.random.default_rng(7)
+            ii, jj = rng.integers(0, n, size=10_007), rng.integers(0, n, size=10_007)
+            want = ii[ii != jj], jj[ii != jj]
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @staticmethod
+    def _traced_audit(n):
         rng = np.random.default_rng(4)
-        n = 2500
         d = Dataset(s=rng.integers(0, 2, n), y=rng.integers(0, 2, n), score=rng.random(n),
                     features=rng.normal(size=(n, 4)))
         tracemalloc.start()
         try:
             res = lipschitz_audit(d)
-            peak = tracemalloc.get_traced_memory()[1]
+            return res, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert res.checked_pairs > 1_990_000
-        assert peak < 24e6
+
+    def test_sampled_pairs_peak_below_int64_pairs(self):
+        """2e6 sampled pairs on 2500 records, drawn and checked one 65,536-pair
+        block at a time, peak near 3.6 MB.  Drawing all pairs as int32 (16 MB)
+        before the first block peaked near 19 MB, and int64 pairs at 50.2 MB."""
+        res, peak = self._traced_audit(2500)
+        assert not res.exact and res.checked_pairs > 1_990_000
+        assert peak < 6e6
+
+    def test_exact_pairs_peak_below_triu_indices(self):
+        """The 1,999,000 exact pairs of 2000 records, made a few rows at a
+        time, peak near 3.7 MB; np.triu_indices(2000, 1) holds 32 MB of int64
+        and peaked near 36 MB."""
+        res, peak = self._traced_audit(2000)
+        assert res.exact and res.checked_pairs == 1_999_000
+        assert peak < 6e6
 
     @pytest.mark.parametrize("scale", [-1.0, -1e-300, float("nan")])
     def test_negative_scale_rejected(self, scale):

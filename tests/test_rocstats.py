@@ -171,6 +171,34 @@ class TestRates:
         assert r.tpr == 1.0 and r.ppv == 1.0
         assert r.fpr is None and r.npv is None and r.phi is None
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-60, 1e60)), min_size=4, max_size=4
+    ))
+    def test_phi_keeps_the_product_formula_bits(self, counts):
+        """Where the product of the four margins neither overflows nor
+        underflows, phi is the one-product formula's value, bit for bit."""
+        tp, fp, tn, fn = counts
+        den = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
+        want = None if den == 0 else (tp * tn - fp * fn) / math.sqrt(den)
+        got = rates(ConfusionMatrix(*counts)).phi
+        assert (got is None and want is None) or got.hex() == want.hex()
+
+    @pytest.mark.parametrize("scale", [1e150, 1e200, 1e300, 1e-150, 1e-300])
+    def test_phi_of_scaled_counts_is_phi(self, scale):
+        """The margin product over- or underflows: phi is the phi of the
+        same counts at unit scale."""
+        counts = (3.0, 1.0, 2.0, 5.0)
+        want = rates(ConfusionMatrix(*counts)).phi
+        got = rates(ConfusionMatrix(*(c * scale for c in counts))).phi
+        assert got == pytest.approx(want, rel=1e-14)
+
+    def test_phi_across_a_wide_weight_range(self):
+        """A perfect positive and a perfect negative, at weights 2e198 and
+        1e-14: phi is 1, where the margin product overflows."""
+        c = ConfusionMatrix(tp=2.0571089860330838e198, fp=0.0, tn=1e-14, fn=0.0)
+        assert rates(c).phi == pytest.approx(1.0, rel=1e-15)
+
     def test_accuracy_matches_direct_count(self, toy, toy_pred):
         for g, c in enumerate(group_confusions(toy, toy_pred)):
             in_g = toy.s == g
