@@ -36,7 +36,7 @@ from .data import (
     validate,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 TABLE_LABELS = {m: m.replace("_", " ") for m in groupfair.TABLE_METRICS}
 

@@ -30,8 +30,7 @@ __all__ = [
     "DegenerateGroupError",
     "Dataset",
     "ColumnSchema",
-    "Deterministic",
-    "Randomized",
+    "ThresholdMixture",
     "ThresholdPolicy",
     "PredictionSet",
     "ValidationReport",
@@ -350,79 +349,69 @@ def _dataset_from_rows(
 
 
 @dataclass(frozen=True)
-class Deterministic:
-    """Decide 1 iff score > threshold (strict: equality yields 0)."""
-
-    threshold: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.threshold <= 1.0:
-            raise DataError(f"threshold must lie in [0, 1], got {self.threshold}")
-
-    def decision_prob(self, score: np.ndarray) -> np.ndarray:
-        return (score > self.threshold).astype(float)
-
-
-@dataclass(frozen=True)
-class Randomized:
-    """Use threshold ``t_lo`` with probability ``p``, else ``t_hi``.
-
-    The expected decision is ``p * 1[score > t_lo] + (1-p) * 1[score > t_hi]``.
+class ThresholdMixture:
+    """Use threshold ``thresholds[k]`` with probability ``probs[k]``, one to
+    three thresholds, increasing; each decides 1 iff score > it (strict:
+    equality yields 0).  The expected decision is the sum of
+    ``probs[k] * 1[score > thresholds[k]]`` in order; for two thresholds,
+    ``p * 1[score > t_lo] + (1-p) * 1[score > t_hi]``.  The policy JSON
+    kinds of one, two and three are deterministic, randomized and mixture.
     """
 
-    t_lo: float
-    t_hi: float
-    p: float
+    thresholds: tuple[float, ...]
+    probs: tuple[float, ...]
 
     def __post_init__(self):
-        for t in (self.t_lo, self.t_hi):
-            if not 0.0 <= t <= 1.0:
-                raise DataError(f"threshold must lie in [0, 1], got {t}")
-        if self.t_lo > self.t_hi:
-            raise DataError("t_lo must not exceed t_hi")
-        if not 0.0 <= self.p <= 1.0:
-            raise DataError(f"mixture probability must lie in [0, 1], got {self.p}")
+        if not 1 <= len(self.thresholds) == len(self.probs) <= 3:
+            raise DataError("a rule mixes one to three thresholds, one probability each")
+        for name, values in (("threshold", self.thresholds), ("mixture probability", self.probs)):
+            for v in values:
+                if not 0.0 <= v <= 1.0:
+                    raise DataError(f"{name} must lie in [0, 1], got {v}")
+        if list(self.thresholds) != sorted(self.thresholds):
+            raise DataError("thresholds must not decrease")
+
+    @classmethod
+    def deterministic(cls, threshold: float) -> "ThresholdMixture":
+        return cls((threshold,), (1.0,))
 
     def decision_prob(self, score: np.ndarray) -> np.ndarray:
-        return self.p * (score > self.t_lo) + (1.0 - self.p) * (score > self.t_hi)
+        prob = self.probs[0] * (score > self.thresholds[0])
+        for t, p in zip(self.thresholds[1:], self.probs[1:]):
+            prob = prob + p * (score > t)
+        return prob
 
-
-GroupRule = Deterministic | Randomized
+    def to_json_dict(self) -> dict:
+        t, p = self.thresholds, self.probs
+        if len(t) == 1:
+            return {"kind": "deterministic", "threshold": t[0]}
+        if len(t) == 2:
+            return {"kind": "randomized", "t_lo": t[0], "t_hi": t[1], "p": p[0]}
+        return {"kind": "mixture", "thresholds": list(t), "probs": list(p)}
 
 
 @dataclass(frozen=True)
 class ThresholdPolicy:
     """Per-group decision rule."""
 
-    rules: Mapping[int, GroupRule]
+    rules: Mapping[int, ThresholdMixture]
 
     @classmethod
     def shared(cls, threshold: float) -> "ThresholdPolicy":
-        rule = Deterministic(threshold)
+        rule = ThresholdMixture.deterministic(threshold)
         return cls(rules={0: rule, 1: rule})
 
     @classmethod
     def per_group(cls, t0: float, t1: float) -> "ThresholdPolicy":
-        return cls(rules={0: Deterministic(t0), 1: Deterministic(t1)})
+        return cls(rules={g: ThresholdMixture.deterministic(t) for g, t in enumerate((t0, t1))})
 
-    def rule_for(self, g: int) -> GroupRule:
+    def rule_for(self, g: int) -> ThresholdMixture:
         if g not in self.rules:
             raise DataError(f"policy has no rule for group {g}")
         return self.rules[g]
 
     def to_json_dict(self) -> dict:
-        out = {}
-        for g, rule in sorted(self.rules.items()):
-            if isinstance(rule, Deterministic):
-                out[str(g)] = {"kind": "deterministic", "threshold": rule.threshold}
-            else:
-                out[str(g)] = {
-                    "kind": "randomized",
-                    "t_lo": rule.t_lo,
-                    "t_hi": rule.t_hi,
-                    "p": rule.p,
-                }
-        return out
+        return {str(g): rule.to_json_dict() for g, rule in sorted(self.rules.items())}
 
 
 @dataclass(frozen=True)

@@ -60,19 +60,19 @@ def _mahalanobis_factor(features: np.ndarray, names: tuple[str, ...]) -> np.ndar
     return vecs @ np.diag(vals**-0.5) @ vecs.T
 
 
-def _pair_distances(white: np.ndarray, cols: np.ndarray, bi, bj) -> np.ndarray:
+def _pair_distances(white: np.ndarray, bi, bj) -> np.ndarray:
     """Rows of ``np.linalg.norm(white[bi] - white[bj], axis=1)``, bit for bit.
 
-    ``cols`` is white's feature-major copy.  numpy's ``add.reduce`` sums a
-    row of fewer than 8 terms in column order, so below 8 features the
-    squared differences are gathered and added one column at a time and no
-    (m, p) block is built.  It sums longer rows pairwise, so from 8 features
-    on the norm call stays.
+    numpy's ``add.reduce`` sums a row of fewer than 8 terms in column order,
+    so below 8 features the squared differences are gathered and added one
+    column at a time and no (m, p) block is built; ``lipschitz_audit`` holds
+    ``white`` feature-major there, so each column is contiguous.  It sums
+    longer rows pairwise, so from 8 features on the norm call stays.
     """
-    if len(cols) >= 8:
+    if white.shape[1] >= 8:
         return np.linalg.norm(np.take(white, bi, axis=0) - np.take(white, bj, axis=0), axis=1)
     acc = np.zeros(len(bi))
-    for col in cols:
+    for col in white.T:
         sq = np.take(col, bi)
         sq -= np.take(col, bj)
         sq *= sq
@@ -80,14 +80,14 @@ def _pair_distances(white: np.ndarray, cols: np.ndarray, bi, bj) -> np.ndarray:
     return np.sqrt(acc, out=acc)
 
 
-def _check_block(white, cols, out, bi, bj, scale, top_k):
+def _check_block(white, out, bi, bj, scale, top_k):
     """Violation count, largest ratio and the top_k violating pairs
     (ratio, i, j, d_y, d_x) of the pairs (bi, bj), worst first.
 
     A function of its own, so one block's arrays are freed before the next
     block allocates.
     """
-    dx = _pair_distances(white, cols, bi, bj)
+    dx = _pair_distances(white, bi, bj)
     dyv = np.take(out, bi)
     dyv -= np.take(out, bj)
     np.abs(dyv, out=dyv)
@@ -165,14 +165,15 @@ def lipschitz_audit(
     out = d.require_scores()
 
     white = d.features @ _mahalanobis_factor(d.features, d.feature_names).T
-    cols = np.ascontiguousarray(white.T)
+    if white.shape[1] < 8:  # one copy, feature-major: see _pair_distances
+        white = np.ascontiguousarray(white.T).T
 
     violations = checked = 0
     worst = 0.0
     top: list[tuple[float, int, int, float, float]] = []
     for bi, bj in _pair_blocks(n, seed):
         checked += len(bi)
-        v, w, t = _check_block(white, cols, out, bi, bj, scale, top_k)
+        v, w, t = _check_block(white, out, bi, bj, scale, top_k)
         violations += v
         worst = max(worst, w)
         top.extend(t)

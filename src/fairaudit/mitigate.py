@@ -2,8 +2,8 @@
 
 Pre-processing: label massaging, pairwise reweighting, quantile repair.
 In-processing: penalized logistic/probit training, quasi-Newton (BFGS).
-Post-processing: accuracy-optimal per-group thresholds and randomized
-two-threshold mixtures equalizing error rates.
+Post-processing: accuracy-optimal per-group thresholds, and mixtures of up
+to three thresholds that equalize error rates exactly.
 
 The trainer is deterministic (zero init, BFGS with an Armijo backtracking
 line search from the unit step); fairness penalties are quadratic in the
@@ -25,8 +25,7 @@ from .data import (
     DataError,
     Dataset,
     DegenerateGroupError,
-    Deterministic,
-    Randomized,
+    ThresholdMixture,
     ThresholdPolicy,
 )
 from . import rocstats
@@ -704,7 +703,7 @@ class EqualizedOddsResult:
     fpr_gap: float
     accuracy: float
     degenerate: bool
-    mixed: bool  # some group needed a strict two-threshold mixture
+    mixed: bool  # some group's rule uses more than one threshold
 
 
 @dataclass(frozen=True)
@@ -713,12 +712,13 @@ class _GroupGeometry:
     fpr: np.ndarray
     tpr: np.ndarray
     hull: np.ndarray  # indices of upper-hull vertices
+    lower: np.ndarray  # indices of lower-hull vertices
     neg_w: float
     pos_w: float
 
 
 def _group_geometries(d: Dataset) -> dict[int, _GroupGeometry]:
-    """Each group's ROC points at policy-legal thresholds and their upper hull."""
+    """Each group's ROC points at policy-legal thresholds and their hull chains."""
     score = d.require_scores()
     for g in (0, 1):
         d.require_group(g)
@@ -733,77 +733,37 @@ def _group_geometries(d: Dataset) -> dict[int, _GroupGeometry]:
         # drop consecutive duplicate points, keeping the largest threshold
         keep = np.concatenate(([True], (np.diff(fpr) != 0) | (np.diff(tpr) != 0)))
         thr, fpr, tpr = thr[keep], fpr[keep], tpr[keep]
-        geo[g] = _GroupGeometry(
-            thr, fpr, tpr, rocstats._upper_hull(fpr, tpr), float(neg_w), float(pos_w)
-        )
+        hulls = rocstats._upper_hull(fpr, tpr), rocstats._upper_hull(fpr, -tpr)
+        geo[g] = _GroupGeometry(thr, fpr, tpr, *hulls, float(neg_w), float(pos_w))
     return geo
 
 
-_MAX_CHORD_ANCHORS = 256
+def _rule_from_mix(geo: _GroupGeometry, i: int, j: int, u: float, lam: float = 1.0):
+    """Rule realizing lam * ((1-u) * point_i + u * point_j) for this group.
 
-
-def _segments(geo: _GroupGeometry) -> list[tuple[int, int]]:
-    """Realizable two-threshold segments: envelope edges plus chords from the
-    all-negative point to raw points and from raw points to the all-positive
-    point.
-
-    On desk-scale data every raw point anchors a chord; beyond
-    _MAX_CHORD_ANCHORS the anchors are thinned to an even deterministic
-    subsample (plus all hull vertices), which keeps the pairwise
-    intersection sweep quadratic in a constant.  Random-instance experiments
-    put the accuracy shortfall of this candidate family versus the
-    unconstrained hull-intersection optimum below 1e-3.
+    It mixes thresholds t_j < t_i < 1.0 with probabilities lam * u,
+    lam * (1-u) and 1 - lam; t = 1.0 decides 0 for every record, the point
+    (0, 0).  A u or lam within 1e-12 of 0 or 1 is taken as exact, and
+    thresholds of probability 0 are left out.
     """
-    segs = [(int(geo.hull[k]), int(geo.hull[k + 1])) for k in range(len(geo.hull) - 1)]
-    first, last = 0, len(geo.fpr) - 1
-    n = len(geo.fpr)
-    if n <= _MAX_CHORD_ANCHORS:
-        anchors = range(n)
-    else:
-        step = max(1, n // _MAX_CHORD_ANCHORS)
-        anchors = sorted(set(range(0, n, step)) | set(int(v) for v in geo.hull) | {last})
-    for i in anchors:
-        if i != first:
-            segs.append((first, i))
-        if i != last:
-            segs.append((i, last))
-    # dedupe
-    return sorted(set(segs))
+    if u <= 1e-12 or u >= 1.0 - 1e-12:  # one vertex
+        i = j = i if u <= 1e-12 else j
+        u = 0.0
+    lam = 0.0 if lam <= 1e-12 else 1.0 if lam >= 1.0 - 1e-12 else lam
+    thr = geo.thresholds
+    terms = ((thr[j], lam * u), (thr[i], lam * (1.0 - u)), (1.0, 1.0 - lam))
+    return ThresholdMixture(*zip(*[(float(t), p) for t, p in terms if p > 0.0]))
 
 
-def _point(geo: _GroupGeometry, i: int) -> np.ndarray:
-    return np.array([geo.fpr[i], geo.tpr[i]])
-
-
-def _rule_from_mix(geo: _GroupGeometry, i: int, j: int, u: float):
-    """Rule realizing (1-u) * point_i + u * point_j for this group."""
-    if u <= 1e-12:
-        return Deterministic(float(geo.thresholds[i])), False
-    if u >= 1.0 - 1e-12:
-        return Deterministic(float(geo.thresholds[j])), False
-    # every segment runs from i to some j > i (an opportunity mixture with
-    # i == j has u = 0), and the thresholds decrease, so p applies to tj: the
-    # lower threshold, the larger point
-    return Randomized(t_lo=float(geo.thresholds[j]), t_hi=float(geo.thresholds[i]), p=u), True
-
-
-def _realized(geo: _GroupGeometry, i: int, j: int, u: float) -> np.ndarray:
-    return (1.0 - u) * _point(geo, i) + u * _point(geo, j)
-
-
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products through the same kernel as a 1-D ``a[k] @ b[k]``;
-    BLAS may fuse the multiply-add, so ``a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]``
-    can differ in the last bit."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+def _realized(geo: _GroupGeometry, i: int, j: int, u: float, lam: float = 1.0) -> np.ndarray:
+    vi, vj = (np.array([geo.fpr[k], geo.tpr[k]]) for k in (i, j))
+    return lam * ((1.0 - u) * vi + u * vj)
 
 
 def _opportunity_mixture(geo: dict[int, _GroupGeometry], pos_w: float, total_w: float):
     """Common TPR on the merged grid of envelope vertex TPRs that maximizes
     accuracy, with each group's mixture realizing it on its own envelope."""
-    taus = np.unique(
-        np.concatenate([geo[g].tpr[geo[g].hull] for g in (0, 1)])
-    )
+    taus = np.unique(np.concatenate([geo[g].tpr[geo[g].hull] for g in (0, 1)]))
     taus = taus[taus <= min(geo[g].tpr[geo[g].hull][-1] for g in (0, 1)) + 1e-15]
 
     # each group's envelope at every tau: a vertex (i == j, u = 0) or a mixture
@@ -829,86 +789,96 @@ def _opportunity_mixture(geo: dict[int, _GroupGeometry], pos_w: float, total_w: 
     return taus[best], mixes
 
 
-_PAIR_BLOCK = 64  # group-0 segments per block of the equalized-odds pair search
+def _crossings(f: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Where d, linear between the increasing points f, changes sign."""
+    k = np.flatnonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0)
+    return f[k] + (f[k + 1] - f[k]) * (d[k] / (d[k] - d[k + 1]))
 
 
-def _full_mixture(geo: dict[int, _GroupGeometry], accuracy):
-    """Accuracy-best intersection of the two groups' realizable segment
-    families: the first candidate with the least key (-accuracy, fpr, strict
-    mixtures) among the proper crossings in np.nonzero order, then the two
-    ends of each collinear overlap.  The group-0 segments meet all group-1
-    segments _PAIR_BLOCK rows at a time, in O(_PAIR_BLOCK * S1) memory.  Each
-    block keeps its earliest best crossing and overlap end; a later block, or
-    an overlap end over a crossing, wins only with a strictly smaller key.
+def _chain_table(geo: _GroupGeometry, upper: bool):
+    """The upper or lower hull chain's (fpr, tpr) vertices, for np.interp.
+    The upper chain can rise at fpr 0, and the lower one at its last fpr
+    when records scored 0 stay negative at t = 0.0; of such a rise each
+    keeps its own extreme, so fpr increases."""
+    chain = geo.hull if upper else geo.lower
+    f, t = geo.fpr[chain], geo.tpr[chain]
+    keep = np.append(f[1:] != f[:-1], True) if upper else np.append(True, f[1:] != f[:-1])
+    return f[keep], t[keep]
+
+
+def _full_optimum(geo: dict[int, _GroupGeometry]) -> np.ndarray:
+    """The accuracy-best point (fpr, tpr) in both groups' ROC regions, the
+    least fpr first.
+
+    A region lies between its hull's upper chain U and lower chain L.  At an
+    fpr up to both groups' last one the best tpr is top = min(U0, U1), where
+    top >= bottom = max(L0, L1).  The four chains are linear between the
+    merged vertex fprs and the crossings of U0 with U1 and of L0 with L1, so
+    top - bottom is too, and the sign changes of it end the feasible fprs.
+    The linear program's optimum is one of these points.
     """
-    segs = {g: np.asarray(_segments(geo[g]), dtype=int) for g in (0, 1)}
-    for g in (0, 1):
-        if len(segs[g]) == 0:  # every score in the group is 0
-            raise DegenerateGroupError(f"group {g} has a single ROC point (every score is 0)")
-    A0 = np.column_stack([geo[0].fpr[segs[0][:, 0]], geo[0].tpr[segs[0][:, 0]]])
-    A1 = np.column_stack([geo[0].fpr[segs[0][:, 1]], geo[0].tpr[segs[0][:, 1]]])
-    B0 = np.column_stack([geo[1].fpr[segs[1][:, 0]], geo[1].tpr[segs[1][:, 0]]])
-    B1 = np.column_stack([geo[1].fpr[segs[1][:, 1]], geo[1].tpr[segs[1][:, 1]]])
-    s = B1 - B0
-    tol = 1e-12
-    found = ([], [])  # each block's best (key, i, j, u, v): crossing, overlap end
-    for start in range(0, len(A0), _PAIR_BLOCK):
-        a0, a1 = A0[start : start + _PAIR_BLOCK], A1[start : start + _PAIR_BLOCK]
-        r = a1 - a0
-        denom = r[:, None, 0] * s[None, :, 1] - r[:, None, 1] * s[None, :, 0]
-        diff0 = B0[None, :, 0] - a0[:, None, 0]
-        diff1 = B0[None, :, 1] - a0[:, None, 1]
-        cross_s = diff0 * s[None, :, 1] - diff1 * s[None, :, 0]
-        cross_r = diff0 * r[:, None, 1] - diff1 * r[:, None, 0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = cross_s / denom
-            v = cross_r / denom
-        parallel = np.abs(denom) <= 1e-14
-        ii, jj = np.nonzero(~parallel & (u >= -tol) & (u <= 1 + tol) & (v >= -tol) & (v <= 1 + tol))
-        uu = np.clip(u[ii, jj], 0.0, 1.0)
-        vv = np.clip(v[ii, jj], 0.0, 1.0)
+    tables = [_chain_table(geo[g], upper) for upper in (True, False) for g in (0, 1)]
 
-        # collinear overlapping pairs contribute the two ends of their
-        # overlap, as consecutive candidates
-        ci, cj = np.nonzero(parallel & (np.abs(cross_r) <= 1e-12))
-        ci, cj = np.repeat(ci, 2), np.repeat(cj, 2)
-        rc, sc = r[ci], s[cj]
-        rr = _rowdot(rc, rc)
-        ss = _rowdot(sc, sc)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t0 = _rowdot(B0[cj] - a0[ci], rc) / rr
-            t1 = _rowdot(B1[cj] - a0[ci], rc) / rr
-            lo = np.maximum(np.minimum(t0, t1), 0.0)
-            hi = np.minimum(np.maximum(t0, t1), 1.0)
-            uo = np.where(np.arange(len(ci)) % 2 == 1, hi, lo)
-            vo = np.where(ss > 0, _rowdot(a0[ci] + uo[:, None] * rc - B0[cj], sc) / ss, 0.0)
-        keep = (rr != 0) & (lo <= hi) & (vo >= -1e-9) & (vo <= 1 + 1e-9)
+    def chains(f):  # U0, U1, L0, L1 at f
+        return [np.interp(f, x, y) for x, y in tables]
 
-        ends = (ci[keep], cj[keep], uo[keep], np.clip(vo[keep], 0.0, 1.0))
-        for slot, (i, j, us, vs) in enumerate(((ii, jj, uu, vv), ends)):
-            if len(i) == 0:
-                continue
-            xs = (1 - us)[:, None] * a0[i] + us[:, None] * a1[i]
-            n_mixed = ((us > tol) & (us < 1 - tol)).astype(int) + ((vs > tol) & (vs < 1 - tol))
-            keys = (-accuracy(xs[:, 0], xs[:, 1]), xs[:, 0], n_mixed)
-            k = np.arange(len(i))
-            for col in keys:  # keep the rows tied at the least key so far
-                k = k[col[k] == col[k].min()]
-            k = k[0]
-            key = tuple(col[k].item() for col in keys)
-            found[slot].append((key, start + int(i[k]), int(j[k]), float(us[k]), float(vs[k])))
-    # min keeps the first of equal keys: crossings before overlap ends, blocks in order
-    _, i, j, u, v = min(found[0] + found[1], key=lambda c: c[0])
-    return tuple((int(segs[g][k, 0]), int(segs[g][k, 1]), t) for g, k, t in ((0, i, u), (1, j, v)))
+    f = np.unique(np.concatenate([x for x, _ in tables]))
+    f = f[f <= min(geo[g].fpr[-1] for g in (0, 1))]
+    u0, u1, l0, l1 = chains(f)
+    cu, cl = _crossings(f, u0 - u1), _crossings(f, l0 - l1)
+    f = np.union1d(f, np.concatenate((cu, cl)))
+    u0, u1, l0, l1 = chains(f)
+    # two chains meet where they cross; rounding must not part them there
+    top = np.where(np.isin(f, cu), np.maximum(u0, u1), np.minimum(u0, u1))
+    bottom = np.where(np.isin(f, cl), np.minimum(l0, l1), np.maximum(l0, l1))
+    room = top - bottom
+    ends = _crossings(f, room)
+    t = np.concatenate((top[room >= 0], np.interp(ends, f, top)))
+    f = np.concatenate((f[room >= 0], ends))
+    # accuracy grows with pos_w * tpr - neg_w * fpr
+    gain = t * (geo[0].pos_w + geo[1].pos_w) - f * (geo[0].neg_w + geo[1].neg_w)
+    best = np.lexsort((f, -gain))[0]
+    return np.array([f[best], t[best]])
+
+
+def _ray_mix(geo: _GroupGeometry, p: np.ndarray):
+    """(i, j, u, lam) with p = lam * q, q = (1-u) * point_i + u * point_j on
+    the group's region boundary, where the ray from (0, 0) through p leaves.
+
+    The boundary less (0, 0), out along the upper chain and back along the
+    lower one, turns clockwise about (0, 0), so cross(v, p) changes sign
+    once along it, on the edge that holds q.  Each edge, and the last vertex
+    alone, offers the point where cross(v, p) is 0, clipped to the edge; the
+    one that realizes p closest wins, so a hull vertex that rounding leaves
+    on a line through (0, 0) does no harm.  For the group whose upper chain
+    attains p, q is p and lam is 1.
+    """
+    b = np.concatenate((geo.hull[1:], geo.lower[-2:0:-1]))
+    i, j = b, np.append(b[1:], b[-1])
+    vi, vj = (np.column_stack((geo.fpr[k], geo.tpr[k])) for k in (i, j))
+    ci, cj = (v[:, 0] * p[1] - v[:, 1] * p[0] for v in (vi, vj))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = np.clip(np.where(ci != cj, ci / (ci - cj), 0.0), 0.0, 1.0)
+    q = (1 - u)[:, None] * vi + u[:, None] * vj
+    lam = np.clip((q @ p) / (q * q).sum(axis=1), 0.0, 1.0)
+    k = int(np.argmin(np.abs(lam[:, None] * q - p).max(axis=1)))
+    i, j, u = int(i[k]), int(j[k]), float(u[k])
+    if i > j:  # an edge of the lower chain, walked back
+        i, j, u = j, i, 1.0 - u
+    return i, j, u, float(lam[k])
 
 
 def equalize_odds(d: Dataset, criterion: str = "full") -> EqualizedOddsResult:
     """Randomized post-processing equalizing group error rates.
 
-    "full": find the accuracy-best point that both groups can realize
-    exactly with a two-threshold mixture (intersections of the realizable
-    segment families: envelope edges and all-or-nothing chords), so the
-    realized |TPR gap| and |FPR gap| vanish up to float rounding.
+    "full": the accuracy-best (fpr, tpr) point in both groups' ROC regions,
+    the convex hulls of their points (the linear program of Hardt, Price and
+    Srebro, 2016), found in one merge over the hull chains.  The group whose
+    upper chain attains it mixes two adjacent hull vertices.  The other one
+    mixes the two vertices where the ray from (0, 0) through the point
+    leaves its region with t = 1.0, which decides 0 for all; that takes up
+    to three thresholds.  The realized |TPR gap| and |FPR gap| vanish up to
+    float rounding.
 
     "opportunity": equalize TPR only; the common TPR is chosen on the merged
     grid of envelope vertex TPRs to maximize accuracy, and each group
@@ -921,42 +891,31 @@ def equalize_odds(d: Dataset, criterion: str = "full") -> EqualizedOddsResult:
     pos_w = geo[0].pos_w + geo[1].pos_w
     neg_w = geo[0].neg_w + geo[1].neg_w
     total_w = pos_w + neg_w
-
-    def accuracy(f: float, t: float) -> float:
-        return (t * pos_w + (1.0 - f) * neg_w) / total_w
-
-    degenerate = all(len(geo[g].hull) <= 2 for g in (0, 1))
     if criterion == "opportunity":
         tau, mixes = _opportunity_mixture(geo, pos_w, total_w)
     else:
-        mixes = _full_mixture(geo, accuracy)
+        for g in (0, 1):
+            if len(geo[g].fpr) == 1:
+                raise DegenerateGroupError(f"group {g} has a single ROC point (every score is 0)")
+        p = _full_optimum(geo)
+        mixes = [_ray_mix(geo[g], p) for g in (0, 1)]
 
-    rules, mixed, realized = {}, False, {}
-    for g, mix in enumerate(mixes):
-        rule, is_mix = _rule_from_mix(geo[g], *mix)
-        rules[g] = rule
-        mixed = mixed or is_mix
-        realized[g] = tuple(_realized(geo[g], *mix).tolist())
-    mean_fpr = float((realized[0][0] + realized[1][0]) / 2)
-    if criterion == "opportunity":
-        target = (mean_fpr, float(tau))
-        acc = (
+    rules = {g: _rule_from_mix(geo[g], *mix) for g, mix in enumerate(mixes)}
+    realized = {g: tuple(_realized(geo[g], *mix).tolist()) for g, mix in enumerate(mixes)}
+    mean_tpr = tau if criterion == "opportunity" else (realized[0][1] + realized[1][1]) / 2
+    return EqualizedOddsResult(
+        policy=ThresholdPolicy(rules=rules),
+        criterion=criterion,
+        target=(float((realized[0][0] + realized[1][0]) / 2), float(mean_tpr)),
+        realized=realized,
+        tpr_gap=abs(realized[0][1] - realized[1][1]),
+        fpr_gap=abs(realized[0][0] - realized[1][0]),
+        accuracy=(
             realized[0][1] * geo[0].pos_w
             + realized[1][1] * geo[1].pos_w
             + (1 - realized[0][0]) * geo[0].neg_w
             + (1 - realized[1][0]) * geo[1].neg_w
-        ) / total_w
-    else:
-        target = (mean_fpr, float((realized[0][1] + realized[1][1]) / 2))
-        acc = accuracy(*target)
-    return EqualizedOddsResult(
-        policy=ThresholdPolicy(rules=rules),
-        criterion=criterion,
-        target=target,
-        realized=realized,
-        tpr_gap=abs(realized[0][1] - realized[1][1]),
-        fpr_gap=abs(realized[0][0] - realized[1][0]),
-        accuracy=acc,
-        degenerate=degenerate,
-        mixed=mixed,
+        ) / total_w,
+        degenerate=all(len(geo[g].hull) <= 2 for g in (0, 1)),
+        mixed=any(len(rule.thresholds) > 1 for rule in rules.values()),
     )

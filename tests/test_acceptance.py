@@ -22,7 +22,7 @@ from fairaudit.data import (
 from fairaudit import depmeasure, groupfair, mitigate, rocstats, synth
 
 from test_depmeasure import joint_pearson
-from test_mitigate import in_hull, make_logistic_data
+from test_mitigate import applied_gaps, applied_rates, in_hull, make_logistic_data
 from test_rocstats import brute_force_concordance, proportions_dataset
 from test_synth import ks_two_sample_critical
 
@@ -253,13 +253,14 @@ def test_criterion_10_equalized_odds_postprocessing():
                 )
         d = Dataset(s=s, y=y, score=score)
         res = mitigate.equalize_odds(d, criterion="full")
-        assert res.tpr_gap <= 1e-9
-        assert res.fpr_gap <= 1e-9
-        for g in (0, 1):
-            assert in_hull(d, g, res.realized[g])
+        tpr_gap, fpr_gap = applied_gaps(d, res.policy)
+        assert tpr_gap <= 1e-9
+        assert fpr_gap <= 1e-9
+        for g, point in enumerate(applied_rates(d, res.policy)):
+            assert in_hull(d, g, point)
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
-    report(10, f"100 datasets: |TPR gap|, |FPR gap| <= 1e-9, target in both hulls, {elapsed:.1f}s")
+    report(10, f"100 datasets: applied |TPR gap|, |FPR gap| <= 1e-9, in both hulls, {elapsed:.1f}s")
 
 
 def test_criterion_11_beta_invariance():

@@ -520,6 +520,27 @@ class TestMitigateCommand:
         assert policy["0"]["kind"] == "deterministic"
         assert policy["0"] == policy["1"]
 
+    def test_equalize_odds_three_threshold_policy(self, tmp_path, capsys):
+        # on this sample group 1 reaches the optimum only by mixing t = 1.0
+        # (all negative) with two hull vertices
+        from fairaudit import synth
+
+        src = tmp_path / "s4.csv"
+        d = synth.sample_scores(synth.operating_point_spec(), 30, 4)
+        src.write_text(dataset_to_csv(d), encoding="utf-8")
+        code, out, _ = run(
+            ["mitigate", src, "--method", "equalize-odds", "--out", tmp_path / "eo"], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["method"]["mixed"] is True
+        policy = json.loads((tmp_path / "eo.policy.json").read_text())
+        assert policy["0"]["kind"] == "deterministic"
+        rule = policy["1"]
+        assert rule["kind"] == "mixture" and sorted(rule) == ["kind", "probs", "thresholds"]
+        assert len(rule["thresholds"]) == 3 and rule["thresholds"][-1] == 1.0
+        assert rule["thresholds"] == sorted(rule["thresholds"])
+        assert sum(rule["probs"]) == pytest.approx(1.0, abs=1e-15)
+
     def test_massage_writes_swaps(self, tmp_path, capsys):
         rows = ["s,y,score"]
         y = [1] * 8 + [0] * 2 + [1] * 2 + [0] * 8

@@ -15,8 +15,7 @@ from fairaudit.data import (
     ColumnSchema,
     DataError,
     Dataset,
-    Deterministic,
-    Randomized,
+    ThresholdMixture,
     ThresholdPolicy,
     apply_policy,
     dataset_to_csv,
@@ -24,6 +23,13 @@ from fairaudit.data import (
     load_toy,
     validate,
 )
+
+DET = ThresholdMixture.deterministic
+
+
+def RAND(t_lo, t_hi, p):
+    """Threshold t_lo with probability p, else t_hi."""
+    return ThresholdMixture((t_lo, t_hi), (p, 1.0 - p))
 
 
 @pytest.fixture
@@ -200,21 +206,62 @@ class TestApplyPolicy:
     def test_degenerate_mixture_equals_deterministic(self, toy):
         # p = 1 decides by t_lo and p = 0 by t_hi, bit for bit
         for p, t in ((1.0, 0.3), (0.0, 0.9)):
-            det = apply_policy(toy, ThresholdPolicy(rules={g: Deterministic(t) for g in (0, 1)}))
-            mix = apply_policy(
-                toy, ThresholdPolicy(rules={g: Randomized(0.3, 0.9, p=p) for g in (0, 1)})
-            )
+            det = apply_policy(toy, ThresholdPolicy(rules={g: DET(t) for g in (0, 1)}))
+            mix = apply_policy(toy, ThresholdPolicy(rules={g: RAND(0.3, 0.9, p=p) for g in (0, 1)}))
             assert [v.hex() for v in mix.prob.tolist()] == [v.hex() for v in det.prob.tolist()]
 
+    def test_one_and_two_thresholds_decide_as_before(self, toy):
+        # the expressions of the former one- and two-threshold rule classes
+        score = toy.score
+        for t in (0.0, 0.3, 1.0):
+            got = DET(t).decision_prob(score)
+            assert got.tobytes() == (score > t).astype(float).tobytes()
+        for t_lo, t_hi, p in ((0.2, 0.8, 0.25), (0.3, 0.3, 0.1), (0.05, 0.95, 1 / 3)):
+            got = RAND(t_lo, t_hi, p).decision_prob(score)
+            want = p * (score > t_lo) + (1.0 - p) * (score > t_hi)
+            assert got.tobytes() == want.tobytes()
+
+    def test_policy_json_kinds(self):
+        rules = {
+            0: DET(0.5),
+            1: RAND(0.2, 0.8, 0.25),
+            2: ThresholdMixture((0.2, 0.8, 1.0), (0.5, 0.25, 0.25)),
+        }
+        assert ThresholdPolicy(rules=rules).to_json_dict() == {
+            "0": {"kind": "deterministic", "threshold": 0.5},
+            "1": {"kind": "randomized", "t_lo": 0.2, "t_hi": 0.8, "p": 0.25},
+            "2": {"kind": "mixture", "thresholds": [0.2, 0.8, 1.0], "probs": [0.5, 0.25, 0.25]},
+        }
+
+    def test_three_thresholds_sum_in_order(self, toy):
+        rule = ThresholdMixture((0.2, 0.5, 1.0), (0.3, 0.6, 0.1))
+        score = toy.score
+        want = 0.3 * (score > 0.2) + 0.6 * (score > 0.5) + 0.1 * (score > 1.0)
+        assert rule.decision_prob(score).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "thresholds,probs,match",
+        [
+            ((0.8, 0.2), (0.5, 0.5), "must not decrease"),
+            ((0.2, 1.5), (0.5, 0.5), r"threshold must lie in \[0, 1\]"),
+            ((0.2, 0.8), (1.5, -0.5), r"probability must lie in \[0, 1\]"),
+            ((0.1, 0.2, 0.3, 0.4), (0.25,) * 4, "one to three thresholds"),
+            ((0.1, 0.2), (1.0,), "one to three thresholds"),
+        ],
+    )
+    def test_rule_validation(self, thresholds, probs, match):
+        with pytest.raises(DataError, match=match):
+            ThresholdMixture(thresholds, probs)
+
     def test_pure_function(self, toy):
-        policy = ThresholdPolicy(rules={0: Randomized(0.2, 0.8, 0.25), 1: Deterministic(0.5)})
+        policy = ThresholdPolicy(rules={0: RAND(0.2, 0.8, 0.25), 1: DET(0.5)})
         a = apply_policy(toy, policy)
         b = apply_policy(toy, policy)
         assert np.array_equal(a.prob, b.prob)
 
     def test_missing_group_rule(self, toy):
         with pytest.raises(DataError, match="no rule for group 1"):
-            apply_policy(toy, ThresholdPolicy(rules={0: Deterministic(0.5)}))
+            apply_policy(toy, ThresholdPolicy(rules={0: DET(0.5)}))
 
     @given(st.integers(1, 23))
     @settings(max_examples=24, deadline=None)
@@ -231,7 +278,7 @@ class TestApplyPolicy:
     def test_randomized_probabilities_in_unit_interval(self, a, b, p):
         t_lo, t_hi = min(a, b), max(a, b)
         d = load_toy()
-        pred = apply_policy(d, ThresholdPolicy(rules={g: Randomized(t_lo, t_hi, p) for g in (0, 1)}))
+        pred = apply_policy(d, ThresholdPolicy(rules={g: RAND(t_lo, t_hi, p) for g in (0, 1)}))
         assert np.all(pred.prob >= 0) and np.all(pred.prob <= 1)
         if p in (0.0, 1.0):
             assert set(np.unique(pred.prob)) <= {0.0, 1.0}

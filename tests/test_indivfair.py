@@ -141,9 +141,11 @@ class TestLipschitzAudit:
         rng = np.random.default_rng(p)
         white = rng.normal(size=(300, p)) * rng.uniform(0.1, 10.0, size=p)
         bi, bj = rng.integers(0, 300, 20_000), rng.integers(0, 300, 20_000)
-        got = indivfair._pair_distances(white, np.ascontiguousarray(white.T), bi, bj)
         want = np.linalg.norm(white[bi] - white[bj], axis=1)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        # the row-major array and the feature-major one the audit holds
+        for held in (white, np.ascontiguousarray(white.T).T):
+            got = indivfair._pair_distances(held, bi, bj)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_block_allocates_no_pair_by_feature_block(self, monkeypatch):
         """One block of 500k sampled pairs at p = 4 peaks below two

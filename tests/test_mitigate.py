@@ -4,9 +4,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
-from fairaudit import mitigate
+from fairaudit import mitigate, rocstats, synth
 
-from fairaudit.data import Dataset, DegenerateGroupError, Deterministic, apply_policy
+from fairaudit.data import Dataset, DegenerateGroupError, apply_policy
 from fairaudit.depmeasure import pearson
 from fairaudit.mitigate import (
     PenaltySpec,
@@ -560,19 +560,34 @@ def in_hull(d, group, point, tol=1e-9):
     return (t <= value_at(upper, f, hi=True) + tol) and (t >= value_at(lower, f, hi=False) - tol)
 
 
+def applied_rates(d, policy):
+    """Each group's (fpr, tpr) under the policy, from the confusion counts of
+    its decisions."""
+    confusions = rocstats.group_confusions(d, apply_policy(d, policy))
+    return [(r.fpr, r.tpr) for r in map(rocstats.rates, confusions)]
+
+
+def applied_gaps(d, policy):
+    """|TPR gap| and |FPR gap| that applying the policy realizes."""
+    (f0, t0), (f1, t1) = applied_rates(d, policy)
+    return abs(t0 - t1), abs(f0 - f1)
+
+
 class TestEqualizeOdds:
     def test_identical_groups_single_deterministic_threshold(self):
         y = [0, 1, 0, 1, 1, 0, 1, 0]
         m = [i / 9 for i in range(1, 9)]
         d = Dataset(s=[0] * 8 + [1] * 8, y=y + y, score=m + m)
         res = equalize_odds(d, criterion="full")
-        assert isinstance(res.policy.rules[0], Deterministic)
+        assert len(res.policy.rules[0].thresholds) == 1 and not res.mixed
         assert res.policy.rules[0] == res.policy.rules[1]
-        assert res.tpr_gap == 0.0 and res.fpr_gap == 0.0
+        assert applied_gaps(d, res.policy) == (0.0, 0.0)
 
     def test_constructed_two_group_geometry(self):
-        # group 0's raw curve has an interior point exactly halfway along
-        # group 1's first envelope segment; that point maximizes accuracy
+        # group 1's hull vertex (0.3, 0.7) maximizes accuracy; it lies under
+        # group 0's upper chain, on the ray from (0, 0) through group 0's raw
+        # point (0.15, 0.35).  A search over two-threshold segments stopped
+        # at that raw point, accuracy 0.6.
         s0_scores = [0.9] * 10 + [0.7] * 10 + [0.1] * 20
         s0_y = [1] * 7 + [0] * 3 + [1] * 9 + [0] * 1 + [1] * 4 + [0] * 16
         s1_scores = [0.8] * 10 + [0.1] * 10
@@ -583,18 +598,23 @@ class TestEqualizeOdds:
             score=s0_scores + s1_scores,
         )
         res = equalize_odds(d, criterion="full")
-        assert res.tpr_gap <= 1e-9 and res.fpr_gap <= 1e-9
-        assert res.realized[0][1] == pytest.approx(0.35, abs=1e-12)
-        assert res.realized[0][0] == pytest.approx(0.15, abs=1e-12)
-        assert res.accuracy == pytest.approx(0.6, abs=1e-12)
-        for g in (0, 1):
-            assert in_hull(d, g, res.realized[g])
+        assert max(applied_gaps(d, res.policy)) <= 1e-12
+        for g, (fpr, tpr) in enumerate(applied_rates(d, res.policy)):
+            assert tpr == pytest.approx(0.7, abs=1e-12)
+            assert fpr == pytest.approx(0.3, abs=1e-12)
+            assert in_hull(d, g, (fpr, tpr))
+        assert res.accuracy == pytest.approx(0.7, abs=1e-12)
+        # group 0 mixes t = 1.0, 0.4 and 0.0 with probabilities 1/6, 2/3, 1/6
+        rule = res.policy.rules[0]
+        assert rule.thresholds == pytest.approx((0.0, 0.4, 1.0), abs=1e-15)
+        assert rule.probs == pytest.approx((1 / 6, 2 / 3, 1 / 6), abs=1e-12)
+        assert res.policy.rules[1].thresholds == (0.45,)
 
     def test_toy_full_gaps_and_hull_membership(self, toy):
         res = equalize_odds(toy, criterion="full")
-        assert res.tpr_gap <= 1e-9 and res.fpr_gap <= 1e-9
-        for g in (0, 1):
-            assert in_hull(toy, g, res.realized[g])
+        assert max(applied_gaps(toy, res.policy)) <= 1e-12
+        for g, point in enumerate(applied_rates(toy, res.policy)):
+            assert in_hull(toy, g, point)
 
     def test_toy_opportunity(self, toy):
         res = equalize_odds(toy, criterion="opportunity")
@@ -608,7 +628,7 @@ class TestEqualizeOdds:
         d = Dataset(s=[0, 0, 1, 1], y=[0, 1, 0, 1], score=[0.5, 0.5, 0.5, 0.5])
         res = equalize_odds(d, criterion="full")
         assert res.degenerate
-        assert res.realized[0] in ((0.0, 0.0), (1.0, 1.0))
+        assert applied_rates(d, res.policy)[0] in ((0.0, 0.0), (1.0, 1.0))
 
     def test_random_datasets_realize_common_point(self):
         rng = np.random.default_rng(314)
@@ -623,16 +643,15 @@ class TestEqualizeOdds:
                     score += list(np.clip(rng.normal(loc, 0.18, size=n_cell), 0.01, 0.99))
             d = Dataset(s=s, y=y, score=score)
             res = equalize_odds(d, criterion="full")
-            assert res.tpr_gap <= 1e-9 and res.fpr_gap <= 1e-9
-            for g in (0, 1):
-                assert in_hull(d, g, res.realized[g])
+            assert max(applied_gaps(d, res.policy)) <= 1e-12
+            for g, point in enumerate(applied_rates(d, res.policy)):
+                assert in_hull(d, g, point)
             opp = equalize_odds(d, criterion="opportunity")
             assert opp.tpr_gap <= 1e-9
 
     def test_weighted_zero_scores_realize_common_point(self):
-        # with some scores exactly 0 the t = 0 candidate decides like the one
-        # before it; its point must coincide exactly, or the near-duplicate
-        # vertex yields spurious segment intersections
+        # records scored exactly 0 stay negative at t = 0.0, so a group's
+        # curve can stop short of (1, 1) and its lower chain can bind
         rng = np.random.default_rng(0)
         for trial in range(40):
             n = int(rng.integers(20, 300))
@@ -645,4 +664,13 @@ class TestEqualizeOdds:
                 res = equalize_odds(d, criterion="full")
             except DegenerateGroupError:
                 continue
-            assert res.tpr_gap <= 1e-9 and res.fpr_gap <= 1e-9, trial
+            assert max(applied_gaps(d, res.policy)) <= 1e-12, trial
+
+    def test_small_synth_sample_reaches_the_hull_optimum(self):
+        # the former search over two-threshold segments stopped at 0.8486;
+        # the optimum needs three thresholds in group 1
+        d = synth.sample_scores(synth.operating_point_spec(), 30, 4)
+        res = equalize_odds(d, criterion="full")
+        assert res.accuracy == pytest.approx(0.8654545454545455, abs=1e-12)
+        assert len(res.policy.rules[1].thresholds) == 3 and res.mixed
+        assert max(applied_gaps(d, res.policy)) <= 1e-12
