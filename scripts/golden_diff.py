@@ -10,6 +10,8 @@ fresh directory and runs every case of ``tests/test_golden.py`` there, with
 that file's ``write_inputs`` and ``run_case``.  The script prints each output
 file whose bytes differ, with the JSON leaves that differ (or the first
 differing line of a file that is not JSON), and exits 1 if any file differs.
+Files whose only differing leaf is ``/tool_version`` are counted on one line
+instead of listed, so that a version bump does not bury a real difference.
 """
 
 import argparse
@@ -90,7 +92,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         ours = run_tree(ROOT / "src", Path(tmp), "this tree")
         theirs = run_tree(args.other_src, Path(tmp), "OTHER_SRC")
-    files = differ = 0
+    files = differ = version_only = 0
     for case in sorted(ours.keys() | theirs.keys()):
         a, b = ours.get(case, {}), theirs.get(case, {})
         for name in sorted(a.keys() | b.keys()):
@@ -98,12 +100,17 @@ def main() -> int:
             if a.get(name) == b.get(name):
                 continue
             differ += 1
-            print(f"{case}:{name}  (this tree | OTHER_SRC)")
             if name not in a or name not in b:
-                print(f"    only in {'this tree' if name in a else 'OTHER_SRC'}")
+                print(f"{case}:{name}  only in {'this tree' if name in a else 'OTHER_SRC'}")
                 continue
-            for line in differences(a[name], b[name]):
+            lines = differences(a[name], b[name])
+            if len(lines) == 1 and lines[0].startswith("/tool_version: "):
+                version_only += 1
+                continue
+            print(f"{case}:{name}  (this tree | OTHER_SRC)")
+            for line in lines:
                 print(f"    {line}")
+    print(f"{version_only} output files differ only in /tool_version")
     print(f"{differ} of {files} output files differ")
     return 1 if differ else 0
 

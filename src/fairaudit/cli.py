@@ -30,6 +30,7 @@ from .data import (
     ThresholdPolicy,
     _base_rates,
     apply_policy,
+    csv_text,
     dataset_to_csv,
     load_csv,
     sha256_of_file,
@@ -39,6 +40,34 @@ from .data import (
 SCHEMA_VERSION = 2
 
 TABLE_LABELS = {m: m.replace("_", " ") for m in groupfair.TABLE_METRICS}
+
+# the side and margin of every SVG the plot command draws
+SVG_SIZE = 320
+SVG_PAD = 24
+
+
+def _out(prefix, suffix: str) -> Path:
+    """The file ``<prefix><suffix>`` a command writes, its directory created.
+
+    Every file the CLI writes is named here: the suffix is appended to the
+    ``--out`` prefix as given, dots included.
+    """
+    path = Path(f"{Path(prefix)}{suffix}")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+def _report(args, d: Dataset, policy_desc: dict, **blocks) -> dict:
+    """A report: the tool and schema versions, the input dataset, the policy
+    and the seeds, then ``blocks``."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "tool_version": __version__,
+        "dataset": {"path": str(args.data), "sha256": sha256_of_file(args.data), "n": len(d)},
+        "policy": policy_desc,
+        "seeds": {"cli": args.seed},
+        **blocks,
+    }
 
 
 def _schema_from_args(args) -> ColumnSchema:
@@ -247,20 +276,9 @@ def cmd_audit(args) -> int:
     metrics = {mid: asdict(r) for mid, r in results.items()}
 
     di = groupfair.disparate_impact(d, pred, threshold=args.di_threshold, epsilon=args.epsilon)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
-        "dataset": {
-            "path": str(args.data),
-            "sha256": sha256_of_file(args.data),
-            "n": len(d),
-        },
-        "policy": policy_desc,
-        "epsilon": args.epsilon,
-        "seeds": {"cli": args.seed},
-        "metrics": metrics,
-        "disparate_impact": asdict(di),
-    }
+    report = _report(
+        args, d, policy_desc, epsilon=args.epsilon, metrics=metrics, disparate_impact=asdict(di)
+    )
     if args.ci != "none":
         report["interval"] = asdict(groupfair.impact_ci(
             d, pred, method=args.ci, level=args.ci_level, n_boot=args.boot, seed=args.seed
@@ -298,11 +316,10 @@ def cmd_audit(args) -> int:
         if indiv:
             report["individual"] = indiv
 
-    out_prefix = Path(args.out) if args.out else None
-    json_text = _dump_json(report, out_prefix.with_suffix(".json") if out_prefix else None)
+    json_text = _dump_json(report, _out(args.out, ".json") if args.out else None)
     md_text = render_markdown(report)
-    if out_prefix:
-        out_prefix.with_suffix(".md").write_text(md_text, encoding="utf-8")
+    if args.out:
+        _out(args.out, ".md").write_text(md_text, encoding="utf-8")
     sys.stdout.write(md_text if args.format == "md" else json_text)
     return 0
 
@@ -328,9 +345,6 @@ def _metric_block(d: Dataset, pred: PredictionSet | None, epsilon: float) -> dic
 
 def cmd_mitigate(args) -> int:
     d, pred, policy_desc = _load_with_pred(args)
-    out_prefix = Path(args.out)
-    out_prefix.parent.mkdir(parents=True, exist_ok=True)
-
     before = {"label_rates": _label_rates(d), "metrics": _metric_block(d, pred, args.epsilon)}
     artifacts: dict[str, str] = {}
     # the after-block is evaluated on the written dataset with these decisions
@@ -359,9 +373,9 @@ def cmd_mitigate(args) -> int:
                 after_d.score, after_d.s.astype(float), after_d.weight
             )),
         }
-        artifacts["model"] = str(out_prefix) + ".model.json"
+        artifacts["model"] = str(_out(args.out, ".model.json"))
         model.save(artifacts["model"])
-        artifacts["dataset"] = str(out_prefix) + ".scored.csv"
+        artifacts["dataset"] = str(_out(args.out, ".scored.csv"))
         after_pred = (
             apply_policy(after_d, ThresholdPolicy.shared(args.threshold))
             if args.threshold is not None
@@ -387,12 +401,12 @@ def cmd_mitigate(args) -> int:
         if args.method == "reweigh":
             block["factors"] = {f"{sv},{yv}": w for (sv, yv), w in sorted(res.factors.items())}
         if hasattr(res, "policy"):
-            artifacts["policy"] = str(out_prefix) + ".policy.json"
+            artifacts["policy"] = str(_out(args.out, ".policy.json"))
             _dump_json(res.policy.to_json_dict(), Path(artifacts["policy"]))
             after_pred = apply_policy(d, res.policy)
         else:
             after_d = res.dataset
-            artifacts["dataset"] = str(out_prefix) + ".corrected.csv"
+            artifacts["dataset"] = str(_out(args.out, ".corrected.csv"))
     if "dataset" in artifacts:
         Path(artifacts["dataset"]).write_text(dataset_to_csv(after_d), encoding="utf-8")
     after = {
@@ -400,18 +414,11 @@ def cmd_mitigate(args) -> int:
         "metrics": _metric_block(after_d, after_pred, args.epsilon),
     }
 
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
-        "dataset": {"path": str(args.data), "sha256": sha256_of_file(args.data), "n": len(d)},
-        "policy": policy_desc,
-        "method": {"method": args.method, **block},
-        "artifacts": artifacts,
-        "before": before,
-        "after": after,
-        "seeds": {"cli": args.seed},
-    }
-    text = _dump_json(report, Path(str(out_prefix) + ".report.json"))
+    report = _report(
+        args, d, policy_desc,
+        method={"method": args.method, **block}, artifacts=artifacts, before=before, after=after,
+    )
+    text = _dump_json(report, _out(args.out, ".report.json"))
     sys.stdout.write(text)
     return 0
 
@@ -419,6 +426,52 @@ def cmd_mitigate(args) -> int:
 # ---------------------------------------------------------------------------
 # plot
 # ---------------------------------------------------------------------------
+
+
+def _svg(elements: list[str]) -> str:
+    """A static SVG_SIZE-square picture: a white ground, then ``elements``."""
+    return (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" height="{SVG_SIZE}" '
+        f'viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">\n'
+        f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>\n'
+        + "".join(e + "\n" for e in elements)
+        + "</svg>\n"
+    )
+
+
+def _roc_csv(curve: rocstats.RocCurve) -> str:
+    return csv_text(
+        ["fpr", "tpr", "threshold"],
+        [curve.fpr.tolist(), curve.tpr.tolist(), curve.thresholds.tolist()],
+    )
+
+
+def _roc_svg(curves: list[tuple[str, rocstats.RocCurve]]) -> str:
+    """One polyline per named curve, with its name, over the dashed diagonal."""
+    colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd"]
+    span = SVG_SIZE - 2 * SVG_PAD
+
+    def sx(v: float) -> float:
+        return SVG_PAD + v * span
+
+    def sy(v: float) -> float:
+        return SVG_SIZE - SVG_PAD - v * span
+
+    parts = [
+        f'<line x1="{sx(0)}" y1="{sy(0)}" x2="{sx(1)}" y2="{sy(1)}" '
+        'stroke="#999" stroke-dasharray="4 3"/>'
+    ]
+    for k, (name, curve) in enumerate(curves):
+        pts = " ".join(f"{sx(f):.2f},{sy(t):.2f}" for f, t in zip(curve.fpr, curve.tpr))
+        color = colors[k % len(colors)]
+        parts.append(
+            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+        )
+        parts.append(
+            f'<text x="{SVG_PAD + 4}" y="{SVG_PAD + 14 + 14 * k}" fill="{color}" '
+            f'font-size="11" font-family="sans-serif">{name}</text>'
+        )
+    return _svg(parts)
 
 
 def cmd_plot(args) -> int:
@@ -429,55 +482,39 @@ def cmd_plot(args) -> int:
         raise DataError(
             f"--bins must be between 1 and {limit} for {len(d)} records, got {args.bins}"
         )
-    out_prefix = Path(args.out)
-    out_prefix.parent.mkdir(parents=True, exist_ok=True)
-    written = []
 
     if args.kind == "roc":
         curve = rocstats.roc_curve(d)
-        (out_prefix.with_suffix(".csv")).write_text(
-            rocstats.roc_points_csv(curve), encoding="utf-8"
-        )
-        (out_prefix.with_suffix(".svg")).write_text(
-            rocstats.roc_svg([("all", curve)]), encoding="utf-8"
-        )
-        written = [str(out_prefix.with_suffix(".csv")), str(out_prefix.with_suffix(".svg"))]
+        files = [(".csv", _roc_csv(curve)), (".svg", _roc_svg([("all", curve)]))]
     elif args.kind == "roc-by-group":
         curves = [(f"s={g}", c) for g, c in enumerate(rocstats.group_roc_curves(d))]
-        for name, curve in curves:
-            path = Path(str(out_prefix) + f".{name.replace('=', '')}.csv")
-            path.write_text(rocstats.roc_points_csv(curve), encoding="utf-8")
-            written.append(str(path))
-        (out_prefix.with_suffix(".svg")).write_text(rocstats.roc_svg(curves), encoding="utf-8")
-        written.append(str(out_prefix.with_suffix(".svg")))
-    elif args.kind == "score-hist":
-        score = d.require_scores()
+        files = [(f".s{g}.csv", _roc_csv(c)) for g, (_, c) in enumerate(curves)]
+        files.append((".svg", _roc_svg(curves)))
+    else:  # score-hist: --kind's choices admit no other value
         edges = np.linspace(0.0, 1.0, args.bins + 1)
-        counts, _ = np.histogram(score, bins=edges, weights=d.weight)
-        lines = ["lo,hi,weight"]
-        for k in range(args.bins):
-            lines.append(f"{float(edges[k])!r},{float(edges[k + 1])!r},{float(counts[k])!r}")
-        out_prefix.with_suffix(".csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        counts, _ = np.histogram(d.require_scores(), bins=edges, weights=d.weight)
         top = max(float(counts.max()), 1.0)
-        size, pad = 320, 24
-        span = size - 2 * pad
+        span = SVG_SIZE - 2 * SVG_PAD
         bars = []
         for k in range(args.bins):
-            x = pad + span * k / args.bins
+            x = SVG_PAD + span * k / args.bins
             h = span * counts[k] / top
             bars.append(
-                f'<rect x="{x:.2f}" y="{size - pad - h:.2f}" width="{span / args.bins:.2f}" '
+                f'<rect x="{x:.2f}" y="{SVG_SIZE - SVG_PAD - h:.2f}" '
+                f'width="{span / args.bins:.2f}" '
                 f'height="{h:.2f}" fill="#1f77b4" stroke="white" stroke-width="0.5"/>'
             )
-        svg = (
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-            f'viewBox="0 0 {size} {size}">\n<rect width="{size}" height="{size}" fill="white"/>\n'
-            + "\n".join(bars)
-            + "\n</svg>\n"
-        )
-        out_prefix.with_suffix(".svg").write_text(svg, encoding="utf-8")
-        written = [str(out_prefix.with_suffix(".csv")), str(out_prefix.with_suffix(".svg"))]
+        files = [
+            (".csv", csv_text(["lo", "hi", "weight"],
+                              [edges[:-1].tolist(), edges[1:].tolist(), counts.tolist()])),
+            (".svg", _svg(bars)),
+        ]
 
+    written = []
+    for suffix, text in files:
+        path = _out(args.out, suffix)
+        path.write_text(text, encoding="utf-8")
+        written.append(str(path))
     sys.stdout.write("\n".join(written) + "\n")
     return 0
 
@@ -497,9 +534,7 @@ def cmd_synth(args) -> int:
     else:
         spec = synth.operating_point_spec()
     d = synth.sample_scores(spec, args.n, args.seed)
-    out_prefix = Path(args.out)
-    out_prefix.parent.mkdir(parents=True, exist_ok=True)
-    csv_path = out_prefix.with_suffix(".csv")
+    csv_path = _out(args.out, ".csv")
     csv_path.write_text(dataset_to_csv(d), encoding="utf-8")
     sidecar = {
         "cells": spec.to_json_dict(),
@@ -508,7 +543,7 @@ def cmd_synth(args) -> int:
         "generator": "philox4x64 keyed by (seed, 0); see fairaudit.synth docs",
         "tool_version": __version__,
     }
-    _dump_json(sidecar, Path(str(out_prefix) + ".spec.json"))
+    _dump_json(sidecar, _out(args.out, ".spec.json"))
     sys.stdout.write(f"{csv_path}\n")
     return 0
 

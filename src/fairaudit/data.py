@@ -37,6 +37,7 @@ __all__ = [
     "load_csv",
     "apply_policy",
     "validate",
+    "csv_text",
     "dataset_to_csv",
     "load_toy",
     "TOY_CSV",
@@ -509,24 +510,29 @@ def validate(d: Dataset) -> ValidationReport:
     )
 
 
-def dataset_to_csv(d: Dataset) -> str:
-    """Serialize a dataset back to the canonical CSV schema.
+def csv_text(header: Sequence[str], columns: Sequence[Sequence]) -> str:
+    """CSV text: the header row, then one row per position of the equal-length
+    value ``columns``, every line ended by a newline.
 
-    Floats are written with repr so values round-trip exactly.
+    Each value is written with repr, so floats round-trip exactly.
     """
+    rows = zip(*(map(repr, col) for col in columns))
+    return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
+
+
+def dataset_to_csv(d: Dataset) -> str:
+    """Serialize a dataset back to the canonical CSV schema."""
     header = ["s", "y"]
+    columns = [d.s.tolist(), d.y.tolist()]
     if d.score is not None:
         header.append("score")
+        columns.append(d.score.tolist())
     header.append("w")
+    columns.append(d.weight.tolist())
     header.extend(d.feature_names)
-    columns = [map(str, d.s.tolist()), map(str, d.y.tolist())]
-    if d.score is not None:
-        columns.append(map(repr, d.score.tolist()))
-    columns.append(map(repr, d.weight.tolist()))
     if d.features is not None:
-        columns.extend(map(repr, col) for col in d.features.T.tolist())
-    lines = [",".join(header)] + [",".join(row) for row in zip(*columns)]
-    return "\n".join(lines) + "\n"
+        columns.extend(d.features.T.tolist())
+    return csv_text(header, columns)
 
 
 def sha256_of_file(path) -> str | None:

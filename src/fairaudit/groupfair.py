@@ -300,7 +300,7 @@ def disparate_impact(
         eod=eod,
         positive_rates=(p0, p1),
         epsilon=epsilon,
-        epsilon_fair=abs(spd) < epsilon,
+        epsilon_fair=_result("statistical_parity", p0, p1, epsilon).passed,
     )
 
 

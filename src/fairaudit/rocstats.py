@@ -1,4 +1,4 @@
-"""Confusion matrices, rates, ROC curves, envelopes and threshold selection.
+"""Confusion matrices, rates, ROC curves, their upper hulls and threshold selection.
 
 Conventions
 -----------
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -43,8 +42,6 @@ __all__ = [
     "auc",
     "best_accuracy_threshold",
     "fairest_threshold",
-    "roc_points_csv",
-    "roc_svg",
 ]
 
 
@@ -370,48 +367,3 @@ def fairest_threshold(d: Dataset) -> tuple[float, float, float]:
     k = idx[best]
     # error from the wrong-count so unit-weight results stay exact
     return float(cands[k]), float(ratio[best]), (total_w - correct[k]) / total_w
-
-
-# ---------------------------------------------------------------------------
-# Plot-data export
-# ---------------------------------------------------------------------------
-
-
-def roc_points_csv(r: RocCurve) -> str:
-    lines = ["fpr,tpr,threshold"]
-    for f, t, thr in r.points():
-        lines.append(f"{f!r},{t!r},{thr!r}")
-    return "\n".join(lines) + "\n"
-
-
-def roc_svg(curves: Sequence[tuple[str, RocCurve]], size: int = 320) -> str:
-    """Minimal static SVG: one polyline per named curve plus the diagonal."""
-    colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd"]
-    pad = 24
-    span = size - 2 * pad
-
-    def sx(v: float) -> float:
-        return pad + v * span
-
-    def sy(v: float) -> float:
-        return size - pad - v * span
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
-        f'<line x1="{sx(0)}" y1="{sy(0)}" x2="{sx(1)}" y2="{sy(1)}" '
-        'stroke="#999" stroke-dasharray="4 3"/>',
-    ]
-    for k, (name, curve) in enumerate(curves):
-        pts = " ".join(f"{sx(f):.2f},{sy(t):.2f}" for f, t in zip(curve.fpr, curve.tpr))
-        color = colors[k % len(colors)]
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-        )
-        parts.append(
-            f'<text x="{pad + 4}" y="{pad + 14 + 14 * k}" fill="{color}" '
-            f'font-size="11" font-family="sans-serif">{name}</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"

@@ -19,6 +19,7 @@ from fairaudit import mitigate
 from fairaudit.cli import _dump_json, build_parser, main, render_markdown
 from fairaudit.data import TOY_CSV, dataset_to_csv, load_csv, load_toy, sha256_of_file
 from fairaudit.mitigate import LinearModel
+from fairaudit.rocstats import roc_curve
 
 from test_load_csv_reference import csv_files
 
@@ -87,6 +88,20 @@ class TestAuditCommand:
         assert cells[1] == f"{sp['group1'] * 100:.1f}%"
         assert cells[2] == f"{sp['diff']:.1f}"
         assert cells[3] == f"{sp['rel_diff']:+.1f}%"
+
+    def test_parity_gap_at_epsilon_passes_both_verdicts(self, tmp_path, capsys):
+        # positive rates 1/4 and 3/4: a gap of exactly epsilon is fair in
+        # the metric table and in the disparate impact block alike
+        src = tmp_path / "tie.csv"
+        src.write_text("s,y,score\n0,1,0.9\n0,0,0.1\n0,1,0.2\n0,0,0.3\n"
+                       "1,1,0.9\n1,0,0.8\n1,1,0.7\n1,0,0.1\n", encoding="utf-8")
+        code, out, err = run(["audit", src, "--threshold", "0.5", "--epsilon", "0.5",
+                              "--ci", "none", "--no-individual"], capsys)
+        assert code == 0, err
+        report = json.loads(out)
+        sp = report["metrics"]["statistical_parity"]
+        assert (sp["gap"], sp["passed"]) == (50.0, True)
+        assert report["disparate_impact"]["epsilon_fair"] is True
 
     def test_legit_column_with_missing_value_exit_2_names_column(self, tmp_path, capsys):
         src = tmp_path / "t.csv"
@@ -716,6 +731,13 @@ class TestPlotCommand:
         assert all(b >= a for a, b in zip([p[1] for p in pts], [p[1] for p in pts][1:]))
         assert (tmp_path / "roc.svg").read_text().startswith("<svg")
 
+    def test_csv_export(self, toy_csv, tmp_path, capsys):
+        code, _, _ = run(["plot", toy_csv, "--kind", "roc", "--out", tmp_path / "roc"], capsys)
+        assert code == 0
+        text = (tmp_path / "roc.csv").read_text(encoding="utf-8")
+        assert text.splitlines()[0] == "fpr,tpr,threshold"
+        assert len(text.splitlines()) == len(roc_curve(load_toy())) + 1
+
     def test_roc_by_group_writes_both_curves(self, toy_csv, tmp_path, capsys):
         code, out, _ = run(
             ["plot", toy_csv, "--kind", "roc-by-group", "--out", tmp_path / "g"], capsys
@@ -902,6 +924,36 @@ def test_non_finite_option_exit_2_names_flag(toy_csv, tmp_path, capsys, argv, fl
     assert exc.value.code == 2
     assert f"argument {flag}: must be a finite number, got '{argv[-1]}'" in capsys.readouterr().err
     assert not list(tmp_path.glob("m*"))
+
+
+@pytest.mark.parametrize(
+    "argv,suffixes",
+    [
+        (["audit", "{csv}", "--threshold", "0.5", "--ci", "none"], [".json", ".md"]),
+        (["mitigate", "{csv}", "--method", "reweigh"], [".corrected.csv", ".report.json"]),
+        (["mitigate", "{csv}", "--method", "thresholds"], [".policy.json", ".report.json"]),
+        (["mitigate", "{csv}", "--method", "train"],
+         [".model.json", ".scored.csv", ".report.json"]),
+        (["plot", "{csv}", "--kind", "roc"], [".csv", ".svg"]),
+        (["plot", "{csv}", "--kind", "roc-by-group"], [".s0.csv", ".s1.csv", ".svg"]),
+        (["plot", "{csv}", "--kind", "score-hist"], [".csv", ".svg"]),
+        (["synth", "--n", "50"], [".csv", ".spec.json"]),
+    ],
+    ids=["audit", "mitigate-reweigh", "mitigate-thresholds", "mitigate-train", "plot-roc",
+         "plot-roc-by-group", "plot-score-hist", "synth"],
+)
+def test_out_prefix_names_every_file_in_a_new_directory(tmp_path, capsys, argv, suffixes):
+    # every file is <prefix><suffix>, a dot in the prefix included
+    src = tmp_path / "in.csv"
+    features = np.random.default_rng(3).normal(size=(24, 2))
+    src.write_text(dataset_to_csv(load_toy().with_(features=features)), encoding="utf-8")
+    prefix = tmp_path / "new" / "run.v2"
+    code, out, err = run([a.replace("{csv}", str(src)) for a in argv] + ["--out", prefix],
+                         capsys)
+    assert code == 0, err
+    assert sorted(p.name for p in prefix.parent.iterdir()) == sorted(
+        "run.v2" + s for s in suffixes
+    )
 
 
 @pytest.mark.parametrize("value", ["-1", "-0.5"])

@@ -8,7 +8,8 @@ feature cell, a ``1_0`` cell and a whitespace-only line, which ``load_csv``
 reads through its row loop instead of ``np.loadtxt``, and a larger sample
 (n=2500) from the same generator, above the Lipschitz audit's exact-pair
 limit, so its audit checks sampled pairs, and the toy rows with a constant
-score and a constant feature ``zz``.
+score and a constant feature ``zz``.  The ``synth`` command reads no input;
+its case pins the sample it writes.
 
 * Outputs from the unit-weight inputs are pinned by SHA-256.
 * Outputs from the weighted copy, and the ``after.metrics`` blocks of
@@ -99,6 +100,7 @@ _PER_DATASET = [
                          "--threshold", T, "--out", "{out}"]),
     ("plot-roc", ["plot", "{csv}", "--kind", "roc", "--out", "{out}"]),
     ("plot-roc-by-group", ["plot", "{csv}", "--kind", "roc-by-group", "--out", "{out}"]),
+    ("plot-score-hist", ["plot", "{csv}", "--kind", "score-hist", "--out", "{out}"]),
 ]
 
 _TOY = [
@@ -119,6 +121,7 @@ _TOY = [
                  repr(TOY_THRESHOLD), "--out", "{out}"]),
     ("plot-roc", ["plot", "{csv}", "--kind", "roc", "--out", "{out}"]),
     ("plot-roc-by-group", ["plot", "{csv}", "--kind", "roc-by-group", "--out", "{out}"]),
+    ("plot-score-hist", ["plot", "{csv}", "--kind", "score-hist", "--out", "{out}"]),
 ]
 
 # the missing feature value leaves out the individual audits
@@ -142,6 +145,12 @@ _CONTINUOUS = [
                                 "--no-individual"]),
 ]
 
+# no input file: the command samples its own dataset
+_GENERATED = [
+    ("synth", ["synth", "--preset", "operating-point", "--n", "200", "--seed", "3",
+               "--out", "{out}"]),
+]
+
 # n > EXACT_PAIR_LIMIT: the Lipschitz audit checks a seeded sample of pairs
 _SAMPLED = [
     ("audit-pred-col-asym", ["audit", "{csv}", "--pred-col", "yhat", "--ci", "asymptotic"]),
@@ -155,6 +164,7 @@ CASES = (
     + [(f"fallback/{name}", "fallback.csv", argv) for name, argv in _FALLBACK]
     + [(f"sampled/{name}", "sampled.csv", argv) for name, argv in _SAMPLED]
     + [(f"constant/{name}", "constant.csv", argv) for name, argv in _CONSTANT]
+    + [(f"generated/{name}", "", argv) for name, argv in _GENERATED]
 )
 INPUTS = ("toy.csv", "synth.csv", "weighted.csv", "fallback.csv", "sampled.csv", "constant.csv")
 

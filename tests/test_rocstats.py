@@ -26,7 +26,6 @@ from fairaudit.rocstats import (
     group_confusions,
     rates,
     roc_curve,
-    roc_points_csv,
 )
 
 
@@ -253,11 +252,6 @@ class TestRocCurve:
             c = roc_curve(d)
             assert (c.fpr[0], c.tpr[0]) == (0.0, 0.0)
             assert (c.fpr[-1], c.tpr[-1]) == (1.0, 1.0)
-
-    def test_csv_export(self, toy):
-        text = roc_points_csv(roc_curve(toy))
-        assert text.splitlines()[0] == "fpr,tpr,threshold"
-        assert len(text.splitlines()) == len(roc_curve(toy)) + 1
 
     def test_group_curve_when_other_group_is_empty(self):
         d = Dataset(s=[0] * 4, y=[0, 0, 1, 1], score=[0.1, 0.4, 0.35, 0.8])
