@@ -1,3 +1,3 @@
 """fairaudit: fairness auditing and discrimination correction for binary classifiers."""
 
-__version__ = "0.3.1"
+__version__ = "0.3.2"

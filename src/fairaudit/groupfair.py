@@ -315,20 +315,25 @@ def impact_point_estimate(d: Dataset, pred: PredictionSet) -> float:
     return (wp0 / wp1) * (w1 / w0)
 
 
-def _impact_sums(d: Dataset, pred: PredictionSet) -> tuple[float, float, float, float, bool]:
+def _impact_sums(
+    d: Dataset, pred: PredictionSet
+) -> tuple[float, float, float, float, tuple | None]:
     """Per-group sums of w*p (group 0, group 1), then of w, behind the impact
-    ratio, and whether they count records: every weight 1, every decision 0 or 1."""
+    ratio, and the same four counted in records when every weight is equal
+    and every decision 0 or 1 (else None)."""
     d.require_group(0)
     g1, w, p = d.require_group(1), d.weight, pred.prob
-    if counted := bool(np.all(w == 1.0) and np.all((p == 0.0) | (p == 1.0))):
-        # the float sums exactly: integers of at most n < 2^53
-        wp1, w1 = np.count_nonzero(g1 & (p == 1.0)), np.count_nonzero(g1)
-        wp0, w0 = np.count_nonzero(p) - wp1, len(d) - w1
+    counts = None
+    if np.all(w == w[0]) and np.all((p == 0.0) | (p == 1.0)):
+        k1, n1 = np.count_nonzero(g1 & (p == 1.0)), np.count_nonzero(g1)
+        counts = np.count_nonzero(p) - k1, k1, len(d) - n1, n1
+    if counts is not None and w[0] == 1.0:
+        wp0, wp1, w0, w1 = counts  # the float sums exactly: integers of at most n < 2^53
     else:
         (wp0, wp1), (w0, w1) = cell_sums(d.s, 2, w * p, w)[0].tolist()
     if wp1 == 0:
         raise DegenerateGroupError("no positive predictions in group 1")
-    return float(wp0), float(wp1), float(w0), float(w1), counted
+    return float(wp0), float(wp1), float(w0), float(w1), counts
 
 
 @dataclass
@@ -361,40 +366,43 @@ def impact_ci(
     proportions.
 
     A replicate needs only its group sizes m0, m1 and positives k0*, k1*
-    (sums of w and of w*p).  With unit weights and 0/1 decisions their law is
-    exact in three binomials: m0 ~ Bin(n, n0/n), m1 = n - m0,
-    k0* ~ Bin(m0, k0/n0) and k1* ~ Bin(m1, k1/n1).  Stream contract: one
-    ``default_rng(SeedSequence(seed))`` draws all n_boot values of m0, redraws
-    those with m0 = 0 or m1 = 0 in index order, round after round, then draws
-    all k0*, then all k1*; a vectorized draw takes the stream as a scalar loop
-    in the same order does.  Other inputs resample records: replicate b draws
-    n indices from ``default_rng(SeedSequence(seed, spawn_key=(b,)))``,
-    redraws from it, and takes its four sums as one product of its draw
-    counts with a per-record contribution matrix.
+    (sums of w and of w*p).  With equal weights and 0/1 decisions a common
+    weight cancels, and their law is exact in three binomials of record
+    counts (n0 records, k0 positives in group 0): m0 ~ Bin(n, n0/n),
+    m1 = n - m0, k0* ~ Bin(m0, k0/n0) and k1* ~ Bin(m1, k1/n1).  Stream
+    contract: one ``default_rng(SeedSequence(seed))`` draws all n_boot
+    values of m0, redraws those with m0 = 0 or m1 = 0 in index order, round
+    after round, then draws all k0*, then all k1*; a vectorized draw takes
+    the stream as a scalar loop in the same order does.  Other inputs
+    resample records: replicate b draws n indices from
+    ``default_rng(SeedSequence(seed, spawn_key=(b,)))``, redraws from it, and
+    takes its four sums as one product of its draw counts with a per-record
+    contribution matrix.
     """
     if not (math.isfinite(level) and 0.0 < level < 1.0):
         raise ValueError(
             f"interval level must lie strictly between 0 and 1, got {level!r}"
         )
-    wp0, wp1, w0, w1, counted = _impact_sums(d, pred)
+    wp0, wp1, w0, w1, counts = _impact_sums(d, pred)
     point = (wp0 / wp1) * (w1 / w0)
     if method == "bootstrap":
         if n_boot < 100:
             raise ValueError("bootstrap needs at least 100 replicates")
         lost = "bootstrap resampling kept losing a group (100 retries)"
         n = len(d)
-        if counted:
+        if counts is not None:
+            c0, c1, n0, n1 = counts
             rng = np.random.default_rng(np.random.SeedSequence(seed))
-            m0 = rng.binomial(n, w0 / n, size=n_boot)
+            m0 = rng.binomial(n, n0 / n, size=n_boot)
             redraws = 0
             while (bad := (m0 == 0) | (m0 == n)).any():
                 if redraws == 100:
                     raise DegenerateGroupError(lost)
-                m0[bad] = rng.binomial(n, w0 / n, size=np.count_nonzero(bad))
+                m0[bad] = rng.binomial(n, n0 / n, size=np.count_nonzero(bad))
                 redraws += 1
             m1 = n - m0
-            k0 = rng.binomial(m0, wp0 / w0)
-            k1 = rng.binomial(m1, wp1 / w1)
+            k0 = rng.binomial(m0, c0 / n0)
+            k1 = rng.binomial(m1, c1 / n1)
         else:
             w, p, g0, g1 = d.weight, pred.prob, d.s == 0, d.s == 1
             cols = np.column_stack([w * p * g0, w * p * g1, w * g0, w * g1])

@@ -760,35 +760,6 @@ def _realized(geo: _GroupGeometry, i: int, j: int, u: float, lam: float = 1.0) -
     return lam * ((1.0 - u) * vi + u * vj)
 
 
-def _opportunity_mixture(geo: dict[int, _GroupGeometry], pos_w: float, total_w: float):
-    """Common TPR on the merged grid of envelope vertex TPRs that maximizes
-    accuracy, with each group's mixture realizing it on its own envelope."""
-    taus = np.unique(np.concatenate([geo[g].tpr[geo[g].hull] for g in (0, 1)]))
-    taus = taus[taus <= min(geo[g].tpr[geo[g].hull][-1] for g in (0, 1)) + 1e-15]
-
-    # each group's envelope at every tau: a vertex (i == j, u = 0) or a mixture
-    # of the two vertices around it
-    f, mix = {}, {}
-    for g in (0, 1):
-        hull, fpr, tpr = geo[g].hull, geo[g].fpr, geo[g].tpr
-        k = np.minimum(np.searchsorted(tpr[hull], taus, side="left"), len(hull) - 1)
-        j = hull[k]
-        i = np.where(np.abs(tpr[j] - taus) <= 1e-15, j, hull[np.maximum(k - 1, 0)])
-        span = tpr[j] - tpr[i]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = np.clip(np.where(span == 0, 0.0, (taus - tpr[i]) / span), 0.0, 1.0)
-        f[g] = (1 - u) * fpr[i] + u * fpr[j]
-        mix[g] = (i, j, u)
-
-    acc = (taus * pos_w + (1 - f[0]) * geo[0].neg_w + (1 - f[1]) * geo[1].neg_w) / total_w
-    # taus are distinct, so the largest key is unique
-    best = np.lexsort((taus, -(f[0] + f[1]), acc))[-1]
-    mixes = tuple(
-        (int(mix[g][0][best]), int(mix[g][1][best]), float(mix[g][2][best])) for g in (0, 1)
-    )
-    return taus[best], mixes
-
-
 def _crossings(f: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Where d, linear between the increasing points f, changes sign."""
     k = np.flatnonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0)
@@ -806,7 +777,7 @@ def _chain_table(geo: _GroupGeometry, upper: bool):
     return f[keep], t[keep]
 
 
-def _full_optimum(geo: dict[int, _GroupGeometry]) -> np.ndarray:
+def _full_optimum(geo: dict[int, _GroupGeometry], n: int) -> np.ndarray:
     """The accuracy-best point (fpr, tpr) in both groups' ROC regions, the
     least fpr first.
 
@@ -816,6 +787,11 @@ def _full_optimum(geo: dict[int, _GroupGeometry]) -> np.ndarray:
     merged vertex fprs and the crossings of U0 with U1 and of L0 with L1, so
     top - bottom is too, and the sign changes of it end the feasible fprs.
     The linear program's optimum is one of these points.
+
+    Each group's rates are running sums over its n_g records divided by
+    their total, which rounding moves by less than n_g * eps.  So a merged
+    fpr stays feasible down to top - bottom = -n * eps, n = n_0 + n_1:
+    regions that meet only along a segment must not be parted by rounding.
     """
     tables = [_chain_table(geo[g], upper) for upper in (True, False) for g in (0, 1)]
 
@@ -833,12 +809,31 @@ def _full_optimum(geo: dict[int, _GroupGeometry]) -> np.ndarray:
     bottom = np.where(np.isin(f, cl), np.minimum(l0, l1), np.maximum(l0, l1))
     room = top - bottom
     ends = _crossings(f, room)
-    t = np.concatenate((top[room >= 0], np.interp(ends, f, top)))
-    f = np.concatenate((f[room >= 0], ends))
+    ok = room >= -n * np.finfo(float).eps
+    t = np.concatenate((top[ok], np.interp(ends, f, top)))
+    f = np.concatenate((f[ok], ends))
     # accuracy grows with pos_w * tpr - neg_w * fpr
     gain = t * (geo[0].pos_w + geo[1].pos_w) - f * (geo[0].neg_w + geo[1].neg_w)
     best = np.lexsort((f, -gain))[0]
     return np.array([f[best], t[best]])
+
+
+def _opportunity_points(geo: dict[int, _GroupGeometry], pos_w: float, total_w: float):
+    """Each group's least-fpr point at the common tpr of best accuracy, then
+    least fpr sum, then largest tpr.  The least fpr lies on the upper chain,
+    convex in tpr, so the best tpr is a vertex tpr of either chain; of a run
+    of equal tprs, at a chain's end, the first has the least fpr."""
+    tables = []
+    for f, t in (_chain_table(geo[g], upper=True) for g in (0, 1)):
+        first = np.append(True, t[1:] != t[:-1])
+        tables.append((t[first], f[first]))
+    taus = np.unique(np.concatenate([t for t, _ in tables]))
+    taus = taus[taus <= min(t[-1] for t, _ in tables)]
+    f0, f1 = (np.interp(taus, t, f) for t, f in tables)
+    acc = (taus * pos_w + (1 - f0) * geo[0].neg_w + (1 - f1) * geo[1].neg_w) / total_w
+    # taus are distinct, so the largest key is unique
+    best = np.lexsort((taus, -(f0 + f1), acc))[-1]
+    return [np.array([f[best], taus[best]]) for f in (f0, f1)]
 
 
 def _ray_mix(geo: _GroupGeometry, p: np.ndarray):
@@ -850,9 +845,13 @@ def _ray_mix(geo: _GroupGeometry, p: np.ndarray):
     once along it, on the edge that holds q.  Each edge, and the last vertex
     alone, offers the point where cross(v, p) is 0, clipped to the edge; the
     one that realizes p closest wins, so a hull vertex that rounding leaves
-    on a line through (0, 0) does no harm.  For the group whose upper chain
-    attains p, q is p and lam is 1.
+    on a line through (0, 0) does no harm.  For a p on the upper chain, q is
+    p and lam is 1, unless p is on its rise at fpr 0, whose top is then q.
+    A group scored all 0 has the one point (0, 0) and no boundary, and
+    takes the all-negative rule.
     """
+    if len(geo.fpr) == 1:
+        return 0, 0, 0.0, 0.0
     b = np.concatenate((geo.hull[1:], geo.lower[-2:0:-1]))
     i, j = b, np.append(b[1:], b[-1])
     vi, vj = (np.column_stack((geo.fpr[k], geo.tpr[k])) for k in (i, j))
@@ -869,21 +868,18 @@ def _ray_mix(geo: _GroupGeometry, p: np.ndarray):
 
 
 def equalize_odds(d: Dataset, criterion: str = "full") -> EqualizedOddsResult:
-    """Randomized post-processing equalizing group error rates.
+    """Randomized post-processing equalizing group error rates: the linear
+    program of Hardt, Price and Srebro (2016) over the groups' ROC regions,
+    the convex hulls of their points, solved in one merge over the hull
+    chains.
 
-    "full": the accuracy-best (fpr, tpr) point in both groups' ROC regions,
-    the convex hulls of their points (the linear program of Hardt, Price and
-    Srebro, 2016), found in one merge over the hull chains.  The group whose
-    upper chain attains it mixes two adjacent hull vertices.  The other one
-    mixes the two vertices where the ray from (0, 0) through the point
-    leaves its region with t = 1.0, which decides 0 for all; that takes up
-    to three thresholds.  The realized |TPR gap| and |FPR gap| vanish up to
-    float rounding.
-
-    "opportunity": equalize TPR only; the common TPR is chosen on the merged
-    grid of envelope vertex TPRs to maximize accuracy, and each group
-    realizes it on its own envelope (mixing two thresholds when the value
-    falls between vertices).
+    "full": the accuracy-best (fpr, tpr) point in both regions.
+    "opportunity": equal tpr only; each group's least-fpr point at the
+    accuracy-best common tpr.  Each group realizes its point by mixing the
+    two hull vertices where the ray from (0, 0) through it leaves the region
+    with t = 1.0, which decides 0 for all; that takes up to three thresholds,
+    and two for a point on the upper chain.  The realized gaps of the
+    equalized rates vanish up to float rounding.
     """
     if criterion not in ("full", "opportunity"):
         raise ValueError(f"criterion must be 'full' or 'opportunity', got {criterion!r}")
@@ -892,21 +888,20 @@ def equalize_odds(d: Dataset, criterion: str = "full") -> EqualizedOddsResult:
     neg_w = geo[0].neg_w + geo[1].neg_w
     total_w = pos_w + neg_w
     if criterion == "opportunity":
-        tau, mixes = _opportunity_mixture(geo, pos_w, total_w)
+        points = _opportunity_points(geo, pos_w, total_w)
     else:
         for g in (0, 1):
             if len(geo[g].fpr) == 1:
                 raise DegenerateGroupError(f"group {g} has a single ROC point (every score is 0)")
-        p = _full_optimum(geo)
-        mixes = [_ray_mix(geo[g], p) for g in (0, 1)]
+        points = [_full_optimum(geo, len(d))] * 2
+    mixes = [_ray_mix(geo[g], points[g]) for g in (0, 1)]
 
     rules = {g: _rule_from_mix(geo[g], *mix) for g, mix in enumerate(mixes)}
     realized = {g: tuple(_realized(geo[g], *mix).tolist()) for g, mix in enumerate(mixes)}
-    mean_tpr = tau if criterion == "opportunity" else (realized[0][1] + realized[1][1]) / 2
     return EqualizedOddsResult(
         policy=ThresholdPolicy(rules=rules),
         criterion=criterion,
-        target=(float((realized[0][0] + realized[1][0]) / 2), float(mean_tpr)),
+        target=tuple(float((realized[0][k] + realized[1][k]) / 2) for k in (0, 1)),
         realized=realized,
         tpr_gap=abs(realized[0][1] - realized[1][1]),
         fpr_gap=abs(realized[0][0] - realized[1][0]),

@@ -150,9 +150,6 @@ class RocCurve:
     def __len__(self) -> int:
         return len(self.fpr)
 
-    def points(self) -> list[tuple[float, float, float]]:
-        return list(zip(self.fpr.tolist(), self.tpr.tolist(), self.thresholds.tolist()))
-
 
 def _descending(score: np.ndarray) -> np.ndarray:
     """The records by decreasing score, ties in record order: the stable

@@ -5,10 +5,10 @@ Each reference below is the straightforward loop form of a search: build
 every candidate with its tie-break key, one at a time, and keep the best.
 The array searches in ``mitigate`` and ``rocstats`` must pick the very same
 candidate, so mixtures, thresholds and flags are compared exactly.
-``equalize_odds(criterion="full")`` is checked instead against
-``scipy.optimize.linprog`` on the convex hulls of the two groups' ROC points,
-and against ``ref_full_mixture``, the former search over two-threshold
-segments, which it must never fall below.
+``equalize_odds`` is checked instead against ``scipy.optimize.linprog`` on
+the convex hulls of the two groups' ROC points, for both criteria, and
+against ``ref_full_mixture`` and ``ref_opportunity_mixture``, the former
+searches, which it must never fall below.
 """
 
 import numpy as np
@@ -227,29 +227,35 @@ def ref_fairest_threshold(d):
 # ---------------------------------------------------------------------------
 
 
-def lp_accuracy(geo):
+def lp_accuracy(geo, criterion="full"):
     """The equalized-odds optimum as a linear program in vertex form: one
     probability vector over each group's ROC points, both mixtures at the
-    same (fpr, tpr), accuracy maximized."""
+    same (fpr, tpr), accuracy maximized.  For "opportunity" only the tprs
+    are equal, and each group pays for its own fpr."""
     pos_w = geo[0].pos_w + geo[1].pos_w
     neg_w = geo[0].neg_w + geo[1].neg_w
     m0, m1 = len(geo[0].fpr), len(geo[1].fpr)
-    gain = pos_w * geo[0].tpr - neg_w * geo[0].fpr
     a_eq = np.zeros((4, m0 + m1))
     a_eq[0, :m0] = a_eq[1, m0:] = 1.0
     a_eq[2] = np.concatenate((geo[0].fpr, -geo[1].fpr))
     a_eq[3] = np.concatenate((geo[0].tpr, -geo[1].tpr))
-    res = linprog(np.concatenate((-gain, np.zeros(m1))), A_eq=a_eq, b_eq=[1.0, 1.0, 0.0, 0.0],
-                  bounds=(0, None), method="highs")
+    b_eq = [1.0, 1.0, 0.0, 0.0]
+    if criterion == "full":
+        gain = np.concatenate((pos_w * geo[0].tpr - neg_w * geo[0].fpr, np.zeros(m1)))
+    else:
+        gain = np.concatenate((pos_w * geo[0].tpr - geo[0].neg_w * geo[0].fpr,
+                               -geo[1].neg_w * geo[1].fpr))
+        a_eq, b_eq = a_eq[[0, 1, 3]], b_eq[:3]
+    res = linprog(-gain, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     assert res.status == 0, res.message
     return (neg_w - res.fun) / (pos_w + neg_w)
 
 
 def check_equalize_odds(d):
-    """"opportunity" picks the reference mixture.  "full" reaches the linear
-    program's accuracy and at least the former segment search's, within
-    1e-12, and its policy realizes gaps of at most 1e-12.  Returns the number
-    of collinear segment pairs the segment search met."""
+    """Each criterion reaches its linear program's accuracy and at least its
+    former search's, within 1e-12, and its policy realizes gaps of at most
+    1e-12 in the rates it equalizes.  Returns the number of collinear segment
+    pairs the segment search met."""
     try:
         geo = mitigate._group_geometries(d)
     except DegenerateGroupError:
@@ -261,8 +267,14 @@ def check_equalize_odds(d):
     def accuracy(f, t):
         return (t * pos_w + (1.0 - f) * neg_w) / total_w
 
-    tau, mixes = mitigate._opportunity_mixture(geo, pos_w, total_w)
-    assert (tau, mixes) == ref_opportunity_mixture(geo, pos_w, total_w)
+    res = mitigate.equalize_odds(d, criterion="opportunity")
+    assert abs(res.accuracy - lp_accuracy(geo, "opportunity")) <= 1e-12
+    _, mixes = ref_opportunity_mixture(geo, pos_w, total_w)
+    (f0, t0), (f1, t1) = (mitigate._realized(geo[g], *mixes[g]) for g in (0, 1))
+    old = (t0 * geo[0].pos_w + t1 * geo[1].pos_w + (1 - f0) * geo[0].neg_w
+           + (1 - f1) * geo[1].neg_w) / total_w
+    assert res.accuracy >= old - 1e-12
+    assert applied_gaps(d, res.policy)[0] <= 1e-12
     if min(len(geo[g].fpr) for g in (0, 1)) < 2:
         # a group scored all 0 has a one-point curve: exit 3
         with pytest.raises(DegenerateGroupError, match="single ROC point"):
@@ -394,6 +406,42 @@ def search_datasets(draw):
 def test_searches_match_reference_property(d):
     check_equalize_odds(d)
     check_thresholds(d)
+
+
+@st.composite
+def scaled_twin_datasets(draw):
+    """Group 1 repeats group 0's records at c times their weight: the two ROC
+    regions are one in exact arithmetic, and rounding parts them by ulps."""
+    n = draw(st.integers(2, 40))
+    levels = draw(st.integers(1, 10))
+    y = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    score = [k / levels for k in draw(st.lists(st.integers(0, levels), min_size=n, max_size=n))]
+    c = draw(st.sampled_from([0.3, 0.1, 0.7, 3.0]) | st.floats(0.01, 100.0))
+    return Dataset(s=[0] * n + [1] * n, y=y + y, score=score + score, weight=[1.0] * n + [c] * n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scaled_twin_datasets())
+def test_scaled_twin_groups_reach_the_lp_optimum(d):
+    check_equalize_odds(d)
+
+
+def test_scaled_twin_segment_regions_stay_feasible():
+    # each group's region is one segment from (0, 0); rounding parted the
+    # two, and "full" fell to the all-negative rule, accuracy 4/13.  The
+    # feasibility bound must keep twins together, but no more
+    y = [0, 1, 1, 0, 1, 0, 1, 0, 1, 1, 1, 1, 1]
+    score = [1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0]
+    d = Dataset(s=[0] * 13 + [1] * 13, y=y + y, score=score + score,
+                weight=[1.0] * 13 + [0.3] * 13)
+    assert mitigate.equalize_odds(d, criterion="full").accuracy == 0.6153846153846154
+    check_equalize_odds(d)
+    # one weight 1e-4 off parts the regions in exact arithmetic as well
+    w = d.weight.copy()
+    w[14] *= 1 + 1e-4
+    parted = Dataset(s=d.s, y=d.y, score=d.score, weight=w)
+    assert mitigate.equalize_odds(parted, criterion="full").accuracy < 0.31
+    check_equalize_odds(parted)
 
 
 @pytest.mark.parametrize("n", [30, 1000])

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairaudit import synth
 from fairaudit._common import _EXP_M2, _ndtri, cell_sums
 from fairaudit.data import (
     Dataset,
@@ -264,6 +265,15 @@ class TestImpactCI:
         with pytest.raises(ValueError, match="strictly between 0 and 1"):
             impact_ci(toy, toy_pred, method=method, level=level)
 
+    @pytest.mark.parametrize("c", [4.0, 64.0, 0.3])
+    def test_bootstrap_interval_ignores_a_common_weight(self, c):
+        # a common weight cancels in the ratio, so equal weights take the
+        # binomial route; resampling records gave [0.7223, 0.8548] at c = 4
+        d = synth.sample_scores(synth.operating_point_spec(), 3000, 3)
+        pred = apply_policy(d, ThresholdPolicy.shared(0.5))
+        scaled = Dataset(s=d.s, y=d.y, score=d.score, weight=np.full(len(d), c))
+        assert impact_ci(scaled, pred) == impact_ci(d, pred)
+
     def test_infinite_replicates_make_endpoint_degenerate(self):
         # one positive in a group of 100: about 37% of replicates miss it
         n = 100
@@ -418,7 +428,7 @@ def bootstrap_inputs(draw):
     """Small datasets, some with only one or two records in a group (so that
     replicates lose the group and are redrawn).  Unit, integral non-unit or
     fractional weights are crossed with 0/1 or fractional decision
-    probabilities; unit weights with 0/1 decisions take the binomial route,
+    probabilities; equal weights with 0/1 decisions take the binomial route,
     the rest the contribution-matrix product."""
     n1 = draw(st.sampled_from([1, 2, draw(st.integers(3, 30))]))
     n0 = draw(st.sampled_from([1, 2, draw(st.integers(3, 30))]))
@@ -439,7 +449,7 @@ def bootstrap_inputs(draw):
         prob = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
     d = Dataset(s=s, y=np.zeros(n, dtype=int), weight=weight)
     pred = PredictionSet(prob=np.array(prob))
-    if binary and weight is None:
+    if binary and (weight is None or len(set(weight)) == 1):
         route = "binomial"
     else:  # integral weights and 0/1 decisions make every sum an exact integer
         route = "exact" if binary and weights == "integral" else "product"
@@ -489,15 +499,15 @@ def test_bootstrap_binomial_redraws_follow_the_stream_contract(sizes):
 
 def test_bootstrap_routes_match_their_oracles_at_scale():
     # 2e4 records, a rare positive decision in group 1: the binomial route
-    # against its scalar stream, and with every weight 2 the product route
-    # against the per-record loop, bit for bit at several levels
+    # against its scalar stream, and with weights of 1 and 2 the product
+    # route against the per-record loop, bit for bit at several levels
     rng = np.random.default_rng(11)
     n = 20_000
     s = rng.integers(0, 2, n)
     prob = (rng.random(n) < np.where(s == 0, 0.4, 0.05)).astype(float)
     pred = PredictionSet(prob=prob)
     unit = Dataset(s=s, y=np.zeros(n, dtype=int))
-    doubled = Dataset(s=s, y=np.zeros(n, dtype=int), weight=np.full(n, 2.0))
+    doubled = Dataset(s=s, y=np.zeros(n, dtype=int), weight=1.0 + (np.arange(n) % 2))
     for level in (0.5, 0.9, 0.99):
         ci = impact_ci(unit, pred, level=level, n_boot=1000, seed=7)
         assert (ci.lo, ci.hi) == binomial_bootstrap(unit, pred, level, 1000, 7)
@@ -624,9 +634,9 @@ class LosingGenerator:
 
 @pytest.mark.parametrize("losses", [100, 101])
 def test_bootstrap_record_route_redraws_100_times(monkeypatch, losses):
-    # weights of 2 take the record-resampling route; each replicate gets its
-    # own generator, so every replicate loses group 0 ``losses`` times
-    d = Dataset(s=[0, 0, 1, 1], y=[0, 1, 0, 1], weight=[2.0] * 4)
+    # unequal weights take the record-resampling route; each replicate gets
+    # its own generator, so every replicate loses group 0 ``losses`` times
+    d = Dataset(s=[0, 0, 1, 1], y=[0, 1, 0, 1], weight=[2.0, 2.0, 1.0, 1.0])
     pred = PredictionSet.from_labels([1, 0, 1, 0])
     monkeypatch.setattr(np.random, "default_rng", lambda seed: LosingGenerator(losses))
     if losses == 100:

@@ -209,18 +209,19 @@ class TestRocCurve:
     def test_perfect_separation(self):
         d = Dataset(s=[0, 0], y=[0, 1], score=[0.2, 0.8])
         c = roc_curve(d)
-        assert c.points()[0][:2] == (0.0, 0.0)
-        assert [(f, t) for f, t, _ in c.points()] == [(0, 0), (0, 1), (1, 1)]
+        assert (c.fpr[0], c.tpr[0]) == (0.0, 0.0)
+        assert list(zip(c.fpr.tolist(), c.tpr.tolist())) == [(0, 0), (0, 1), (1, 1)]
 
     def test_four_score_example(self):
         d = Dataset(s=[0] * 4, y=[0, 0, 1, 1], score=[0.1, 0.4, 0.35, 0.8])
-        pts = [(f, t) for f, t, _ in roc_curve(d).points()]
+        c = roc_curve(d)
+        pts = list(zip(c.fpr.tolist(), c.tpr.tolist()))
         assert pts == [(0, 0), (0, 0.5), (0.5, 0.5), (0.5, 1), (1, 1)]
 
     def test_constant_scores(self):
         d = Dataset(s=[0, 0], y=[0, 1], score=[0.5, 0.5])
-        pts = [(f, t) for f, t, _ in roc_curve(d).points()]
-        assert pts == [(0, 0), (1, 1)]
+        c = roc_curve(d)
+        assert list(zip(c.fpr.tolist(), c.tpr.tolist())) == [(0, 0), (1, 1)]
 
     def test_single_class_raises(self):
         d = Dataset(s=[0, 0], y=[1, 1], score=[0.2, 0.8])
@@ -255,7 +256,9 @@ class TestRocCurve:
 
     def test_group_curve_when_other_group_is_empty(self):
         d = Dataset(s=[0] * 4, y=[0, 0, 1, 1], score=[0.1, 0.4, 0.35, 0.8])
-        assert roc_curve(d, group=0).points() == roc_curve(d).points()
+        c0, c = roc_curve(d, group=0), roc_curve(d)
+        for a, b in ((c0.fpr, c.fpr), (c0.tpr, c.tpr), (c0.thresholds, c.thresholds)):
+            assert a.tolist() == b.tolist()
         with pytest.raises(DegenerateGroupError, match="group=1"):
             roc_curve(d, group=1)
 
@@ -411,11 +414,11 @@ class TestConvexEnvelope:
             score=[0.9] * 4 + [0.7] * 2 + [0.5] * 3 + [0.2] * 6,
         )
         curve = roc_curve(d)
-        assert [(f, t) for f, t, _ in curve.points()] == [
+        assert list(zip(curve.fpr.tolist(), curve.tpr.tolist())) == [
             (0, 0), (0, 0.8), (0.2, 0.8), (0.5, 0.8), (1, 1),
         ]
         env = convex_envelope(curve)
-        assert [(f, t) for f, t, _ in env.points()] == [(0, 0), (0, 0.8), (1, 1)]
+        assert list(zip(env.fpr.tolist(), env.tpr.tolist())) == [(0, 0), (0, 0.8), (1, 1)]
         # chord value above each dropped point
         assert upper_hull_value(env, 0.2) == pytest.approx(0.84)
         assert upper_hull_value(env, 0.5) == pytest.approx(0.9)
@@ -429,7 +432,7 @@ class TestConvexEnvelope:
     def test_diagonal_stays_diagonal(self):
         d = Dataset(s=[0, 0], y=[0, 1], score=[0.5, 0.5])
         env = convex_envelope(roc_curve(d))
-        assert [(f, t) for f, t, _ in env.points()] == [(0, 0), (1, 1)]
+        assert list(zip(env.fpr.tolist(), env.tpr.tolist())) == [(0, 0), (1, 1)]
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
