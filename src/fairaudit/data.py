@@ -197,6 +197,32 @@ def _parse_float(raw: str, col: str, row: int) -> float:
         raise DataError(f"row {row}: column {col!r} value {raw!r} is not numeric")
 
 
+# suffixes by which numpy's path reader picks a decompressor
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _plain_file_name(path) -> str | None:
+    """``path`` as a name that ``np.loadtxt`` opens as this plain local file,
+    or None.  numpy opens a name through ``np.lib._datasource``, which
+    decompresses by suffix and reads a ``scheme://host/...`` name as a URL."""
+    name = os.fspath(path) if isinstance(path, (str, os.PathLike)) else None
+    if not isinstance(name, str) or "://" in name or name.endswith(_COMPRESSED):
+        return None
+    return name if os.path.isfile(name) else None
+
+
+def _float_table(body, **kw) -> np.ndarray | None:
+    """The body as one float table, or None if ``np.loadtxt`` cannot parse it."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # raised on an empty body
+            return np.loadtxt(
+                body, delimiter=",", comments=None, quotechar='"', ndmin=2, dtype=float, **kw
+            )
+    except (ValueError, UserWarning):
+        return None
+
+
 def load_csv(path, schema: ColumnSchema = ColumnSchema()) -> Dataset:
     """Load and validate a UTF-8 CSV file with a mandatory header row.
 
@@ -204,15 +230,19 @@ def load_csv(path, schema: ColumnSchema = ColumnSchema()) -> Dataset:
     malformed value encountered.
 
     The body is parsed as one float table by ``np.loadtxt`` and checked
-    column by column.  A body it cannot parse, whose width differs from the
-    header's, or whose values fail a check goes through a row loop instead,
-    which finds the first bad cell in row order.  That loop also reads what
-    ``loadtxt`` does not: empty cells (missing features), blank-only lines,
-    and numbers that only Python's ``float`` accepts, such as ``1_0``.
+    column by column.  A regular file is handed to it by name, past the
+    header's lines, and read in chunks; a pipe by its lines, which are kept;
+    a name with a compression suffix, or one numpy would read as a URL, by
+    the open file, which numpy reads line by line.  A body it cannot parse,
+    whose width differs from the header's, or whose values fail a check goes
+    through a row loop instead, which finds the first bad cell in row order.
+    That loop also reads what ``loadtxt`` does not: empty cells (missing
+    features), blank-only lines, and numbers that only Python's ``float``
+    accepts, such as ``1_0``.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        # a file is parsed as it is read, and read again for the row loop;
-        # a pipe's lines are kept, since it cannot be read twice
+        # a file is read again, by numpy and for the row loop; a pipe's
+        # lines are kept, since it cannot be read twice
         lines = None if fh.seekable() else fh.readlines()
         reader = csv.reader(fh if lines is None else lines)
         try:
@@ -226,23 +256,19 @@ def load_csv(path, schema: ColumnSchema = ColumnSchema()) -> Dataset:
         if duplicates:
             raise DataError(f"duplicate column name(s) {duplicates} in header")
 
-        body = fh if lines is None else lines[reader.line_num :]
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", UserWarning)  # raised on an empty body
-                table = np.loadtxt(
-                    body, delimiter=",", comments=None, quotechar='"', ndmin=2, dtype=float
-                )
-        except (ValueError, UserWarning):
-            table = None
+        name = _plain_file_name(path) if lines is None else None
+        if name is not None:
+            table = _float_table(name, skiprows=reader.line_num, encoding="utf-8-sig")
+        else:
+            table = _float_table(fh if lines is None else lines[reader.line_num :])
         if table is not None and table.shape[1] == len(header):
             d = _dataset_from_table(table, header, schema)
             if d is not None:
                 return d
         if lines is None:
             fh.seek(0)
-            body = fh.readlines()[reader.line_num :]
-    return _dataset_from_rows(body, header, schema, reader.line_num)
+            lines = fh.readlines()
+    return _dataset_from_rows(lines[reader.line_num :], header, schema, reader.line_num)
 
 
 def _resolve_columns(header: list[str], schema: ColumnSchema):
@@ -448,12 +474,21 @@ def apply_policy(d: Dataset, policy: ThresholdPolicy) -> PredictionSet:
 
     Pure function: identical inputs produce bit-identical outputs.  A mixture
     with p of 0 or 1 decides exactly 0.0 or 1.0: 1.0 * a + 0.0 * b is a.
+
+    A rule decides each record from its score alone, so when every group
+    present has the same rule, one pass over all scores gives what a pass
+    per group would.  Rules count as the same when they print alike: a
+    probability -0.0 equals 0.0 but decides -0.0.
     """
     score = d.require_scores()
+    groups = np.flatnonzero(np.bincount(d.s, minlength=2))
+    rules = [policy.rule_for(int(g)) for g in groups]
+    if len(set(map(repr, rules))) == 1:
+        return PredictionSet(prob=rules[0].decision_prob(score))
     prob = np.empty(len(d))
-    for g in np.unique(d.s):
+    for g, rule in zip(groups, rules):
         mask = d.s == g
-        prob[mask] = policy.rule_for(int(g)).decision_prob(score[mask])
+        prob[mask] = rule.decision_prob(score[mask])
     return PredictionSet(prob=prob)
 
 

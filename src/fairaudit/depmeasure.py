@@ -192,26 +192,70 @@ class CondMaxCorResult:
     max_value: float | None
 
 
+def _binary_strata(x, y, z, w):
+    """Each stratum's level and weighted 2x2 joint of 0/1 samples, or None
+    unless x and y are 0/1, z holds integers or booleans, every weight is
+    positive and the four arrays are aligned.
+
+    One ``np.bincount`` over ``4 * stratum + 2 * x + y`` adds each cell's
+    weights sequentially in record order, as the stratum's own bincount in
+    :func:`_joint_from_samples` does.  The stratum is z itself for
+    non-negative integers no larger than len(z), else its index among
+    ``np.unique(z)``, so the table never outgrows the data.  A stratum
+    without records is left out; with positive weights, a cell is empty iff
+    its sum is 0.
+    """
+    if not (
+        x.ndim == 1 and x.shape == y.shape == z.shape == w.shape and len(x)
+        and z.dtype.kind in "biu" and (w > 0).all()
+        and ((x == 0) | (x == 1)).all() and ((y == 0) | (y == 1)).all()
+    ):
+        return None
+    levels = None
+    if z.dtype.kind != "b" and z.min() >= 0 and z.max() <= len(z):
+        stratum = z.astype(np.intp)
+    else:
+        levels, stratum = np.unique(z, return_inverse=True)
+    n_strata = int(stratum.max()) + 1
+    key = 4 * stratum + (2 * x + y).astype(np.intp)
+    joints = np.bincount(key, weights=w, minlength=4 * n_strata).reshape(n_strata, 2, 2)
+    present = np.flatnonzero(joints.any(axis=(1, 2)))
+    keys = present if levels is None else levels[present]
+    return [(key.item(), joints[k]) for key, k in zip(keys, present)]
+
+
 def conditional_maximal_correlation(
     x, y, z, w=None, basis: BasisSpec | None = None
 ) -> CondMaxCorResult:
     """Maximal correlation within each stratum of a discrete conditioner.
 
     Strata where either variable is constant are reported as None; the
-    summary is the maximum over defined strata.
+    summary is the maximum over defined strata.  Without a basis, 0/1
+    samples take every stratum's joint from one pass (:func:`_binary_strata`);
+    any other input takes a masked pass per level of ``np.unique(z)``.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     z = np.asarray(z)
     w = np.ones(len(x)) if w is None else np.asarray(w, dtype=float)
+    strata = None if basis is not None else _binary_strata(x, y, z, w)
     per: dict = {}
-    for level in np.unique(z):
-        mask = z == level
-        key = level.item() if hasattr(level, "item") else level
-        try:
-            per[key] = maximal_correlation(x[mask], y[mask], w[mask], basis)
-        except (ConstantInputError, ValueError):
-            per[key] = None
+    if strata is None:
+        for level in np.unique(z):
+            mask = z == level
+            key = level.item() if hasattr(level, "item") else level
+            try:
+                per[key] = maximal_correlation(x[mask], y[mask], w[mask], basis)
+            except (ConstantInputError, ValueError):
+                per[key] = None
+    else:
+        # a stratum with x or y constant (or one record) leaves a zero row or
+        # column, for which the joint's estimate raises
+        for key, P in strata:
+            try:
+                per[key] = maximal_correlation_joint(P / P.sum())
+            except (ConstantInputError, ValueError):
+                per[key] = None
     values = [v for v in per.values() if v is not None]
     if not values:
         raise ConstantInputError("every stratum is degenerate")

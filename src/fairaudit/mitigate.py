@@ -309,7 +309,7 @@ def train_logistic(
         raise DataError("training requires feature columns")
     if np.isnan(d.features).any():
         raise DataError("training requires complete features (no missing values)")
-    if len(np.unique(d.y)) < 2:
+    if not np.bincount(d.y, minlength=2).all():
         raise DegenerateGroupError("training requires both label classes")
 
     X = d.features

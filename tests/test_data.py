@@ -105,7 +105,7 @@ class TestLoadCsv:
 
     def test_load_peak_and_kept_memory(self, tmp_path):
         """50,000 rows of 8 columns (about 6.4 MB of text) are parsed from the
-        open file: the load peaks near 1.1 times the file, and what stays is
+        file in chunks: the load peaks near 1.1 times the file, and what stays is
         the dataset's own arrays.  Reading every line first peaked near 3
         times the file, and score and weight were views that kept a
         transposed copy of the whole table alive."""

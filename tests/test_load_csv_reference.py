@@ -7,7 +7,10 @@ bits, or raise the same :class:`DataError` message.
 """
 
 import csv
+import gzip
+import io
 import math
+import os
 import warnings
 
 import numpy as np
@@ -286,3 +289,146 @@ def test_row_loop_runs_only_for_what_loadtxt_cannot_read(tmp_path, monkeypatch, 
     except DataError:
         pass
     assert bool(calls) == fallback
+
+
+# ---------------------------------------------------------------------------
+# The body by path, by the open file and by lines
+# ---------------------------------------------------------------------------
+
+
+def table_outcome(table):
+    return None if table is None else (table.shape, table.tobytes())
+
+
+HEADER_FIELDS = ["s", "y", "score", '"s\nx"', '"a\r\nb"', '"a\rb"', '"q,r"', '" w "']
+QUOTED_CELLS = ['"0.5"', '"1"', '" 1 "', '"0.5\n"', '"1\r\n"', '"0\r"', '"1,0"', '""']
+
+
+@st.composite
+def routed_files(draw):
+    """CSV text whose header may hold quoted fields with embedded line ends,
+    and whose cells may be quoted, in LF, CRLF or lone-CR lines, with or
+    without a BOM."""
+    width = draw(st.integers(1, 4))
+    header = [draw(st.sampled_from(HEADER_FIELDS)) for _ in range(width)]
+    cell = st.one_of(st.floats(0.0, 1.0).map(repr), st.sampled_from(["0", "1", "-2", "", "1_0"]),
+                     st.sampled_from(QUOTED_CELLS))
+    rows = draw(st.lists(st.lists(cell, min_size=width, max_size=width), max_size=6))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=1, max_size=3))
+    text = "".join(",".join(row) + draw(st.sampled_from(ends)) for row in [header, *rows])
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=st.one_of(routed_files(), csv_files()))
+def test_body_by_path_parses_as_by_open_file(tmp_path, text):
+    """``load_csv`` hands numpy the file by name, past the header's physical
+    lines; numpy's chunked read of it gives the table its line-by-line read
+    of the open file gave, bit for bit, or fails alike."""
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        header = next(csv.reader(fh), None)
+        by_file = data._float_table(fh)
+    calls = []
+    loadtxt = np.loadtxt
+
+    def spy(body, *args, **kw):
+        calls.append(body)
+        try:
+            table = loadtxt(body, *args, **kw)
+        except (ValueError, UserWarning):
+            calls.append(None)
+            raise
+        calls.append(table)
+        return table
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "loadtxt", spy)
+        try:
+            load_csv(path)
+        except DataError:
+            pass
+    if header is None or len(set(h.strip() for h in header)) < len(header):
+        assert calls == []  # no records, or a duplicate column name
+        return
+    assert calls[0] == str(path)
+    assert table_outcome(calls[1]) == table_outcome(by_file)
+
+
+@pytest.fixture
+def loadtxt_bodies(monkeypatch):
+    """What each np.loadtxt call is handed as its body."""
+    bodies = []
+    loadtxt = np.loadtxt
+
+    def spy(body, *args, **kw):
+        bodies.append(body)
+        return loadtxt(body, *args, **kw)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    return bodies
+
+
+TOY_TEXT = "s,y,score\n0,1,0.5\n1,0,0.25\n1,1,0.75\n"
+
+
+def test_regular_file_reaches_loadtxt_by_path(tmp_path, loadtxt_bodies):
+    path = tmp_path / "in.csv"
+    path.write_text(TOY_TEXT, encoding="utf-8")
+    d = load_csv(path)
+    assert loadtxt_bodies == [str(path)]
+    assert d.score.tolist() == [0.5, 0.25, 0.75]
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_pipe_reaches_loadtxt_as_its_lines(loadtxt_bodies):
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, TOY_TEXT.encode("utf-8"))
+        os.close(write_end)
+        write_end = None
+        d = load_csv(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+        if write_end is not None:
+            os.close(write_end)
+    assert loadtxt_bodies == [TOY_TEXT.splitlines(keepends=True)[1:]]
+    assert d.score.tolist() == [0.5, 0.25, 0.75]
+
+
+@pytest.mark.parametrize("name", ["data.gz", "data.bz2", "data.xz", "data.lzma"])
+def test_plain_csv_with_compression_suffix_loads(tmp_path, loadtxt_bodies, name):
+    """numpy's path reader would decompress by suffix; such a name is read
+    through the open file, as before."""
+    path = tmp_path / name
+    path.write_text(TOY_TEXT, encoding="utf-8")
+    d = load_csv(path)
+    assert [type(b) for b in loadtxt_bodies] == [io.TextIOWrapper]
+    plain = tmp_path / "data.csv"
+    plain.write_text(TOY_TEXT, encoding="utf-8")
+    assert outcome(load_csv, path, ColumnSchema()) == outcome(load_csv, plain, ColumnSchema())
+    assert len(d) == 3
+
+
+def test_name_read_as_url_is_read_through_the_open_file(tmp_path, monkeypatch, loadtxt_bodies):
+    (tmp_path / "x:" / "host").mkdir(parents=True)
+    (tmp_path / "x:" / "host" / "in.csv").write_text(TOY_TEXT, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    d = load_csv("x://host/in.csv")
+    assert [type(b) for b in loadtxt_bodies] == [io.TextIOWrapper]
+    assert d.score.tolist() == [0.5, 0.25, 0.75]
+
+
+def test_gzip_file_named_csv_exits_2_with_the_decode_message(tmp_path, capsys):
+    from fairaudit.cli import main
+
+    path = tmp_path / "in.csv"
+    path.write_bytes(gzip.compress(TOY_TEXT.encode("utf-8")))
+    assert main(["audit", str(path), "--threshold", "0.5"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: 'utf-8' codec can't decode byte 0x8b in position 1: invalid start byte\n"

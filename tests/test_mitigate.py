@@ -66,6 +66,13 @@ class TestTrainLogistic:
         assert np.all(rel < 0.05)
         assert abs(model.intercept - intercept) < 0.1
 
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_one_label_class_is_degenerate(self, label):
+        X = np.arange(8.0).reshape(4, 2)
+        d = Dataset(s=[0, 1, 0, 1], y=[label] * 4, features=X)
+        with pytest.raises(DegenerateGroupError, match="training requires both label classes"):
+            train_logistic(d)
+
     def test_zero_lambda_matches_plain_fit(self):
         rng = np.random.default_rng(5)
         d, _, _ = make_logistic_data(rng, n=2000)
