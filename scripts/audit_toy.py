@@ -47,13 +47,11 @@ def main() -> None:
     pg = mitigate.per_group_thresholds(d, objective="dp")
     print(f"  per-group thresholds: rates {pg.values}, accuracy {pg.accuracy:.4f}")
     eo = mitigate.equalize_odds(d, criterion="full")
-    # the gaps the applied policy realizes, from its decisions' confusion counts
-    r0, r1 = map(rocstats.rates, rocstats.group_confusions(d, apply_policy(d, eo.policy)))
     print(f"  equalized odds: point ({eo.target[0]:.4f}, {eo.target[1]:.4f}), "
-          f"applied gaps ({abs(r0.tpr - r1.tpr):.2e}, {abs(r0.fpr - r1.fpr):.2e}), "
+          f"applied gaps ({eo.tpr_gap:.2e}, {eo.fpr_gap:.2e}), "
           f"accuracy {eo.accuracy:.4f}")
     opp = mitigate.equalize_odds(d, criterion="opportunity")
-    print(f"  equal opportunity: TPR {opp.realized[0][1]:.4f} both groups, "
+    print(f"  equal opportunity: TPR {opp.target[1]:.4f} both groups, "
           f"accuracy {opp.accuracy:.4f}")
 
 

@@ -1,3 +1,3 @@
 """fairaudit: fairness auditing and discrimination correction for binary classifiers."""
 
-__version__ = "0.3.2"
+__version__ = "0.3.3"

@@ -329,23 +329,21 @@ def cmd_audit(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _label_rates(d: Dataset) -> dict:
-    out = {str(g): rate for g, rate in _base_rates(d)[0].items()}
-    if out["0"] is not None and out["1"] is not None:
-        out["gap"] = abs(out["1"] - out["0"])
-    return out
-
-
-def _metric_block(d: Dataset, pred: PredictionSet | None, epsilon: float) -> dict:
-    if pred is None:
-        return {}
-    results = groupfair.group_metrics(groupfair.TABLE_METRICS, d, pred, epsilon=epsilon)
-    return {mid: asdict(r) for mid, r in results.items()}
+def _evaluation(d: Dataset, pred: PredictionSet | None, epsilon: float) -> dict:
+    """A report's ``before`` or ``after`` block: each group's weighted label
+    rate, and the metric table of the decisions ``pred``, if any."""
+    label_rates = {str(g): rate for g, rate in _base_rates(d)[0].items()}
+    if label_rates["0"] is not None and label_rates["1"] is not None:
+        label_rates["gap"] = abs(label_rates["1"] - label_rates["0"])
+    metrics = {} if pred is None else groupfair.group_metrics(
+        groupfair.TABLE_METRICS, d, pred, epsilon=epsilon
+    )
+    return {"label_rates": label_rates, "metrics": {mid: asdict(r) for mid, r in metrics.items()}}
 
 
 def cmd_mitigate(args) -> int:
     d, pred, policy_desc = _load_with_pred(args)
-    before = {"label_rates": _label_rates(d), "metrics": _metric_block(d, pred, args.epsilon)}
+    before = _evaluation(d, pred, args.epsilon)
     artifacts: dict[str, str] = {}
     # the after-block is evaluated on the written dataset with these decisions
     after_d, after_pred = d, pred
@@ -390,13 +388,10 @@ def cmd_mitigate(args) -> int:
             "thresholds": lambda: mitigate.per_group_thresholds(d, objective=args.objective),
             "equalize-odds": lambda: mitigate.equalize_odds(d, criterion=args.criterion),
         }[args.method]()
-        # the method block is the result's fields less its artifact (a
-        # corrected dataset or a decision policy) and the per-group rates
-        # that equalize-odds realizes
+        # the method block is the result's fields less its artifact, a
+        # corrected dataset or a decision policy
         block = {
-            f.name: getattr(res, f.name)
-            for f in fields(res)
-            if f.name not in ("dataset", "policy", "realized")
+            f.name: getattr(res, f.name) for f in fields(res) if f.name not in ("dataset", "policy")
         }
         if args.method == "reweigh":
             block["factors"] = {f"{sv},{yv}": w for (sv, yv), w in sorted(res.factors.items())}
@@ -409,10 +404,7 @@ def cmd_mitigate(args) -> int:
             artifacts["dataset"] = str(_out(args.out, ".corrected.csv"))
     if "dataset" in artifacts:
         Path(artifacts["dataset"]).write_text(dataset_to_csv(after_d), encoding="utf-8")
-    after = {
-        "label_rates": _label_rates(after_d),
-        "metrics": _metric_block(after_d, after_pred, args.epsilon),
-    }
+    after = _evaluation(after_d, after_pred, args.epsilon)
 
     report = _report(
         args, d, policy_desc,

@@ -27,6 +27,7 @@ from .data import (
     DegenerateGroupError,
     ThresholdMixture,
     ThresholdPolicy,
+    apply_policy,
 )
 from . import rocstats
 
@@ -610,15 +611,25 @@ def di_remove(
 # ---------------------------------------------------------------------------
 
 
+def _applied(d: Dataset, policy: ThresholdPolicy):
+    """Each group's confusion counts and rates under the decisions the policy
+    makes, and the accuracy of those decisions over both groups.  Every rate
+    a policy method reports is counted here, as a report's after block
+    counts it."""
+    counts = rocstats.group_confusions(d, apply_policy(d, policy))
+    accuracy = sum(c.tp + c.tn for c in counts) / sum(c.total for c in counts)
+    return counts, [rocstats.rates(c) for c in counts], accuracy
+
+
 @dataclass
 class ThresholdSearchResult:
     policy: ThresholdPolicy
     objective: str
-    values: tuple[float, float]  # equalized quantity per group
-    gap: float
-    accuracy: float
-    granular: bool  # exact equalization was unattainable
-    degenerate: bool  # equalization only at an all-or-nothing rule
+    values: tuple[float, float]  # equalized quantity per group, as applied
+    gap: float  # |values[0] - values[1]|
+    accuracy: float  # of the applied policy
+    granular: bool  # from the sweep: no pair of candidates equalizes exactly
+    degenerate: bool  # from the sweep: a group's value is 0 or 1, all-or-nothing
 
 
 def _group_threshold_tables(d: Dataset, objective: str):
@@ -651,7 +662,9 @@ def per_group_thresholds(d: Dataset, objective: str = "dp") -> ThresholdSearchRe
     or true positive rates ("eo_tpr") while maximizing total accuracy.
 
     The gap is minimized first (its floor is set by the group grids, about
-    1/min group size), then accuracy, then the larger thresholds.
+    1/min group size), then accuracy, then the larger thresholds.  The
+    reported values, gap and accuracy are the applied policy's, counted from
+    its decisions; ``granular`` and ``degenerate`` describe the search.
     """
     if objective not in ("dp", "eo_tpr"):
         raise ValueError(f"objective must be 'dp' or 'eo_tpr', got {objective!r}")
@@ -674,16 +687,19 @@ def per_group_thresholds(d: Dataset, objective: str = "dp") -> ThresholdSearchRe
     best = np.lexsort((-t1[jj], -t0[ii], -(c0[ii] + c1[jj]), np.round(gaps, 15)))[0]
 
     i, j = ii[best], jj[best]
-    gap = float(gaps[best])
-    total_w = float(d.weight.sum())
     policy = ThresholdPolicy.per_group(float(t0[i]), float(t1[j]))
+    counts, rates, accuracy = _applied(d, policy)
+    if objective == "dp":  # the catalog's statistical parity value
+        values = tuple((c.tp + c.fp) / c.total for c in counts)
+    else:
+        values = tuple(r.tpr for r in rates)
     return ThresholdSearchResult(
         policy=policy,
         objective=objective,
-        values=(float(v0[i]), float(v1[j])),
-        gap=gap,
-        accuracy=float((c0[i] + c1[j]) / total_w),
-        granular=gap > 0.0,
+        values=values,
+        gap=abs(values[0] - values[1]),
+        accuracy=accuracy,
+        granular=bool(gaps[best] > 0.0),
         degenerate=any(v in (0.0, 1.0) for v in (v0[i], v1[j])),
     )
 
@@ -697,8 +713,7 @@ def per_group_thresholds(d: Dataset, objective: str = "dp") -> ThresholdSearchRe
 class EqualizedOddsResult:
     policy: ThresholdPolicy
     criterion: str
-    target: tuple[float, float]  # (fpr, tpr) the policy realizes
-    realized: dict[int, tuple[float, float]]
+    target: tuple[float, float]  # the mean of the groups' applied (fpr, tpr)
     tpr_gap: float
     fpr_gap: float
     accuracy: float
@@ -753,11 +768,6 @@ def _rule_from_mix(geo: _GroupGeometry, i: int, j: int, u: float, lam: float = 1
     thr = geo.thresholds
     terms = ((thr[j], lam * u), (thr[i], lam * (1.0 - u)), (1.0, 1.0 - lam))
     return ThresholdMixture(*zip(*[(float(t), p) for t, p in terms if p > 0.0]))
-
-
-def _realized(geo: _GroupGeometry, i: int, j: int, u: float, lam: float = 1.0) -> np.ndarray:
-    vi, vj = (np.array([geo.fpr[k], geo.tpr[k]]) for k in (i, j))
-    return lam * ((1.0 - u) * vi + u * vj)
 
 
 def _crossings(f: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -818,11 +828,13 @@ def _full_optimum(geo: dict[int, _GroupGeometry], n: int) -> np.ndarray:
     return np.array([f[best], t[best]])
 
 
-def _opportunity_points(geo: dict[int, _GroupGeometry], pos_w: float, total_w: float):
+def _opportunity_points(geo: dict[int, _GroupGeometry]):
     """Each group's least-fpr point at the common tpr of best accuracy, then
     least fpr sum, then largest tpr.  The least fpr lies on the upper chain,
     convex in tpr, so the best tpr is a vertex tpr of either chain; of a run
     of equal tprs, at a chain's end, the first has the least fpr."""
+    pos_w = geo[0].pos_w + geo[1].pos_w
+    total_w = pos_w + (geo[0].neg_w + geo[1].neg_w)
     tables = []
     for f, t in (_chain_table(geo[g], upper=True) for g in (0, 1)):
         first = np.append(True, t[1:] != t[:-1])
@@ -878,17 +890,14 @@ def equalize_odds(d: Dataset, criterion: str = "full") -> EqualizedOddsResult:
     accuracy-best common tpr.  Each group realizes its point by mixing the
     two hull vertices where the ray from (0, 0) through it leaves the region
     with t = 1.0, which decides 0 for all; that takes up to three thresholds,
-    and two for a point on the upper chain.  The realized gaps of the
-    equalized rates vanish up to float rounding.
+    and two for a point on the upper chain.  The reported rates are the
+    applied policy's, counted from its decisions.
     """
     if criterion not in ("full", "opportunity"):
         raise ValueError(f"criterion must be 'full' or 'opportunity', got {criterion!r}")
     geo = _group_geometries(d)
-    pos_w = geo[0].pos_w + geo[1].pos_w
-    neg_w = geo[0].neg_w + geo[1].neg_w
-    total_w = pos_w + neg_w
     if criterion == "opportunity":
-        points = _opportunity_points(geo, pos_w, total_w)
+        points = _opportunity_points(geo)
     else:
         for g in (0, 1):
             if len(geo[g].fpr) == 1:
@@ -897,20 +906,15 @@ def equalize_odds(d: Dataset, criterion: str = "full") -> EqualizedOddsResult:
     mixes = [_ray_mix(geo[g], points[g]) for g in (0, 1)]
 
     rules = {g: _rule_from_mix(geo[g], *mix) for g, mix in enumerate(mixes)}
-    realized = {g: tuple(_realized(geo[g], *mix).tolist()) for g, mix in enumerate(mixes)}
+    policy = ThresholdPolicy(rules=rules)
+    _, (r0, r1), accuracy = _applied(d, policy)
     return EqualizedOddsResult(
-        policy=ThresholdPolicy(rules=rules),
+        policy=policy,
         criterion=criterion,
-        target=tuple(float((realized[0][k] + realized[1][k]) / 2) for k in (0, 1)),
-        realized=realized,
-        tpr_gap=abs(realized[0][1] - realized[1][1]),
-        fpr_gap=abs(realized[0][0] - realized[1][0]),
-        accuracy=(
-            realized[0][1] * geo[0].pos_w
-            + realized[1][1] * geo[1].pos_w
-            + (1 - realized[0][0]) * geo[0].neg_w
-            + (1 - realized[1][0]) * geo[1].neg_w
-        ) / total_w,
+        target=((r0.fpr + r1.fpr) / 2, (r0.tpr + r1.tpr) / 2),
+        tpr_gap=abs(r0.tpr - r1.tpr),
+        fpr_gap=abs(r0.fpr - r1.fpr),
+        accuracy=accuracy,
         degenerate=all(len(geo[g].hull) <= 2 for g in (0, 1)),
         mixed=any(len(rule.thresholds) > 1 for rule in rules.values()),
     )

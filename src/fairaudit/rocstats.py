@@ -125,8 +125,7 @@ class RocCurve:
     ``thresholds`` are strictly decreasing, starting at +inf (nothing
     positive) and ending at -inf (everything positive).  The raw cumulative
     weighted counts behind each point are kept so that the area can be
-    computed exactly for unit weights and so that hull mixtures can be
-    realized as two-threshold policies.
+    computed exactly for unit weights.
     """
 
     fpr: np.ndarray

@@ -8,7 +8,8 @@ candidate, so mixtures, thresholds and flags are compared exactly.
 ``equalize_odds`` is checked instead against ``scipy.optimize.linprog`` on
 the convex hulls of the two groups' ROC points, for both criteria, and
 against ``ref_full_mixture`` and ``ref_opportunity_mixture``, the former
-searches, which it must never fall below.
+searches, which it must never fall below.  Every rate a search reports must
+equal, bit for bit, the rate counted from its policy's decisions.
 """
 
 import numpy as np
@@ -16,10 +17,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from fairaudit import mitigate, rocstats, synth
-from fairaudit.data import Dataset, DegenerateGroupError, ThresholdPolicy
+from fairaudit import groupfair, mitigate, rocstats, synth
+from fairaudit.data import Dataset, DegenerateGroupError, ThresholdPolicy, apply_policy
 
-from test_mitigate import applied_gaps
+from test_mitigate import applied_accuracy, applied_gaps, applied_rates
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +171,12 @@ def ref_opportunity_mixture(geo, pos_w, total_w):
     return tau, mixes
 
 
+def ref_realized(geo, i, j, u, lam=1.0):
+    """The unsnapped point lam * ((1-u) * point_i + u * point_j) of a mixture."""
+    vi, vj = (np.array([geo.fpr[k], geo.tpr[k]]) for k in (i, j))
+    return lam * ((1.0 - u) * vi + u * vj)
+
+
 def ref_per_group_thresholds(d, objective):
     (v0, c0, t0), (v1, c1, t1) = mitigate._group_threshold_tables(d, objective)
     best_key = None
@@ -251,6 +258,14 @@ def lp_accuracy(geo, criterion="full"):
     return (neg_w - res.fun) / (pos_w + neg_w)
 
 
+def check_applied_odds(d, res):
+    """An equalized-odds result reports its policy's applied rates exactly."""
+    (f0, t0), (f1, t1) = applied_rates(d, res.policy)
+    assert res.target == ((f0 + f1) / 2, (t0 + t1) / 2)
+    assert (res.tpr_gap, res.fpr_gap) == applied_gaps(d, res.policy)
+    assert res.accuracy == applied_accuracy(d, res.policy)
+
+
 def check_equalize_odds(d):
     """Each criterion reaches its linear program's accuracy and at least its
     former search's, within 1e-12, and its policy realizes gaps of at most
@@ -268,9 +283,10 @@ def check_equalize_odds(d):
         return (t * pos_w + (1.0 - f) * neg_w) / total_w
 
     res = mitigate.equalize_odds(d, criterion="opportunity")
+    check_applied_odds(d, res)
     assert abs(res.accuracy - lp_accuracy(geo, "opportunity")) <= 1e-12
     _, mixes = ref_opportunity_mixture(geo, pos_w, total_w)
-    (f0, t0), (f1, t1) = (mitigate._realized(geo[g], *mixes[g]) for g in (0, 1))
+    (f0, t0), (f1, t1) = (ref_realized(geo[g], *mixes[g]) for g in (0, 1))
     old = (t0 * geo[0].pos_w + t1 * geo[1].pos_w + (1 - f0) * geo[0].neg_w
            + (1 - f1) * geo[1].neg_w) / total_w
     assert res.accuracy >= old - 1e-12
@@ -281,9 +297,10 @@ def check_equalize_odds(d):
             mitigate.equalize_odds(d, criterion="full")
         return 0
     res = mitigate.equalize_odds(d, criterion="full")
+    check_applied_odds(d, res)
     assert abs(res.accuracy - lp_accuracy(geo)) <= 1e-12
     mixes, n_collinear = ref_full_mixture(geo, accuracy)
-    old = accuracy(*np.mean([mitigate._realized(geo[g], *mixes[g]) for g in (0, 1)], axis=0))
+    old = accuracy(*np.mean([ref_realized(geo[g], *mixes[g]) for g in (0, 1)], axis=0))
     assert res.accuracy >= old - 1e-12
     assert max(applied_gaps(d, res.policy)) <= 1e-12
     return n_collinear
@@ -295,7 +312,18 @@ def check_thresholds(d):
             res = mitigate.per_group_thresholds(d, objective=objective)
         except DegenerateGroupError:
             continue
-        assert res == ref_per_group_thresholds(d, objective)
+        ref = ref_per_group_thresholds(d, objective)
+        # the search picks the reference's candidate
+        for name in ("policy", "objective", "granular", "degenerate"):
+            assert getattr(res, name) == getattr(ref, name)
+        # and reports the rates its decisions realize, as the catalog counts them
+        metric = "statistical_parity" if objective == "dp" else "equal_opportunity"
+        applied = groupfair.group_metric(metric, d, apply_policy(d, res.policy))
+        values = (applied.group0, applied.group1)
+        assert res.values == values and res.gap == abs(values[0] - values[1])
+        assert res.accuracy == applied_accuracy(d, res.policy)
+        if (d.weight == 1.0).all():  # unit weights: the sweep's sums are exact
+            assert res.values == ref.values
     try:
         expected = ref_fairest_threshold(d)
     except DegenerateGroupError:
@@ -426,14 +454,20 @@ def test_scaled_twin_groups_reach_the_lp_optimum(d):
     check_equalize_odds(d)
 
 
-def test_scaled_twin_segment_regions_stay_feasible():
-    # each group's region is one segment from (0, 0); rounding parted the
-    # two, and "full" fell to the all-negative rule, accuracy 4/13.  The
-    # feasibility bound must keep twins together, but no more
+def segment_twins():
+    """13 records and their twins at weight 0.3: each group's region is one
+    segment from (0, 0)."""
     y = [0, 1, 1, 0, 1, 0, 1, 0, 1, 1, 1, 1, 1]
     score = [1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0]
-    d = Dataset(s=[0] * 13 + [1] * 13, y=y + y, score=score + score,
-                weight=[1.0] * 13 + [0.3] * 13)
+    return Dataset(s=[0] * 13 + [1] * 13, y=y + y, score=score + score,
+                   weight=[1.0] * 13 + [0.3] * 13)
+
+
+def test_scaled_twin_segment_regions_stay_feasible():
+    # rounding parted the two regions, and "full" fell to the all-negative
+    # rule, accuracy 4/13.  The feasibility bound must keep twins together,
+    # but no more
+    d = segment_twins()
     assert mitigate.equalize_odds(d, criterion="full").accuracy == 0.6153846153846154
     check_equalize_odds(d)
     # one weight 1e-4 off parts the regions in exact arithmetic as well
@@ -442,6 +476,14 @@ def test_scaled_twin_segment_regions_stay_feasible():
     parted = Dataset(s=d.s, y=d.y, score=d.score, weight=w)
     assert mitigate.equalize_odds(parted, criterion="full").accuracy < 0.31
     check_equalize_odds(parted)
+
+
+def test_segment_twins_report_the_applied_gaps():
+    # both groups' rules are the threshold 0.5, whose rates are equal; the
+    # unsnapped mixture put group 1 at fpr 0.49999999999999994
+    res = mitigate.equalize_odds(segment_twins(), criterion="full")
+    assert res.policy.rules[0] == res.policy.rules[1]
+    assert (res.tpr_gap, res.fpr_gap) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("n", [30, 1000])

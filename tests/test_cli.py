@@ -17,11 +17,14 @@ from hypothesis import strategies as st
 import fairaudit
 from fairaudit import mitigate
 from fairaudit.cli import _dump_json, build_parser, main, render_markdown
-from fairaudit.data import TOY_CSV, dataset_to_csv, load_csv, load_toy, sha256_of_file
+from fairaudit.data import (
+    TOY_CSV, ThresholdMixture, ThresholdPolicy, dataset_to_csv, load_csv, load_toy, sha256_of_file,
+)
 from fairaudit.mitigate import LinearModel
 from fairaudit.rocstats import roc_curve
 
 from test_load_csv_reference import csv_files
+from test_mitigate import applied_accuracy
 
 TOY_THRESHOLD_ARG = "0.4375"  # between the 10th and 11th scores
 
@@ -459,7 +462,7 @@ class TestMitigateCommand:
         assert got == want
 
     def test_reweigh_after_block_keeps_pred_col_decisions(self, tmp_path, capsys):
-        from fairaudit.cli import _metric_block
+        from fairaudit.cli import _evaluation
         from fairaudit.data import PredictionSet
 
         src = tmp_path / "preds.csv"
@@ -474,7 +477,7 @@ class TestMitigateCommand:
         assert report["after"]["metrics"]["statistical_parity"]["group0"] > 0.5
         corrected = load_csv(tmp_path / "rw.corrected.csv")
         pred = PredictionSet.from_labels(np.array([int(r[-1]) for r in self.PRED_ROWS]))
-        expected = json.loads(_dump_json(_metric_block(corrected, pred, 0.05), None))
+        expected = json.loads(_dump_json(_evaluation(corrected, pred, 0.05)["metrics"], None))
         assert report["after"]["metrics"] == expected
 
     @pytest.mark.parametrize(
@@ -490,8 +493,7 @@ class TestMitigateCommand:
     )
     def test_method_block_is_the_result_fields(self, tmp_path, capsys, method, result):
         # every result field reaches the report except the artifact written
-        # beside it and the per-group rates equalize-odds realizes; train
-        # reports its fit, not the model's coefficients
+        # beside it; train reports its fit, not the model's coefficients
         rng = np.random.default_rng(12)
         src = tmp_path / "in.csv"
         src.write_text(dataset_to_csv(load_toy().with_(features=rng.normal(size=(24, 2)))),
@@ -502,7 +504,7 @@ class TestMitigateCommand:
         if result is None:
             want = {"penalty", "converged", "diverged", "n_iter", "score_s_correlation"}
         else:
-            want = {f.name for f in fields(result)} - {"dataset", "policy", "realized"}
+            want = {f.name for f in fields(result)} - {"dataset", "policy"}
         assert set(json.loads(out)["method"]) == {"method"} | want
 
     def test_repair_amount_zero_round_trips_bytes(self, tmp_path, capsys):
@@ -678,6 +680,70 @@ class TestMitigateCommand:
         code, out, err = run(argv + ["--criterion", "opportunity"], capsys)
         assert code == 0
         assert json.loads(out)["method"]["tpr_gap"] == 0.0
+
+
+@st.composite
+def policy_csvs(draw):
+    """Two groups of 2-12 records on a grid of scores, each with both labels
+    and a score above 0; the weights are all 1 or non-integer."""
+    levels = draw(st.integers(1, 10))
+    weighted = draw(st.booleans())
+    weight = st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.5]) | st.floats(0.05, 5.0)
+    rows = []
+    for g in (0, 1):
+        n = draw(st.integers(2, 12))
+        y = [0, 1] + draw(st.lists(st.integers(0, 1), min_size=n - 2, max_size=n - 2))
+        ks = draw(st.lists(st.integers(0, levels), min_size=n, max_size=n))
+        ks[0] = max(ks[0], 1)
+        for yv, k in zip(y, ks):
+            rows.append(f"{g},{yv},{k / levels!r},{draw(weight) if weighted else 1.0!r}\n")
+    return "s,y,score,w\n" + "".join(rows)
+
+
+def read_policy(path):
+    """The policy a ``.policy.json`` file holds."""
+    rules = {}
+    for g, r in json.loads(path.read_text(encoding="utf-8")).items():
+        t, p = {
+            "deterministic": lambda: ([r["threshold"]], [1.0]),
+            "randomized": lambda: ([r["t_lo"], r["t_hi"]], [r["p"], 1.0 - r["p"]]),
+            "mixture": lambda: (r["thresholds"], r["probs"]),
+        }[r["kind"]]()
+        rules[int(g)] = ThresholdMixture(tuple(t), tuple(p))
+    return ThresholdPolicy(rules)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    text=policy_csvs(),
+    argv=st.sampled_from([
+        ["equalize-odds", "--criterion", "full"],
+        ["equalize-odds", "--criterion", "opportunity"],
+        ["thresholds", "--objective", "dp"],
+        ["thresholds", "--objective", "eo_tpr"],
+    ]),
+)
+def test_policy_method_block_reports_the_after_block_rates(tmp_path, capsys, text, argv):
+    # the method block describes the policy written beside it: its per-group
+    # rates and gaps are those the after block counts, and its accuracy that
+    # of the written policy's decisions, bit for bit
+    path = tmp_path / "in.csv"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(["mitigate", path, "--method", *argv, "--out", tmp_path / "m"], capsys)
+    assert code == 0, err
+    report = json.loads(out)
+    method, after = report["method"], report["after"]["metrics"]
+    rates = {m: (after[m]["group0"], after[m]["group1"]) for m in after}
+    if argv[0] == "equalize-odds":
+        (f0, f1), (t0, t1) = rates["predictive_equality"], rates["equal_opportunity"]
+        assert method["target"] == [(f0 + f1) / 2, (t0 + t1) / 2]
+        assert (method["tpr_gap"], method["fpr_gap"]) == (abs(t0 - t1), abs(f0 - f1))
+    else:
+        v0, v1 = rates["statistical_parity" if argv[2] == "dp" else "equal_opportunity"]
+        assert (method["values"], method["gap"]) == ([v0, v1], abs(v0 - v1))
+    policy = read_policy(tmp_path / "m.policy.json")
+    assert method["accuracy"] == applied_accuracy(load_csv(path), policy)
 
 
 class TestPipelineIntegration:

@@ -580,6 +580,12 @@ def applied_gaps(d, policy):
     return abs(t0 - t1), abs(f0 - f1)
 
 
+def applied_accuracy(d, policy):
+    """The share of weight the policy's decisions get right, over both groups."""
+    counts = rocstats.group_confusions(d, apply_policy(d, policy))
+    return sum(c.tp + c.tn for c in counts) / sum(c.total for c in counts)
+
+
 class TestEqualizeOdds:
     def test_identical_groups_single_deterministic_threshold(self):
         y = [0, 1, 0, 1, 1, 0, 1, 0]
@@ -629,7 +635,10 @@ class TestEqualizeOdds:
         assert res.tpr_gap <= 1 / 5  # the coarser group-0 TPR grid
         assert res.mixed  # one group realizes the common TPR by mixing
         assert res.accuracy == pytest.approx(21 / 24, abs=1e-12)
-        assert res.realized[0][1] == pytest.approx(8 / 9, abs=1e-12)
+        # the common TPR, as both groups' applied decisions realize it
+        assert res.target[1] == pytest.approx(8 / 9, abs=1e-12)
+        for _, tpr in applied_rates(toy, res.policy):
+            assert tpr == pytest.approx(8 / 9, abs=1e-12)
 
     def test_degenerate_hulls_flagged(self):
         d = Dataset(s=[0, 0, 1, 1], y=[0, 1, 0, 1], score=[0.5, 0.5, 0.5, 0.5])
